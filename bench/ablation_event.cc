@@ -145,6 +145,7 @@ FlagOffOutcome RunFlagOff() {
   options.num_hosts = 3;
   options.daemons = true;
   options.metrics = true;
+  options.decision_log = true;  // the decision sequence below reads it back
   options.sample_period = sim::Millis(500);
   Testbed world(options);
   for (int i = 0; i < 5; ++i) {
@@ -153,27 +154,26 @@ FlagOffOutcome RunFlagOff() {
   world.cluster().RunFor(sim::Seconds(3));
 
   net::Network* net = &world.cluster().network();
-  auto stats = std::make_shared<apps::LoadBalancerStats>();
   const sim::Nanos cpu0 = world.cluster().TotalCpu();
   const sim::Nanos t0 = world.cluster().clock().now();
   const int64_t bytes0 = TotalBytesMoved(world);
   kernel::SpawnOptions opts;  // root
   const int32_t balancer = world.host("brick").SpawnNative(
       "balancer",
-      [net, stats](kernel::SyscallApi& api) {
+      [net](kernel::SyscallApi& api) {
         apps::LoadBalancerOptions lb;
         lb.poll_interval = sim::Seconds(2);
         lb.min_age = sim::Seconds(1);
         lb.max_rounds = 12;
         lb.use_index = true;  // event_driven deliberately left at its default
-        *stats = apps::RunLoadBalancer(api, *net, lb);
+        apps::RunLoadBalancer(api, *net, lb);
         return 0;
       },
       opts);
   world.RunUntilExited("brick", balancer, sim::Seconds(600));
 
   FlagOffOutcome out;
-  out.decisions = stats->decisions;
+  out.decisions = world.cluster().context().decision_log.OutcomeSequence();
   out.m = Measurement{sim::ToMillis(world.cluster().TotalCpu() - cpu0),
                       sim::ToMillis(world.cluster().clock().now() - t0),
                       TotalBytesMoved(world) - bytes0};

@@ -107,7 +107,7 @@ HealthOutcome RunDegradingHost(bool armed, bool watchdog, bool crash) {
   world.StartVm("brick", "/bin/probehog", {"probehog", kHogIterations});
 
   net::Network* net = &world.cluster().network();
-  sim::HealthMonitor* monitor = &world.cluster().health_monitor();
+  sim::HealthMonitor* monitor = &world.cluster().context().health_monitor;
 
   const sim::Nanos cpu0 = world.cluster().TotalCpu();
   const sim::Nanos t0 = world.cluster().clock().now();

@@ -204,7 +204,7 @@ Outcome RunCutMigrations(PartitionMode mode) {
     const int rc = MigrateOne(world, net, victims[i], "brick", target);
     (void)rc;  // a failed or fallen-back leg is part of the scenario
   }
-  world.cluster().faults().Disarm();  // heals whatever is still cut
+  world.cluster().context().faults.Disarm();  // heals whatever is still cut
   world.cluster().RunFor(sim::Seconds(10));
   RunReaperPasses(world, net);  // settle anything a cut leg abandoned
 
@@ -320,9 +320,10 @@ Outcome RunFlapWithReaperDaemon() {
 
   for (const int32_t pid : victims) {
     const int rc = MigrateOne(world, net, pid, "brick", "schooner");
+    (void)rc;  // a failed or fallen-back leg is part of the scenario
   }
   world.RunUntilExited("brick", reaper, sim::Seconds(600));
-  world.cluster().faults().Disarm();
+  world.cluster().context().faults.Disarm();
   world.cluster().RunFor(sim::Seconds(10));
 
   Outcome out;

@@ -122,6 +122,7 @@ EquivOutcome RunEquivalence(bool use_index) {
   options.num_hosts = 3;
   options.daemons = true;
   options.metrics = true;
+  options.decision_log = true;  // the decision sequence below reads it back
   Testbed world(options);
   for (int i = 0; i < 5; ++i) {
     world.StartVm("brick", "/bin/hog", {"hog", "4000000"});
@@ -129,28 +130,27 @@ EquivOutcome RunEquivalence(bool use_index) {
   world.cluster().RunFor(sim::Seconds(3));
 
   net::Network* net = &world.cluster().network();
-  auto stats = std::make_shared<apps::LoadBalancerStats>();
   const sim::Nanos cpu0 = world.cluster().TotalCpu();
   const sim::Nanos t0 = world.cluster().clock().now();
   const int64_t bytes0 = TotalBytesMoved(world);
   kernel::SpawnOptions opts;  // root
   const int32_t balancer = world.host("brick").SpawnNative(
       "balancer",
-      [net, use_index, stats](kernel::SyscallApi& api) {
+      [net, use_index](kernel::SyscallApi& api) {
         apps::LoadBalancerOptions lb;
         lb.poll_interval = sim::Seconds(2);
         lb.min_age = sim::Seconds(1);
         lb.max_rounds = 12;
         lb.use_index = use_index;
         lb.index_ttl = 0;  // trust nothing: every round re-surveys
-        *stats = apps::RunLoadBalancer(api, *net, lb);
+        apps::RunLoadBalancer(api, *net, lb);
         return 0;
       },
       opts);
   world.RunUntilExited("brick", balancer, sim::Seconds(600));
 
   EquivOutcome out;
-  out.decisions = stats->decisions;
+  out.decisions = world.cluster().context().decision_log.OutcomeSequence();
   out.m = Measurement{sim::ToMillis(world.cluster().TotalCpu() - cpu0),
                       sim::ToMillis(world.cluster().clock().now() - t0),
                       TotalBytesMoved(world) - bytes0};

@@ -1,13 +1,13 @@
 #!/bin/sh
-# The full verification pipeline, one command: tier-1 build + ctest, the ASan
-# and UBSan builds + ctest, and the fig4 phase-drift gate. Run from the
-# repository root.
+# The full verification pipeline, one command: the -Werror tier-1 build +
+# ctest, the ASan and UBSan builds + ctest, the bench gates, and the two-clock
+# benchmark's own unit tests. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== tier-1 build =="
-cmake -B build -S . >/dev/null
+echo "== tier-1 build (warnings are errors) =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j
 
 echo "== tier-1 ctest =="
@@ -58,5 +58,8 @@ echo "== bench JSON schema gate =="
 
 echo "== report-line schema gate =="
 ./build/bench/check_bench_json --report build/bench/REPORT_decision_diff.jsonl
+
+echo "== benchmark statistics tests =="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "ci: all green"

@@ -61,8 +61,9 @@ std::string CkptName(const std::string& dir, int index, const std::string& what)
 // slot; v2 (0776) records content hashes and where each copy actually lives.
 Result<SlotArray> LoadMeta(kernel::SyscallApi& api, const std::string& dir, int index,
                            int32_t* pid_out) {
-  PMIG_TRY(std::string meta_bytes, ReadWholeFile(api, CkptName(dir, index, "meta")));
-  sim::ByteReader meta(meta_bytes);
+  const Result<std::string> meta_bytes = ReadWholeFile(api, CkptName(dir, index, "meta"));
+  if (!meta_bytes.ok()) return meta_bytes.error();
+  sim::ByteReader meta(*meta_bytes);
   const uint32_t magic = meta.U32();
   if (magic != kMetaMagic && magic != kMetaMagicV2) return Errno::kNoExec;
   const int32_t pid = meta.I32();
@@ -140,9 +141,7 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
   // Checkpointing runs under a distributed trace too: the checkpointer mints
   // an id on its first checkpoint and every dump span joins it.
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
-    self.trace_id = api.kernel().spans()->MintTraceId();
-  }
+  if (self.trace_id == 0) self.trace_id = api.kernel().context().spans.MintTraceId();
   if (core::Dumpproc(api, pid, /*tx=*/false, incremental) != 0) return Errno::kSrch;
   const DumpPaths paths = DumpPaths::For(pid);
 

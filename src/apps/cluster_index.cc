@@ -18,34 +18,31 @@ ClusterIndex::ClusterIndex(net::Network* net, std::string local_host,
   }
   load_observer_id_ = net_->AddLoadObserver(
       [this](const net::LoadObservation& obs) { NoteObservation(obs); });
-  if (sim::FaultHistory* history = net_->fault_history(); history != nullptr) {
-    listening_to_ = history;
-    chain_ = std::make_shared<ListenerChain>();
-    chain_->index = this;
-    chain_->chained = history->listener();
-    std::shared_ptr<ListenerChain> chain = chain_;
-    history->set_listener([chain](std::string_view host) {
-      if (chain->index != nullptr) chain->index->OnFaultRecorded(host);
-      if (chain->chained) chain->chained(host);
-    });
-    listener_token_ = history->listener_token();
-  }
+  sim::FaultHistory& history = net_->context().fault_history;
+  chain_ = std::make_shared<ListenerChain>();
+  chain_->index = this;
+  chain_->chained = history.listener();
+  std::shared_ptr<ListenerChain> chain = chain_;
+  history.set_listener([chain](std::string_view host) {
+    if (chain->index != nullptr) chain->index->OnFaultRecorded(host);
+    if (chain->chained) chain->chained(host);
+  });
+  listener_token_ = history.listener_token();
 }
 
 ClusterIndex::~ClusterIndex() {
   net_->RemoveLoadObserver(load_observer_id_);
-  if (listening_to_ != nullptr) {
-    // Restore the saved chain only while our install is still the *top* of it
-    // (the token has not moved). An index buried under a later subscriber must
-    // not re-install its saved chain — that would both drop the later
-    // subscriber and resurrect a closure over this dying object. Nulling the
-    // shared state instead degrades our closure, wherever it still lives in
-    // the chain, to a pure forwarder.
-    if (listening_to_->listener_token() == listener_token_) {
-      listening_to_->set_listener(std::move(chain_->chained));
-    }
-    chain_->index = nullptr;
+  // Restore the saved chain only while our install is still the *top* of it
+  // (the token has not moved). An index buried under a later subscriber must
+  // not re-install its saved chain — that would both drop the later
+  // subscriber and resurrect a closure over this dying object. Nulling the
+  // shared state instead degrades our closure, wherever it still lives in the
+  // chain, to a pure forwarder.
+  sim::FaultHistory& history = net_->context().fault_history;
+  if (history.listener_token() == listener_token_) {
+    history.set_listener(std::move(chain_->chained));
   }
+  chain_->index = nullptr;
 }
 
 IndexEntry* ClusterIndex::FindMutable(std::string_view host) {
@@ -157,8 +154,8 @@ void ClusterIndex::NoteObservation(const net::LoadObservation& obs) {
 
 void ClusterIndex::OnFaultRecorded(std::string_view host) {
   IndexEntry* e = FindMutable(host);
-  if (e == nullptr || listening_to_ == nullptr) return;
-  const double score = listening_to_->Score(host);
+  if (e == nullptr) return;
+  const double score = net_->context().fault_history.Score(host);
   if (score == e->fault_score) return;
   e->fault_score = score;
   ++epoch_;
@@ -179,17 +176,14 @@ void ClusterIndex::Survey(IndexEntry& e, sim::Nanos now) {
   }
   // The free signals ride along: the history/monitor are coordinator-local
   // reads and reachability is a pure function — no extra messages.
-  if (const sim::FaultHistory* h = net_->fault_history(); h != nullptr) {
-    if (const double score = h->Score(e.host); score != e.fault_score) {
-      e.fault_score = score;
-      ++epoch_;
-    }
+  const sim::ClusterContext& ctx = net_->context();
+  if (const double score = ctx.fault_history.Score(e.host); score != e.fault_score) {
+    e.fault_score = score;
+    ++epoch_;
   }
-  if (const sim::HealthMonitor* m = net_->health_monitor(); m != nullptr) {
-    if (const double score = m->HealthScore(e.host); score != e.health_score) {
-      e.health_score = score;
-      ++epoch_;
-    }
+  if (const double score = ctx.health_monitor.HealthScore(e.host); score != e.health_score) {
+    e.health_score = score;
+    ++epoch_;
   }
   SetReachable(e, e.host == local_ || net_->Reachable(local_, e.host));
   e.updated_at = now;

@@ -211,7 +211,6 @@ class ClusterIndex {
   uint64_t epoch_ = 0;
   std::function<void()> wake_;
   uint64_t load_observer_id_ = 0;
-  sim::FaultHistory* listening_to_ = nullptr;
   std::shared_ptr<ListenerChain> chain_;
   uint64_t listener_token_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "src/apps/evacuate.h"
 
 #include "src/apps/cluster_index.h"
-#include "src/apps/decision_log.h"
 #include "src/apps/recovery.h"
 #include "src/core/tools.h"
 
@@ -88,9 +87,8 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
     const int rc = core::Migrate(api, net, pid, std::string(from_host), target,
                                  use_daemon, opts);
     if (have_lease) ReleasePlacementLease(api, lease);
-    if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-      dlog->AttachOutcome(pid, from_host, target, rc, api.proc().trace_id);
-    }
+    net.context().decision_log.AttachOutcome(pid, from_host, target, rc,
+                                             api.proc().trace_id);
     if (rc == 0) {
       report.moved.push_back(pid);
       if (index != nullptr) index->NoteMigrated(std::string(from_host), target);

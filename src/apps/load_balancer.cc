@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "src/apps/decision_log.h"
 #include "src/apps/recovery.h"
 #include "src/core/tools.h"
 
@@ -256,9 +255,8 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       const int rc = core::Migrate(api, net, victim, busiest->first, target,
                                    options.use_daemon, options.migrate);
       if (have_lease) ReleasePlacementLease(api, lease);
-      if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-        dlog->AttachOutcome(victim, busiest->first, target, rc, api.proc().trace_id);
-      }
+      net.context().decision_log.AttachOutcome(victim, busiest->first, target, rc,
+                                               api.proc().trace_id);
       if (rc == 0) {
         ++stats.migrations;
         if (index.has_value()) index->NoteMigrated(busiest->first, target);
@@ -267,8 +265,6 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       } else {
         ++stats.failed_migrations;
       }
-      stats.decisions += std::to_string(victim) + ":" + busiest->first + "->" + target +
-                         "=" + std::to_string(rc) + ";";
     }
     if (!attempted) {
       // Imbalanced, but every other host is down, fault-excluded, unreachable,

@@ -110,9 +110,6 @@ struct LoadBalancerStats {
   // Event-driven waits released by a wake event vs by the max_idle heartbeat.
   int event_wakeups = 0;
   int heartbeats = 0;
-  // One "pid:from->to=rc;" entry per migrate call, in order — the decision
-  // sequence, for determinism/equivalence tests and the ablation bench.
-  std::string decisions;
 };
 
 // The balancer's victim choice on `host`, exposed for tests: up to `max_victims`

@@ -1,6 +1,5 @@
 #include "src/apps/night_shift.h"
 
-#include "src/apps/decision_log.h"
 #include "src/apps/recovery.h"
 #include "src/core/tools.h"
 
@@ -120,9 +119,8 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
       const int rc = core::Migrate(api, net, jobs[i], day_host, target,
                                    options.use_daemon, options.migrate);
       if (have_lease) ReleasePlacementLease(api, lease);
-      if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-        dlog->AttachOutcome(jobs[i], day_host, target, rc, api.proc().trace_id);
-      }
+      net.context().decision_log.AttachOutcome(jobs[i], day_host, target, rc,
+                                               api.proc().trace_id);
       if (rc == 0) {
         ++stats.spread_migrations;
         ++moved_to_target;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/apps/cluster_index.h"
-#include "src/apps/decision_log.h"
 #include "src/core/dump_format.h"
 #include "src/sim/hash.h"
 #include "src/vm/cpu.h"
@@ -108,14 +107,9 @@ bool PlacementEngine::Eligible(const kernel::Kernel& host, double fault_threshol
                                double health_threshold) const {
   if (host.down()) return false;
   if (UsesFaultSignal()) {
-    const sim::FaultHistory* history = net_->fault_history();
-    if (history != nullptr && history->Score(host.hostname()) >= fault_threshold) {
-      return false;
-    }
-    const sim::HealthMonitor* monitor = net_->health_monitor();
-    if (monitor != nullptr && monitor->HealthScore(host.hostname()) >= health_threshold) {
-      return false;
-    }
+    const sim::ClusterContext& ctx = net_->context();
+    if (ctx.fault_history.Score(host.hostname()) >= fault_threshold) return false;
+    if (ctx.health_monitor.HealthScore(host.hostname()) >= health_threshold) return false;
   }
   return true;
 }
@@ -148,13 +142,9 @@ void PlacementEngine::FillSignals(const PlacementQuery& query, kernel::Kernel* f
     const sim::Histogram* restarts = host.metrics().FindHistogram("migration.restart_ns");
     if (restarts != nullptr) s->est_restart_ns = restarts->Percentile(50);
   }
-  if (const sim::FaultHistory* history = net_->fault_history(); history != nullptr) {
-    s->fault_score = history->Score(s->host);
-  }
+  s->fault_score = net_->context().fault_history.Score(s->host);
   s->fault_excluded = UsesFaultSignal() && s->fault_score >= query.fault_threshold;
-  if (const sim::HealthMonitor* monitor = net_->health_monitor(); monitor != nullptr) {
-    s->health_score = monitor->HealthScore(s->host);
-  }
+  s->health_score = net_->context().health_monitor.HealthScore(s->host);
   s->health_excluded = UsesFaultSignal() && s->health_score >= query.health_threshold;
 }
 
@@ -229,9 +219,9 @@ bool PlacementEngine::Beats(const CandidateScore& better,
 void PlacementEngine::RecordDecision(const PlacementQuery& query, bool from_index,
                                      const std::vector<CandidateScore>& scores,
                                      const std::string& chosen) const {
-  DecisionLog* log = net_->decision_log();
-  if (log == nullptr || !log->enabled()) return;
-  DecisionRecord r;
+  sim::DecisionLog& log = net_->context().decision_log;
+  if (!log.enabled()) return;
+  sim::DecisionRecord r;
   r.context = query.context;
   r.policy = std::string(PlacementPolicyName(policy_));
   r.source = from_index ? "index" : "scan";
@@ -332,7 +322,7 @@ void PlacementEngine::RecordDecision(const PlacementQuery& query, bool from_inde
       r.near_tie = true;
     }
   }
-  log->Record(std::move(r));
+  log.Record(std::move(r));
 }
 
 std::string PlacementEngine::PickTarget(const PlacementQuery& query) const {
@@ -356,8 +346,7 @@ std::string PlacementEngine::PickTarget(const PlacementQuery& query) const {
 // walk of the index entries (still zero survey messages).
 std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
   const ClusterIndex& index = *query.index;
-  const sim::FaultHistory* history = net_->fault_history();
-  const sim::HealthMonitor* monitor = net_->health_monitor();
+  const sim::ClusterContext& ctx = net_->context();
   if (query.occupancy) {
     const std::vector<CandidateScore> scores = ScoreFromIndex(query);
     const CandidateScore* best = nullptr;
@@ -380,10 +369,8 @@ std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
     kernel::Kernel* host = net_->FindHost(e.host);
     if (host == nullptr || host->down()) continue;
     if (UsesFaultSignal()) {
-      if (history != nullptr && history->Score(e.host) >= query.fault_threshold) continue;
-      if (monitor != nullptr && monitor->HealthScore(e.host) >= query.health_threshold) {
-        continue;
-      }
+      if (ctx.fault_history.Score(e.host) >= query.fault_threshold) continue;
+      if (ctx.health_monitor.HealthScore(e.host) >= query.health_threshold) continue;
     }
     if (group.empty() && policy_ == PlacementPolicy::kLoadOnly) {
       picked = e.host;  // load is the only signal; first eligible wins
@@ -408,7 +395,7 @@ std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
   // list provably picks the same winner, and the record gains the runner-up the
   // walk never materialised. ScoreFromIndex is survey-free, so the armed log
   // still books zero messages — recording cannot perturb what it observes.
-  if (DecisionLog* log = net_->decision_log(); log != nullptr && log->enabled()) {
+  if (ctx.decision_log.enabled()) {
     RecordDecision(query, /*from_index=*/true, ScoreFromIndex(query), picked);
   }
   return picked;
@@ -441,7 +428,7 @@ std::vector<std::string> PlacementEngine::PlaceBatch(
       if (s.fault_excluded || s.health_excluded) continue;
       if (best == nullptr || Beats(s, *best)) best = &s;
     }
-    if (DecisionLog* log = net_->decision_log(); log != nullptr && log->enabled()) {
+    if (net_->context().decision_log.enabled()) {
       // One record per pid, captured before the lookahead bump below mutates
       // the working loads the next pid will see.
       PlacementQuery audit = query;

@@ -165,8 +165,8 @@ class PlacementEngine {
                    kernel::Kernel& host, CandidateScore* s) const;
   std::vector<CandidateScore> ScoreFromIndex(const PlacementQuery& query) const;
   std::string PickFromIndex(const PlacementQuery& query) const;
-  // Decision-log recording (no-op unless the network carries an armed
-  // apps::DecisionLog). Builds the audit record — candidates, exclusions with
+  // Decision-log recording (no-op unless the cluster's sim::DecisionLog is
+  // armed). Builds the audit record — candidates, exclusions with
   // reasons, runner-up, margin factor — from `scores` and free reads only, so
   // an armed log never perturbs the run it is observing.
   void RecordDecision(const PlacementQuery& query, bool from_index,

@@ -283,8 +283,8 @@ Result<int> RunRestart(ReapContext& ctx, const std::string& target,
 // restart runs. restart --claim's O_EXCL is the actual mutex against every
 // other concurrent consumer — a racing coordinator's restart loses the claim
 // and bows out.
-void Revive(ReapContext& ctx, const std::string& host, const std::string& dir,
-            int32_t pid, const core::DumpPaths& paths) {
+void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
+            const core::DumpPaths& paths) {
   PlacementEngine engine(&ctx.net, ctx.opts.policy);
   PlacementQuery query;
   query.from_host = host;
@@ -453,13 +453,13 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
     // release the serialising lease before reviving so the revive may lease
     // the dump host itself as a target.
     if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, breaker);
-    Revive(ctx, host, dir, pid, paths);
+    Revive(ctx, host, pid, paths);
     return;
   }
 
   // Ready, unclaimed, stale, no survivor: a completed dump whose coordinator
   // never came back for it. Revive it.
-  Revive(ctx, host, dir, pid, paths);
+  Revive(ctx, host, pid, paths);
 }
 
 }  // namespace

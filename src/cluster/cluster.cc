@@ -16,44 +16,25 @@ namespace pmig::cluster {
 
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
-      recorder_(&clock_, config_.flight_recorder_capacity),
-      health_monitor_(&clock_, config_.health, config_.slos),
-      decision_log_(&clock_, config_.decision_log_capacity) {
-  trace_.set_enabled(config_.enable_trace);
-  spans_.set_enabled(config_.enable_spans);
-  recorder_.set_enabled(config_.enable_flight_recorder);
-  recorder_.set_output_dir(config_.postmortem_dir);
-  spans_.set_flight_recorder(&recorder_);
-  health_monitor_.set_flight_recorder(&recorder_);
-  decision_log_.set_enabled(config_.enable_decision_log);
-  faults_ = std::make_unique<sim::FaultInjector>(config_.faults, &clock_);
-  network_ = std::make_unique<net::Network>(&config_.costs);
+      ctx_(config_.recording, config_.faults, config_.health, config_.slos) {
   Boot();
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  for (auto& k : hosts_) k->UnwindNativeTasks();
+}
 
 void Cluster::Boot() {
   assert(!config_.hosts.empty());
   for (const HostSpec& spec : config_.hosts) {
     kernel::KernelConfig kcfg = config_.kernel;
     kcfg.isa = spec.isa;
-    auto k = std::make_unique<kernel::Kernel>(spec.name, &clock_, &config_.costs, &trace_, kcfg);
+    auto k = std::make_unique<kernel::Kernel>(spec.name, ctx_, &config_.costs, kcfg);
     k->set_pid_base(100 + 1000 * static_cast<int32_t>(hosts_.size()));
     k->set_program_registry(&programs_);
-    k->metrics().set_enabled(config_.enable_metrics);
-    k->set_span_log(&spans_);
-    k->set_flight_recorder(&recorder_);
-    k->set_health_monitor(&health_monitor_);
-    k->set_decision_log(&decision_log_);
-    k->set_fault_injector(faults_.get());
-    network_->AddHost(k.get());
+    network_.AddHost(k.get());
     hosts_.push_back(std::move(k));
   }
-  network_->set_fault_injector(faults_.get());
-  network_->set_fault_history(&fault_history_);
-  network_->set_health_monitor(&health_monitor_);
-  network_->set_decision_log(&decision_log_);
 
   // Cross-machine file access fails when the owning machine is down or a
   // partition separates us from it — both surface as EHOSTUNREACH, exactly
@@ -63,14 +44,13 @@ void Cluster::Boot() {
   for (auto& k : hosts_) {
     const std::string local = k->hostname();
     sim::MetricsRegistry* local_metrics = &k->metrics();
-    sim::FaultInjector* faults = faults_.get();
+    const sim::FaultInjector* faults = &ctx_.faults;
     k->vfs().set_unreachable_check(
         [owners, local, local_metrics, faults](const vfs::Filesystem* fs) {
           auto it = owners.find(fs);
           if (it == owners.end()) return false;
           if (it->second->down()) return true;
-          return faults != nullptr &&
-                 faults->Partitioned(local, it->second->hostname(), local_metrics);
+          return faults->Partitioned(local, it->second->hostname(), local_metrics);
         });
   }
 
@@ -92,11 +72,11 @@ void Cluster::Boot() {
   // exactly like pulling the plug on real hardware between instructions.
   if (config_.faults.enabled) {
     for (const sim::HostCrash& crash : config_.faults.crashes) {
-      kernel::Kernel* victim = network_->FindHost(crash.host);
+      kernel::Kernel* victim = network_.FindHost(crash.host);
       if (victim == nullptr) continue;
-      clock_.CallAt(crash.at, [victim] { victim->set_down(true); });
+      ctx_.clock.CallAt(crash.at, [victim] { victim->set_down(true); });
       if (crash.recover_at >= 0) {
-        clock_.CallAt(crash.recover_at, [victim] { victim->set_down(false); });
+        ctx_.clock.CallAt(crash.recover_at, [victim] { victim->set_down(false); });
       }
     }
   }
@@ -110,7 +90,7 @@ void Cluster::Boot() {
   if (config_.start_migration_daemons) {
     for (auto& k : hosts_) {
       auto service = std::make_unique<net::SpawnService>();
-      network_->RegisterSpawnService(k->hostname(), service.get());
+      network_.RegisterSpawnService(k->hostname(), service.get());
       net::SpawnService* raw = service.get();
       spawn_services_.push_back(std::move(service));
       kernel::SpawnOptions opts;  // root, no tty — a daemon
@@ -124,7 +104,7 @@ void Cluster::Boot() {
 }
 
 kernel::Kernel& Cluster::host(std::string_view name) {
-  kernel::Kernel* k = network_->FindHost(name);
+  kernel::Kernel* k = network_.FindHost(name);
   if (k == nullptr) {
     std::fprintf(stderr, "no such host: %.*s\n", static_cast<int>(name.size()), name.data());
     std::abort();
@@ -133,7 +113,7 @@ kernel::Kernel& Cluster::host(std::string_view name) {
 }
 
 net::SpawnService* Cluster::spawn_service(std::string_view hostname) {
-  return network_->FindSpawnService(hostname);
+  return network_.FindSpawnService(hostname);
 }
 
 void Cluster::SetHostDown(std::string_view name, bool down) {
@@ -153,7 +133,7 @@ int64_t Cluster::SegcacheBytes(kernel::Kernel& k) {
 void Cluster::TakeSample() {
   for (auto& k : hosts_) {
     LoadSample s;
-    s.at = clock_.now();
+    s.at = ctx_.clock.now();
     s.host = k->hostname();
     s.down = k->down();
     int alive_vm = 0;
@@ -165,12 +145,12 @@ void Cluster::TakeSample() {
       }
       s.segcache_bytes = SegcacheBytes(*k);
     }
-    s.fault_score = fault_history_.Score(k->hostname());
-    if (health_monitor_.enabled() && !s.down) {
-      health_monitor_.Observe(s.host, "load.runnable", s.runnable);
-      health_monitor_.Observe(s.host, "segcache.bytes",
+    s.fault_score = ctx_.fault_history.Score(k->hostname());
+    if (ctx_.health_monitor.enabled() && !s.down) {
+      ctx_.health_monitor.Observe(s.host, "load.runnable", s.runnable);
+      ctx_.health_monitor.Observe(s.host, "segcache.bytes",
                               static_cast<double>(s.segcache_bytes));
-      health_monitor_.Observe(s.host, "fault.score", s.fault_score);
+      ctx_.health_monitor.Observe(s.host, "fault.score", s.fault_score);
     }
     // Fan the same reads out to load observers (cluster indexes): the sampler
     // already paid for this survey, so subscribers get freshness for free.
@@ -180,12 +160,12 @@ void Cluster::TakeSample() {
     obs.down = s.down;
     obs.runnable = s.runnable;
     obs.alive_vm = alive_vm;
-    network_->PublishLoad(obs);
+    network_.PublishLoad(obs);
     samples_.push_back(std::move(s));
   }
   // Burn windows age out even when no new observation arrives; re-evaluate at
   // the sampler edge (still zero virtual time, zero RNG).
-  health_monitor_.Tick();
+  ctx_.health_monitor.Tick();
 }
 
 bool Cluster::Step() {
@@ -193,15 +173,15 @@ bool Cluster::Step() {
   for (auto& k : hosts_) {
     ran |= k->RunQuantum();
   }
-  clock_.Advance(config_.costs.quantum);
+  ctx_.clock.Advance(config_.costs.quantum);
   // Sampler: reads state only, never the clock's deadline queue, so an armed
   // sampler leaves every virtual time bit-identical. After a long idle
   // fast-forward the catch-up loop takes one sample, not a burst.
-  if (next_sample_at_ > 0 && clock_.now() >= next_sample_at_) {
+  if (next_sample_at_ > 0 && ctx_.clock.now() >= next_sample_at_) {
     TakeSample();
     do {
       next_sample_at_ += config_.sample_period;
-    } while (next_sample_at_ <= clock_.now());
+    } while (next_sample_at_ <= ctx_.clock.now());
   }
   // A timer firing during the trailing Advance (a sleep expiring, a timeout
   // waking a blocked waiter) can make a process runnable after every kernel
@@ -235,41 +215,41 @@ bool Cluster::AnyTimedWork() const {
 }
 
 void Cluster::RunFor(sim::Nanos duration) {
-  const sim::Nanos end = clock_.now() + duration;
-  while (clock_.now() < end) {
+  const sim::Nanos end = ctx_.clock.now() + duration;
+  while (ctx_.clock.now() < end) {
     if (!Step()) {
-      const sim::Nanos next = clock_.NextDeadline();
+      const sim::Nanos next = ctx_.clock.NextDeadline();
       if (next < 0 || next >= end) {
-        clock_.Advance(end - clock_.now());
+        ctx_.clock.Advance(end - ctx_.clock.now());
         return;
       }
-      if (next > clock_.now()) clock_.Advance(next - clock_.now());
+      if (next > ctx_.clock.now()) ctx_.clock.Advance(next - ctx_.clock.now());
     }
   }
 }
 
 bool Cluster::RunUntilIdle(sim::Nanos limit) {
-  const sim::Nanos end = clock_.now() + limit;
-  while (clock_.now() < end) {
+  const sim::Nanos end = ctx_.clock.now() + limit;
+  while (ctx_.clock.now() < end) {
     if (!AnyTimedWork()) return true;
     if (!Step()) {
-      const sim::Nanos next = clock_.NextDeadline();
+      const sim::Nanos next = ctx_.clock.NextDeadline();
       if (next < 0) return !AnyTimedWork();
-      if (next > clock_.now()) clock_.Advance(next - clock_.now());
+      if (next > ctx_.clock.now()) ctx_.clock.Advance(next - ctx_.clock.now());
     }
   }
   return !AnyTimedWork();
 }
 
 bool Cluster::RunUntil(const std::function<bool()>& cond, sim::Nanos limit) {
-  const sim::Nanos end = clock_.now() + limit;
-  while (clock_.now() < end) {
+  const sim::Nanos end = ctx_.clock.now() + limit;
+  while (ctx_.clock.now() < end) {
     if (cond()) return true;
     if (!Step()) {
-      const sim::Nanos next = clock_.NextDeadline();
+      const sim::Nanos next = ctx_.clock.NextDeadline();
       if (next < 0 && !AnyTimedWork()) return cond();
-      if (next > clock_.now()) {
-        clock_.Advance(std::min(next, end) - clock_.now());
+      if (next > ctx_.clock.now()) {
+        ctx_.clock.Advance(std::min(next, end) - ctx_.clock.now());
       }
     }
   }
@@ -320,7 +300,7 @@ std::string TraceMicros(sim::Nanos ns) {
 }  // namespace
 
 void Cluster::WriteReport(std::ostream& out) const {
-  out << "{\"type\":\"report\",\"virtual_now_ns\":" << clock_.now() << ",\"hosts\":[";
+  out << "{\"type\":\"report\",\"virtual_now_ns\":" << ctx_.clock.now() << ",\"hosts\":[";
   for (size_t i = 0; i < hosts_.size(); ++i) {
     if (i != 0) out << ",";
     out << "\"" << sim::JsonEscape(hosts_[i]->hostname()) << "\"";
@@ -353,20 +333,20 @@ void Cluster::WriteReport(std::ostream& out) const {
   const auto flag = [](bool b) { return b ? "true" : "false"; };
   out << "{\"type\":\"meta\",\"seed\":" << config_.faults.seed
       << ",\"hosts\":" << hosts_.size() << ",\"config_fingerprint\":\"" << fp_hex
-      << "\",\"armed\":{\"metrics\":" << flag(config_.enable_metrics)
-      << ",\"trace\":" << flag(config_.enable_trace)
-      << ",\"spans\":" << flag(config_.enable_spans)
-      << ",\"flight_recorder\":" << flag(config_.enable_flight_recorder)
+      << "\",\"armed\":{\"metrics\":" << flag(config_.recording.metrics)
+      << ",\"trace\":" << flag(config_.recording.trace)
+      << ",\"spans\":" << flag(config_.recording.spans)
+      << ",\"flight_recorder\":" << flag(config_.recording.flight_recorder)
       << ",\"sampler\":" << flag(config_.sample_period > 0)
-      << ",\"health\":" << flag(health_monitor_.enabled())
-      << ",\"decision_log\":" << flag(decision_log_.enabled())
+      << ",\"health\":" << flag(ctx_.health_monitor.enabled())
+      << ",\"decision_log\":" << flag(ctx_.decision_log.enabled())
       << ",\"faults\":" << flag(config_.faults.enabled) << "}}\n";
 
   for (const auto& k : hosts_) {
     WriteMetricsLines(out, k->hostname(), k->metrics());
   }
 
-  for (const sim::SpanRecord& s : spans_.spans()) {
+  for (const sim::SpanRecord& s : ctx_.spans.spans()) {
     if (!s.closed()) continue;
     out << "{\"type\":\"span\",\"id\":" << s.id << ",\"phase\":\"" << sim::JsonEscape(s.phase)
         << "\",\"host\":\"" << sim::JsonEscape(s.host) << "\",\"pid\":" << s.pid
@@ -378,9 +358,9 @@ void Cluster::WriteReport(std::ostream& out) const {
   // Phase summary: self time per phase. The "migrate" root's self time is the
   // part not attributed to any sub-phase, reported as "other"; by construction
   // the phase values sum exactly to total_ns (the sum of the closed roots).
-  const std::map<std::string, sim::Nanos> self = spans_.PhaseSelfTimes();
+  const std::map<std::string, sim::Nanos> self = ctx_.spans.PhaseSelfTimes();
   sim::Nanos total = 0;
-  for (const sim::SpanRecord& s : spans_.spans()) {
+  for (const sim::SpanRecord& s : ctx_.spans.spans()) {
     if (s.closed() && s.phase == "migrate") total += s.duration();
   }
   out << "{\"type\":\"phase_summary\",\"total_ns\":" << total << ",\"phases\":{";
@@ -395,14 +375,14 @@ void Cluster::WriteReport(std::ostream& out) const {
   // Per-trace summaries: each causal migration gets its end-to-end time, the
   // per-phase self times of its (possibly cross-host) span tree, and the
   // critical path — the chain of largest children from the root down.
-  for (const uint64_t trace_id : spans_.TraceIds()) {
-    const sim::SpanRecord* root = spans_.TraceRoot(trace_id);
+  for (const uint64_t trace_id : ctx_.spans.TraceIds()) {
+    const sim::SpanRecord* root = ctx_.spans.TraceRoot(trace_id);
     if (root == nullptr) continue;
     out << "{\"type\":\"trace_summary\",\"trace_id\":" << trace_id << ",\"root_phase\":\""
         << sim::JsonEscape(root->phase) << "\",\"root_host\":\"" << sim::JsonEscape(root->host)
         << "\",\"total_ns\":" << root->duration() << ",\"phases\":{";
     bool first_phase = true;
-    for (const auto& [phase, ns] : spans_.TraceSelfTimes(trace_id)) {
+    for (const auto& [phase, ns] : ctx_.spans.TraceSelfTimes(trace_id)) {
       if (!first_phase) out << ",";
       first_phase = false;
       out << "\"" << sim::JsonEscape(phase) << "\":" << ns;
@@ -416,7 +396,7 @@ void Cluster::WriteReport(std::ostream& out) const {
       out << "{\"phase\":\"" << sim::JsonEscape(node->phase) << "\",\"host\":\""
           << sim::JsonEscape(node->host) << "\",\"dur_ns\":" << node->duration() << "}";
       const sim::SpanRecord* widest = nullptr;
-      for (const sim::SpanRecord& s : spans_.spans()) {
+      for (const sim::SpanRecord& s : ctx_.spans.spans()) {
         if (!s.closed() || s.trace_id != trace_id || s.parent_id != node->id) continue;
         if (widest == nullptr || s.duration() > widest->duration()) widest = &s;
       }
@@ -434,22 +414,22 @@ void Cluster::WriteReport(std::ostream& out) const {
   }
 
   // One summary line per flight-recorder post-mortem (the full ring snapshots
-  // live in FlightRecorder::postmortems() and the POSTMORTEM_<n>.jsonl files).
-  for (const sim::FlightRecorder::Postmortem& pm : recorder_.postmortems()) {
+  // live in FlightRecorder::postmortems()).
+  for (const sim::FlightRecorder::Postmortem& pm : ctx_.flight_recorder.postmortems()) {
     out << "{\"type\":\"postmortem\",\"t_ns\":" << pm.at << ",\"host\":\""
         << sim::JsonEscape(pm.host) << "\",\"trace_id\":" << pm.trace_id << ",\"reason\":\""
         << sim::JsonEscape(pm.reason) << "\"}\n";
   }
 
   // Health-monitor alerts and SLO budget status (present only when armed).
-  for (const sim::HealthAlert& a : health_monitor_.alerts()) {
+  for (const sim::HealthAlert& a : ctx_.health_monitor.alerts()) {
     out << "{\"type\":\"alert\",\"t_ns\":" << a.at << ",\"rule\":\"" << sim::JsonEscape(a.rule)
         << "\",\"host\":\"" << sim::JsonEscape(a.host) << "\",\"value\":" << a.value
         << ",\"detail\":\"" << sim::JsonEscape(a.detail)
         << "\",\"resolved\":" << (a.resolved ? "true" : "false")
         << ",\"resolved_at_ns\":" << a.resolved_at << "}\n";
   }
-  for (const sim::HealthMonitor::BudgetStatus& b : health_monitor_.Budgets()) {
+  for (const sim::HealthMonitor::BudgetStatus& b : ctx_.health_monitor.Budgets()) {
     out << "{\"type\":\"slo\",\"name\":\"" << sim::JsonEscape(b.slo->name) << "\",\"host\":\""
         << sim::JsonEscape(b.host) << "\",\"events\":" << b.events << ",\"bad\":" << b.bad
         << ",\"allowed\":" << b.allowed << ",\"burn_fast\":" << b.burn_fast
@@ -459,7 +439,7 @@ void Cluster::WriteReport(std::ostream& out) const {
   }
 
   // Placement decision audit lines (present only when the log was armed).
-  decision_log_.WriteJsonl(out);
+  ctx_.decision_log.WriteJsonl(out);
 }
 
 bool Cluster::WriteReport(const std::string& path) const {
@@ -484,7 +464,7 @@ void Cluster::WriteChromeTrace(std::ostream& out) const {
   }
 
   std::map<std::pair<int, int32_t>, std::vector<const sim::SpanRecord*>> threads;
-  for (const sim::SpanRecord& s : spans_.spans()) {
+  for (const sim::SpanRecord& s : ctx_.spans.spans()) {
     if (!s.closed()) continue;
     auto it = host_pid.find(s.host);
     if (it == host_pid.end()) continue;
@@ -532,9 +512,9 @@ void Cluster::WriteChromeTrace(std::ostream& out) const {
   // Flow arrows: a span whose parent closed on a *different* host is the far
   // side of a cross-machine hop (rsh command, daemon spawn, remote restart) —
   // draw source -> target so Perfetto connects the two tracks.
-  for (const sim::SpanRecord& s : spans_.spans()) {
+  for (const sim::SpanRecord& s : ctx_.spans.spans()) {
     if (!s.closed() || s.parent_id == 0) continue;
-    const sim::SpanRecord* parent = spans_.Find(s.parent_id);
+    const sim::SpanRecord* parent = ctx_.spans.Find(s.parent_id);
     if (parent == nullptr || !parent->closed() || parent->host == s.host) continue;
     auto pit = host_pid.find(parent->host);
     auto cit = host_pid.find(s.host);

@@ -15,19 +15,13 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/decision_log.h"
 #include "src/kernel/kernel.h"
 #include "src/net/migration_daemon.h"
 #include "src/net/network.h"
 #include "src/sim/clock.h"
+#include "src/sim/context.h"
 #include "src/sim/cost_model.h"
-#include "src/sim/fault.h"
-#include "src/sim/fault_history.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/health_monitor.h"
 #include "src/sim/metrics.h"
-#include "src/sim/span.h"
-#include "src/sim/trace.h"
 
 namespace pmig::cluster {
 
@@ -41,19 +35,9 @@ struct ClusterConfig {
   sim::CostModel costs;
   kernel::KernelConfig kernel;      // applied to every host (isa overridden per host)
   bool start_migration_daemons = false;  // run migrationd on every host (§6.4)
-  bool enable_trace = false;
-  // Observability (off by default; when off, instrumentation is a dead branch and
-  // virtual-time results are bit-identical to an uninstrumented build).
-  bool enable_metrics = false;  // per-host counter/gauge/histogram registries
-  bool enable_spans = false;    // migration phase spans (cluster-wide log)
-  // Flight recorder: per-host bounded rings of recent trace/span events that
-  // auto-dump a JSONL post-mortem when a migrate fails, falls back, or the
-  // kernel aborts a dump. Pure bookkeeping — no virtual time, no RNG.
-  bool enable_flight_recorder = false;
-  size_t flight_recorder_capacity = 256;  // events retained per host
-  // Post-mortems are also written as POSTMORTEM_<n>.jsonl files here (real
-  // filesystem) when non-empty; they always stay readable in memory.
-  std::string postmortem_dir;
+  // Observation-only recorders (trace, metrics, spans, flight recorder,
+  // decision log), all off by default.
+  sim::RecordingOptions recording;
   // Time-series sampler: at least every `sample_period` of virtual time (checked
   // from the lockstep Step(), never via a clock timer, so sampling cannot perturb
   // virtual times), snapshot each host's runnable load, segment-cache bytes, and
@@ -68,13 +52,6 @@ struct ClusterConfig {
   // and results stay bit-identical.
   sim::HealthOptions health;
   std::vector<sim::Slo> slos;
-  // Placement decision audit log (apps::DecisionLog): every PlacementEngine
-  // pick records its full candidate set, per-factor scores, exclusions with
-  // reasons, runner-up, and score margin; surfaced as report "decision" lines
-  // and the msh pwhy built-in. Observation-only like the health monitor: off
-  // it is a dead branch, and armed-but-unread runs stay bit-identical.
-  bool enable_decision_log = false;
-  size_t decision_log_capacity = 1024;  // decisions retained in the ring
   // Deterministic fault injection (inert by default; when disabled no RNG is
   // consumed, no timers are armed, and results stay bit-identical).
   sim::FaultConfig faults;
@@ -93,6 +70,9 @@ struct LoadSample {
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
+  // Unwinds every host's native tasks while the network, the context and every
+  // other host are still alive (an unwinding task may reach all three), then
+  // destroys the hosts.
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
@@ -100,19 +80,11 @@ class Cluster {
 
   kernel::Kernel& host(std::string_view name);
   const std::vector<std::unique_ptr<kernel::Kernel>>& hosts() const { return hosts_; }
-  net::Network& network() { return *network_; }
-  sim::VirtualClock& clock() { return clock_; }
-  sim::FaultInjector& faults() { return *faults_; }
-  sim::FaultHistory& fault_history() { return fault_history_; }
-  sim::TraceLog& trace() { return trace_; }
-  sim::SpanLog& spans() { return spans_; }
-  const sim::SpanLog& spans() const { return spans_; }
-  sim::FlightRecorder& flight_recorder() { return recorder_; }
-  const sim::FlightRecorder& flight_recorder() const { return recorder_; }
-  sim::HealthMonitor& health_monitor() { return health_monitor_; }
-  const sim::HealthMonitor& health_monitor() const { return health_monitor_; }
-  apps::DecisionLog& decision_log() { return decision_log_; }
-  const apps::DecisionLog& decision_log() const { return decision_log_; }
+  net::Network& network() { return network_; }
+  // The clock, recorders and fault sources every host shares.
+  sim::ClusterContext& context() { return ctx_; }
+  sim::VirtualClock& clock() { return ctx_.clock; }
+  sim::SpanLog& spans() { return ctx_.spans; }
   const std::vector<LoadSample>& samples() const { return samples_; }
   const sim::CostModel& costs() const { return config_.costs; }
   kernel::ProgramRegistry& programs() { return programs_; }
@@ -167,20 +139,15 @@ class Cluster {
   static int64_t SegcacheBytes(kernel::Kernel& k);
 
   ClusterConfig config_;
-  sim::VirtualClock clock_;
-  sim::TraceLog trace_;
-  sim::SpanLog spans_{&clock_, &trace_};
-  sim::FlightRecorder recorder_{&clock_};
-  sim::HealthMonitor health_monitor_;
-  apps::DecisionLog decision_log_{&clock_};
+  // Declared before everything that holds a reference to it: the context must
+  // outlive every kernel and the network.
+  sim::ClusterContext ctx_;
   std::vector<LoadSample> samples_;
   sim::Nanos next_sample_at_ = 0;  // next sampler due time (0 = sampler off)
   kernel::ProgramRegistry programs_;
-  std::unique_ptr<sim::FaultInjector> faults_;
-  sim::FaultHistory fault_history_{&clock_};
-  std::vector<std::unique_ptr<kernel::Kernel>> hosts_;
-  std::unique_ptr<net::Network> network_;
+  net::Network network_{&config_.costs, ctx_};
   std::vector<std::unique_ptr<net::SpawnService>> spawn_services_;
+  std::vector<std::unique_ptr<kernel::Kernel>> hosts_;
 };
 
 }  // namespace pmig::cluster

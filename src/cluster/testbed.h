@@ -9,7 +9,7 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
-#include "src/core/setup.h"
+#include "src/cluster/setup.h"
 #include "src/core/test_programs.h"
 #include "src/kernel/kernel.h"
 
@@ -17,22 +17,15 @@ namespace pmig::testbed {
 
 constexpr int32_t kUserUid = 100;
 
-struct TestbedOptions {
+// The recording switches (trace, metrics, spans, flight_recorder,
+// decision_log) are inherited from sim::RecordingOptions.
+struct TestbedOptions : sim::RecordingOptions {
   int num_hosts = 2;
   bool track_names = true;
   bool virtualize_identity = false;
   bool daemons = false;
-  bool trace = false;
-  bool metrics = false;  // per-host MetricsRegistry instances
-  bool spans = false;    // migration phase spans
-  // Flight recorder: bounded per-host event rings that dump a post-mortem when
-  // a migrate fails or falls back (see ClusterConfig::enable_flight_recorder).
-  bool flight_recorder = false;
-  size_t flight_recorder_capacity = 256;  // events retained per host ring
   // Arm the virtual-time load sampler with this period (0 = off).
   sim::Nanos sample_period = 0;
-  // When non-empty, post-mortems are also written here as real files.
-  std::string postmortem_dir;
   // Incremental data path: arm dirty-page tracking at exec so dumpproc
   // --incremental / migrate --cached can emit delta dumps.
   bool dirty_tracking = false;
@@ -51,9 +44,6 @@ struct TestbedOptions {
   // Health monitor (armed iff health.anomaly_detection or slos non-empty).
   sim::HealthOptions health;
   std::vector<sim::Slo> slos;
-  // Placement decision audit log (see ClusterConfig::enable_decision_log).
-  bool decision_log = false;
-  size_t decision_log_capacity = 1024;
 };
 
 // Host names follow the paper's examples: brick, schooner, brador, classic.
@@ -89,20 +79,13 @@ class Testbed {
     config.kernel.virtualize_identity = options.virtualize_identity;
     config.kernel.track_dirty_pages = options.dirty_tracking;
     config.start_migration_daemons = options.daemons;
-    config.enable_trace = options.trace;
-    config.enable_metrics = options.metrics;
-    config.enable_spans = options.spans;
-    config.enable_flight_recorder = options.flight_recorder;
-    config.flight_recorder_capacity = options.flight_recorder_capacity;
+    config.recording = options;
     config.sample_period = options.sample_period;
-    config.postmortem_dir = options.postmortem_dir;
     config.faults = options.faults;
     config.health = options.health;
     config.slos = options.slos;
-    config.enable_decision_log = options.decision_log;
-    config.decision_log_capacity = options.decision_log_capacity;
     cluster_ = std::make_unique<cluster::Cluster>(std::move(config));
-    core::InstallMigration(*cluster_);
+    cluster::InstallMigration(*cluster_);
     for (const auto& host : cluster_->hosts()) {
       core::InstallStandardPrograms(*host);
       host->CreateTty("console");

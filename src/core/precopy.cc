@@ -132,7 +132,6 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
   kernel::SpawnOptions opts;
   opts.creds = owner;
   opts.tty = options.target_tty;
-  opts.cwd = "/";
   opts.stdio_on_tty = false;  // the reconstruction sets up the fd table itself
   const DumpPaths target_paths = paths;
   const int32_t restart_pid = target->SpawnNative(
@@ -143,56 +142,15 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
           const Status root_cd = tapi.Chdir("/");
           (void)root_cd;
         }
-        // Highest slot that must end up occupied.
-        int max_used = -1;
+        // The table starts empty; only slots up to the highest one in use
+        // are rebuilt.
+        int slots = 0;
         for (int i = 0; i < kernel::kNoFile; ++i) {
           if (files.entries[static_cast<size_t>(i)].kind != FilesEntry::Kind::kUnused) {
-            max_used = i;
+            slots = i + 1;
           }
         }
-        std::array<bool, kernel::kNoFile> placeholder{};
-        for (int i = 0; i <= max_used; ++i) {
-          const FilesEntry& entry = files.entries[static_cast<size_t>(i)];
-          int got = -1;
-          if (entry.kind == FilesEntry::Kind::kFile) {
-            const int32_t flags =
-                entry.flags & (vm::abi::kAccMode | vm::abi::kOAppend);
-            const Result<int> fd = tapi.Open(entry.path, flags);
-            if (fd.ok()) {
-              got = *fd;
-              const Result<int64_t> pos =
-                  tapi.Lseek(got, entry.offset, vm::abi::kSeekSet);
-              (void)pos;
-            } else if (i < 3) {
-              const Result<int> tty = tapi.Open("/dev/tty", vm::abi::kORdWr);
-              if (tty.ok()) got = *tty;
-            }
-          }
-          if (got < 0) {
-            const Result<int> null_fd = tapi.Open("/dev/null", vm::abi::kORdWr);
-            if (!null_fd.ok()) return 1;
-            got = *null_fd;
-            if (entry.kind == FilesEntry::Kind::kUnused) {
-              placeholder[static_cast<size_t>(i)] = true;
-            }
-          }
-          if (got != i) return 1;
-        }
-        for (int i = 0; i <= max_used; ++i) {
-          if (placeholder[static_cast<size_t>(i)]) {
-            const Status st = tapi.Close(i);
-            (void)st;
-          }
-        }
-        if (files.had_tty) {
-          const Result<int> tty = tapi.Open("/dev/tty", vm::abi::kORdWr);
-          if (tty.ok()) {
-            const Status st = tapi.TtySetFlags(*tty, files.tty_flags);
-            (void)st;
-            const Status closed = tapi.Close(*tty);
-            (void)closed;
-          }
-        }
+        if (!ReopenFileTable(tapi, files, slots)) return 1;
         const Status st = tapi.RestProc(target_paths.aout, target_paths.stack);
         (void)st;
         return 1;  // only reached on failure

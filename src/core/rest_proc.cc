@@ -110,7 +110,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
   // 3. Write-through so the *next* restore of this segment hits locally. Pays
   // the full local disk cost; skipped (non-fatally) when the disk-full fault
   // window is open — the cache is an optimisation, not a correctness need.
-  if (k.faults() != nullptr && k.faults()->DiskFull(k.hostname(), &metrics)) {
+  if (k.context().faults.DiskFull(k.hostname(), &metrics)) {
     metrics.Inc("cache.writethrough_failed");
   } else {
     k.vfs().SetupCreateFile(local_path, bytes, 0, 0644);

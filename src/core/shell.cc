@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/apps/decision_log.h"
 
 namespace pmig::core {
 
@@ -43,7 +42,7 @@ void PstatBuiltin(kernel::SyscallApi& api) {
   std::string out = head;
   const sim::MetricsRegistry& m = k.metrics();
   if (!m.enabled()) {
-    out += "(metrics disabled; boot the cluster with enable_metrics for counters)\n";
+    out += "(metrics disabled; boot the cluster with recording.metrics for counters)\n";
   } else {
     for (const auto& [name, value] : m.counters()) {
       out += "  counter " + name + " = " + std::to_string(value) + "\n";
@@ -111,36 +110,36 @@ void PtopBuiltin(kernel::SyscallApi& api) {
 // candidate, or excluded — so a fault-demoted host's pwhy names the factor
 // that demoted it).
 void PwhyBuiltin(kernel::SyscallApi& api, const std::vector<std::string>& tokens) {
-  const apps::DecisionLog* log = api.kernel().decision_log();
-  if (log == nullptr || !log->enabled()) {
+  const sim::DecisionLog& log = api.kernel().context().decision_log;
+  if (!log.enabled()) {
     Say(api,
-        "decision log disabled; boot the cluster with enable_decision_log for "
+        "decision log disabled; boot the cluster with recording.decision_log for "
         "placement audits\n");
     return;
   }
   const std::string arg = tokens.size() > 1 ? tokens[1] : "last";
-  const apps::DecisionRecord* r = nullptr;
+  const sim::DecisionRecord* r = nullptr;
   if (arg == "last") {
-    r = log->Latest();
+    r = log.Latest();
   } else if (!arg.empty() &&
              (std::isdigit(static_cast<unsigned char>(arg[0])) || arg[0] == '-')) {
-    r = log->LatestForPid(std::atoi(arg.c_str()));
+    r = log.LatestForPid(std::atoi(arg.c_str()));
   } else {
-    r = log->LatestForHost(arg);
+    r = log.LatestForHost(arg);
   }
   if (r == nullptr) {
     Say(api, "pwhy: no decision recorded for '" + arg + "'\n");
     return;
   }
-  Say(api, apps::DecisionLog::Render(*r));
+  Say(api, sim::DecisionLog::Render(*r));
 }
 
 // phealth: the cluster health monitor at a glance — SLO error budgets, firing
 // alerts, and per-host anomaly state. The monitor is cluster-wide, so any
 // host's shell sees the whole picture.
 void PhealthBuiltin(kernel::SyscallApi& api) {
-  const sim::HealthMonitor* monitor = api.kernel().health_monitor();
-  if (monitor == nullptr || !monitor->enabled()) {
+  const sim::HealthMonitor& monitor = api.kernel().context().health_monitor;
+  if (!monitor.enabled()) {
     Say(api,
         "health monitor disabled; configure slos or health.anomaly_detection "
         "on the cluster\n");
@@ -152,8 +151,8 @@ void PhealthBuiltin(kernel::SyscallApi& api) {
     return std::string(buf);
   };
   std::string out = api.GetHostname() + ": health monitor (active alerts=" +
-                    std::to_string(monitor->ActiveAlerts()) + ")\n";
-  for (const sim::HealthMonitor::BudgetStatus& b : monitor->Budgets()) {
+                    std::to_string(monitor.ActiveAlerts()) + ")\n";
+  for (const sim::HealthMonitor::BudgetStatus& b : monitor.Budgets()) {
     out += "  slo " + b.slo->name + " host=" + b.host + ": " + std::to_string(b.bad) +
            "/" + std::to_string(b.events) + " bad (budget " + fmt(b.allowed) +
            ") burn fast=" + fmt(b.burn_fast) + "x slow=" + fmt(b.burn_slow) + "x";
@@ -161,15 +160,15 @@ void PhealthBuiltin(kernel::SyscallApi& api) {
     if (b.firing_slow) out += " FIRING-SLOW";
     out += "\n";
   }
-  for (const std::string& host : monitor->Hosts()) {
-    out += "  host " + host + ": score=" + fmt(monitor->HealthScore(host));
-    for (const std::string& metric : monitor->SeriesNames(host)) {
-      if (!monitor->Anomalous(host, metric)) continue;
-      out += " ANOMALY:" + metric + "(z=" + fmt(monitor->AnomalyZ(host, metric)) + ")";
+  for (const std::string& host : monitor.Hosts()) {
+    out += "  host " + host + ": score=" + fmt(monitor.HealthScore(host));
+    for (const std::string& metric : monitor.SeriesNames(host)) {
+      if (!monitor.Anomalous(host, metric)) continue;
+      out += " ANOMALY:" + metric + "(z=" + fmt(monitor.AnomalyZ(host, metric)) + ")";
     }
     out += "\n";
   }
-  for (const sim::HealthAlert& a : monitor->alerts()) {
+  for (const sim::HealthAlert& a : monitor.alerts()) {
     out += std::string("  alert ") + (a.resolved ? "[resolved] " : "[firing]  ") +
            a.rule + " host=" + a.host + " " + a.detail + "\n";
   }

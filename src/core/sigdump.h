@@ -1,7 +1,7 @@
 // The kernel side of SIGDUMP: building the three dump files from a process.
 //
 // Installed into a Kernel as MigrationHooks::sigdump (see InstallMigration in
-// src/core/setup.h). Kept out of the kernel proper so the substrate stays
+// src/cluster/setup.h). Kept out of the kernel proper so the substrate stays
 // mechanism-free, mirroring how the paper adds this code to a stock kernel.
 
 #ifndef PMIG_SRC_CORE_SIGDUMP_H_

@@ -1,5 +1,6 @@
 #include "src/core/tools.h"
 
+#include <array>
 #include <cstdio>
 #include <deque>
 
@@ -175,9 +176,9 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
   // nests inside this one, so the signal phase's self time is the kill plus the
   // retry-sleep slack.
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
+  if (self.trace_id == 0) {
     // Invoked by hand rather than by migrate: start a trace of our own.
-    self.trace_id = api.kernel().spans()->MintTraceId();
+    self.trace_id = api.kernel().context().spans.MintTraceId();
   }
   const DumpPaths paths = DumpPaths::For(pid);
   if (tx && FileExists(api, paths.ready)) return kToolOk;  // rerun after success
@@ -289,14 +290,69 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
 
 // --- restart -----------------------------------------------------------------------
 
+bool ReopenFileTable(kernel::SyscallApi& api, const FilesFile& files, int slots) {
+  std::array<bool, kernel::kNoFile> placeholder{};
+  for (int i = 0; i < slots; ++i) {
+    const FilesEntry& entry = files.entries[static_cast<size_t>(i)];
+    int got = -1;
+    if (entry.kind == FilesEntry::Kind::kFile) {
+      // Correct access modes; never truncate or create on reopen.
+      const int32_t flags =
+          entry.flags & (vm::abi::kAccMode | OpenFlags::kOAppend);
+      const Result<int> fd = api.Open(entry.path, flags);
+      if (fd.ok()) {
+        got = *fd;
+        const Result<int64_t> pos = api.Lseek(got, entry.offset, vm::abi::kSeekSet);
+        (void)pos;  // pipes-turned-files etc. may refuse; offset is best effort
+      } else if (i < 3) {
+        // Stdio that cannot be reopened: the terminal, "so that the user may have
+        // some control over the restarted program".
+        const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
+        if (tty.ok()) got = *tty;
+      }
+    }
+    if (got < 0) {
+      // Unused slots, sockets, and unreopenable files: the null device, "so that
+      // the restarted process can find an open file where it expects one, and to
+      // preserve the order of open file numbers."
+      const Result<int> null_fd = api.Open("/dev/null", OpenFlags::kORdWr);
+      if (!null_fd.ok()) return false;
+      got = *null_fd;
+      if (entry.kind == FilesEntry::Kind::kUnused) {
+        placeholder[static_cast<size_t>(i)] = true;
+      }
+    }
+    if (got != i) return false;  // fd-table invariant broken; bail out
+  }
+  for (int i = 0; i < slots; ++i) {
+    if (placeholder[static_cast<size_t>(i)]) {
+      const Status st = api.Close(i);
+      (void)st;
+    }
+  }
+
+  // The old terminal flags, applied to the current terminal — impossible under
+  // rsh (no controlling tty), which is exactly the visual-program limitation.
+  if (files.had_tty) {
+    const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
+    if (tty.ok()) {
+      const Status st = api.TtySetFlags(*tty, files.tty_flags);
+      (void)st;
+      const Status closed = api.Close(*tty);
+      (void)closed;
+    }
+  }
+  return true;
+}
+
 int Restart(kernel::SyscallApi& api, int32_t pid, const std::string& dump_host,
             bool claim) {
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
+  if (self.trace_id == 0) {
     // Invoked by hand (not through migrate, which threads its context in via
     // the spawn): start a trace of our own. rest_proc() still adopts the
     // dump's stamped id when ours is 0 — i.e. when spans are disabled.
-    self.trace_id = api.kernel().spans()->MintTraceId();
+    self.trace_id = api.kernel().context().spans.MintTraceId();
   }
   std::string dir = "/usr/tmp";
   if (!dump_host.empty() && dump_host != api.GetHostname()) {
@@ -399,57 +455,7 @@ int Restart(kernel::SyscallApi& api, int32_t pid, const std::string& dump_host,
     const Status st = api.Close(fd);
     (void)st;
   }
-  std::array<bool, kernel::kNoFile> placeholder{};
-  for (int i = 0; i < kernel::kNoFile; ++i) {
-    const FilesEntry& entry = files->entries[static_cast<size_t>(i)];
-    int got = -1;
-    if (entry.kind == FilesEntry::Kind::kFile) {
-      // Correct access modes; never truncate or create on reopen.
-      const int32_t flags =
-          entry.flags & (vm::abi::kAccMode | OpenFlags::kOAppend);
-      const Result<int> fd = api.Open(entry.path, flags);
-      if (fd.ok()) {
-        got = *fd;
-        const Result<int64_t> pos = api.Lseek(got, entry.offset, vm::abi::kSeekSet);
-        (void)pos;  // pipes-turned-files etc. may refuse; offset is best effort
-      } else if (i < 3) {
-        // Stdio that cannot be reopened: the terminal, "so that the user may have
-        // some control over the restarted program".
-        const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
-        if (tty.ok()) got = *tty;
-      }
-    }
-    if (got < 0) {
-      // Unused slots, sockets, and unreopenable files: the null device, "so that
-      // the restarted process can find an open file where it expects one, and to
-      // preserve the order of open file numbers."
-      const Result<int> null_fd = api.Open("/dev/null", OpenFlags::kORdWr);
-      if (!null_fd.ok()) return fail(kToolFail);
-      got = *null_fd;
-      if (entry.kind == FilesEntry::Kind::kUnused) {
-        placeholder[static_cast<size_t>(i)] = true;
-      }
-    }
-    if (got != i) return fail(kToolFail);  // fd-table invariant broken; bail out
-  }
-  for (int i = 0; i < kernel::kNoFile; ++i) {
-    if (placeholder[static_cast<size_t>(i)]) {
-      const Status st = api.Close(i);
-      (void)st;
-    }
-  }
-
-  // The old terminal flags, applied to the current terminal — impossible under
-  // rsh (no controlling tty), which is exactly the visual-program limitation.
-  if (files->had_tty) {
-    const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
-    if (tty.ok()) {
-      const Status st = api.TtySetFlags(*tty, files->tty_flags);
-      (void)st;
-      const Status closed = api.Close(*tty);
-      (void)closed;
-    }
-  }
+  if (!ReopenFileTable(api, *files, kernel::kNoFile)) return fail(kToolFail);
 
   // rest_proc() — no return on success.
   const Status st = api.RestProc(paths.aout, paths.stack);
@@ -492,18 +498,15 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     // The health monitor sees every leg, local ones included: a host whose
     // dumps start failing should trip its error-rate series no matter where
     // the migrate command happens to run.
-    sim::HealthMonitor* monitor = net.health_monitor();
-    if (monitor != nullptr && monitor->enabled()) {
-      monitor->ObserveOutcome(host, "migrate.errors", bad);
-    }
-    sim::FaultHistory* history = net.fault_history();
-    if (history == nullptr || host == local) return;
+    net.context().health_monitor.ObserveOutcome(host, "migrate.errors", bad);
+    if (host == local) return;
+    sim::FaultHistory& history = net.context().fault_history;
     if (!rc.ok()) {
-      history->RecordFailure(host, rc.error());
+      history.RecordFailure(host, rc.error());
     } else if (*rc == kToolTransient) {
-      history->RecordTransient(host);
+      history.RecordTransient(host);
     } else {
-      history->RecordSuccess(host);  // the tool ran: the host is reachable
+      history.RecordSuccess(host);  // the tool ran: the host is reachable
     }
   };
   // One leg of the transaction: up to opts.attempts tries, retrying only
@@ -536,13 +539,12 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   const std::string dump_dir =
       from_host == local ? std::string("/usr/tmp") : "/n/" + from_host + "/usr/tmp";
   const DumpPaths dump_paths = DumpPaths::For(pid, dump_dir);
-  sim::SpanLog* spans = api.kernel().spans();
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && spans != nullptr) {
+  if (self.trace_id == 0) {
     // Every migrate is one distributed trace: the id travels with every remote
     // command (rsh/daemon spawn options), onto the SIGDUMP victim, and into
     // the dump metadata, so spans on every host reassemble into one tree.
-    self.trace_id = spans->MintTraceId();
+    self.trace_id = api.kernel().context().spans.MintTraceId();
   }
   // Failures/fallbacks are tagged with the trace id and failing phase — the
   // same pair the flight-recorder post-mortems carry, so a complaint greps
@@ -550,11 +552,9 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   auto tag = [&self](const char* phase) {
     return " [trace=" + std::to_string(self.trace_id) + " phase=" + phase + "]";
   };
-  sim::FlightRecorder* recorder = api.kernel().flight_recorder();
+  sim::FlightRecorder& recorder = api.kernel().context().flight_recorder;
   auto postmortem = [&](const char* phase, const std::string& reason) {
-    if (recorder != nullptr && recorder->enabled()) {
-      recorder->Dump(local, self.trace_id, reason + " phase=" + phase);
-    }
+    if (recorder.enabled()) recorder.Dump(local, self.trace_id, reason + " phase=" + phase);
   };
   // Root span for the whole command; its self time (network round trips, waits on
   // the remote tools) is reported as "other" in the run report.
@@ -564,11 +564,9 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // slow at receiving processes shows up on its own series.
   const sim::Nanos e2e_start = api.kernel().clock().now();
   auto observe_e2e = [&] {
-    sim::HealthMonitor* monitor = net.health_monitor();
-    if (monitor != nullptr && monitor->enabled()) {
-      monitor->Observe(to_host, "migrate.e2e_ns",
-                       static_cast<double>(api.kernel().clock().now() - e2e_start));
-    }
+    net.context().health_monitor.Observe(
+        to_host, "migrate.e2e_ns",
+        static_cast<double>(api.kernel().clock().now() - e2e_start));
   };
 
   std::vector<std::string> dump_args = {"-p", pid_str};

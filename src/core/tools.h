@@ -78,6 +78,16 @@ void RewriteFilesForMigration(kernel::SyscallApi& api, FilesFile* files);
 int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx = false,
              bool incremental = false);
 
+// Rebuilds a restored process's fd table from `files` over slots [0, slots),
+// which the caller must have closed, so each file lands on its original
+// descriptor number: files reopen with their access mode and append flag
+// (never truncated or created) at their saved offset; stdio that cannot be
+// reopened becomes the terminal; unused, socket, and unreopenable slots get
+// /dev/null, and the unused ones are closed again once every slot is placed.
+// Then the old terminal flags are applied to the current terminal. False when
+// a slot cannot be filled with its own number.
+bool ReopenFileTable(kernel::SyscallApi& api, const FilesFile& files, int slots);
+
 // restart -p <pid> [-h <host>] [--claim]: restores a dumped process on this
 // machine, at this terminal. `dump_host` empty means the dump is local. Does
 // not return on success (the calling process is overlaid); returns nonzero on

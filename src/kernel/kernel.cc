@@ -8,31 +8,29 @@
 
 namespace pmig::kernel {
 
-Kernel::Kernel(std::string hostname, sim::VirtualClock* clock, const sim::CostModel* costs,
-               sim::TraceLog* trace, KernelConfig config)
-    : hostname_(std::move(hostname)),
-      clock_(clock),
-      costs_(costs),
-      trace_(trace),
-      config_(config) {
+Kernel::Kernel(std::string hostname, sim::ClusterContext& context,
+               const sim::CostModel* costs, KernelConfig config)
+    : hostname_(std::move(hostname)), ctx_(context), costs_(costs), config_(config) {
   fs_ = std::make_unique<vfs::Filesystem>(hostname_);
   vfs_ = std::make_unique<vfs::Vfs>(fs_.get(), costs_);
   vfs_->set_metrics(&metrics_);
+  vfs_->set_fault_injector(&ctx_.faults, hostname_);
   instructions_metric_ = metrics_.MakeCounter("kernel.instructions");
   native_syscall_metric_ = metrics_.MakeCounter("kernel.syscall.native");
   context_switch_metric_ = metrics_.MakeCounter("sched.context_switches");
   runnable_vm_metric_ = metrics_.MakeCounter("sched.runnable_vm", /*gauge=*/true);
   null_device_ = std::make_unique<NullDevice>();
   BootFilesystem();
+  metrics_.set_enabled(ctx_.recording.metrics);
 }
 
 Kernel::~Kernel() {
   // Unwind native threads before anything they might reference is destroyed.
-  for (auto& proc : procs_) {
-    if (proc->native != nullptr) {
-      proc->native.reset();
-    }
-  }
+  UnwindNativeTasks();
+}
+
+void Kernel::UnwindNativeTasks() {
+  for (auto& proc : procs_) proc->native.reset();
 }
 
 void Kernel::BootFilesystem() {
@@ -85,7 +83,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
   p.kind = kind;
   p.creds = opts.creds;
   p.controlling_tty = opts.tty;
-  p.start_time = clock_->now();
+  p.start_time = ctx_.clock.now();
   p.trace_id = opts.trace_id;
   p.trace_parent_span = opts.trace_parent_span;
   InitProcCwd(p, opts.cwd);
@@ -280,7 +278,7 @@ void Kernel::SleepProc(Proc& p, sim::Nanos duration) {
   if (total <= 0) return;
   p.state = ProcState::kSleeping;
   const int32_t pid = p.pid;
-  p.wake_timer = clock_->CallAfter(total, [this, pid] {
+  p.wake_timer = ctx_.clock.CallAfter(total, [this, pid] {
     Proc* proc = FindProc(pid);
     if (proc != nullptr && proc->state == ProcState::kSleeping) {
       proc->state = ProcState::kRunnable;
@@ -410,7 +408,7 @@ void Kernel::HandleNativeFinish(Proc& p) {
 void Kernel::TerminateProc(Proc& p, ExitInfo info) {
   if (!p.Alive()) return;
   if (p.wake_timer != 0) {
-    clock_->CancelTimer(p.wake_timer);
+    ctx_.clock.CancelTimer(p.wake_timer);
     p.wake_timer = 0;
   }
   // Release the fd table.
@@ -504,22 +502,21 @@ Status Kernel::OverlayVmImage(Proc& p, const vm::AoutImage& image,
 
 void Kernel::Trace(sim::TraceCategory cat, int32_t pid, std::string text) {
   // Migration/signal events mirror into the flight recorder's per-host ring
-  // (when one is wired up) even while the textual trace log is off: the
-  // recorder exists precisely for runs too long to keep a full trace.
-  if (recorder_ != nullptr && recorder_->enabled() &&
+  // even while the textual trace log is off: the recorder exists precisely
+  // for runs too long to keep a full trace.
+  if (ctx_.flight_recorder.enabled() &&
       (cat == sim::TraceCategory::kMigration || cat == sim::TraceCategory::kSignal)) {
     const Proc* p = FindProc(pid);
-    recorder_->Note(hostname_, pid, p != nullptr ? p->trace_id : 0, text);
+    ctx_.flight_recorder.Note(hostname_, pid, p != nullptr ? p->trace_id : 0, text);
   }
-  if (trace_ == nullptr || !trace_->enabled()) return;
-  trace_->Add(sim::TraceEvent{clock_->now(), cat, hostname_, pid, std::move(text)});
+  if (!ctx_.trace.enabled()) return;
+  ctx_.trace.Add(sim::TraceEvent{ctx_.clock.now(), cat, hostname_, pid, std::move(text)});
 }
 
 TraceSpan::TraceSpan(Kernel& kernel, Proc& p, std::string phase)
-    : log_(kernel.spans()), proc_(&p) {
-  if (log_ == nullptr) return;
-  id_ = log_->Begin(std::move(phase), kernel.hostname(), p.pid, p.trace_id,
-                    p.trace_parent_span);
+    : log_(kernel.context().spans), proc_(&p) {
+  id_ = log_.Begin(std::move(phase), kernel.hostname(), p.pid, p.trace_id,
+                   p.trace_parent_span);
   if (id_ != 0) {
     saved_parent_ = p.trace_parent_span;
     p.trace_parent_span = id_;
@@ -528,7 +525,7 @@ TraceSpan::TraceSpan(Kernel& kernel, Proc& p, std::string phase)
 
 TraceSpan::~TraceSpan() {
   if (id_ == 0) return;
-  log_->End(id_);
+  log_.End(id_);
   proc_->trace_parent_span = saved_parent_;
 }
 

@@ -30,19 +30,12 @@
 #include "src/kernel/proc.h"
 #include "src/kernel/tty.h"
 #include "src/sim/clock.h"
+#include "src/sim/context.h"
 #include "src/sim/cost_model.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/health_monitor.h"
 #include "src/sim/metrics.h"
 #include "src/sim/result.h"
-#include "src/sim/span.h"
-#include "src/sim/trace.h"
 #include "src/vfs/vfs.h"
 #include "src/vm/aout.h"
-
-namespace pmig::apps {
-class DecisionLog;  // pointer slot only; apps/ owns the type (see decision_log.h)
-}  // namespace pmig::apps
 
 namespace pmig::kernel {
 
@@ -161,9 +154,16 @@ using ProgramRegistry = std::map<std::string, ProgramEntry, std::less<>>;
 
 class Kernel {
  public:
-  Kernel(std::string hostname, sim::VirtualClock* clock, const sim::CostModel* costs,
-         sim::TraceLog* trace, KernelConfig config);
+  // `context` is the cluster-wide clock, recorders and fault sources; it must
+  // outlive the kernel.
+  Kernel(std::string hostname, sim::ClusterContext& context, const sim::CostModel* costs,
+         KernelConfig config);
   ~Kernel();
+
+  // Unwinds every native process's thread. A task unwinding runs its
+  // destructors, which may still reach the network or other hosts, so the
+  // cluster calls this on every host before it destroys any of them.
+  void UnwindNativeTasks();
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -175,43 +175,19 @@ class Kernel {
   void set_down(bool down) { down_ = down; }
   vfs::Vfs& vfs() { return *vfs_; }
   vfs::Filesystem& fs() { return *fs_; }
-  sim::VirtualClock& clock() { return *clock_; }
+  sim::VirtualClock& clock() { return ctx_.clock; }
+  sim::ClusterContext& context() { return ctx_; }
   const sim::CostModel& costs() const { return *costs_; }
   const KernelConfig& config() const { return config_; }
   // For experiment setup (e.g. switching name-storage policy between runs).
   KernelConfig& mutable_config() { return config_; }
   KernelStats& stats() { return stats_; }
   KernelTimers& timers() { return timers_; }
-  // Per-machine metrics (off by default; Cluster::Boot enables them when the
-  // cluster is configured for metrics). Observation only — recording a metric
-  // never charges cost or changes scheduling.
+  // Per-machine metrics (armed by the context's RecordingOptions::metrics).
+  // Observation only — recording a metric never charges cost or changes
+  // scheduling.
   sim::MetricsRegistry& metrics() { return metrics_; }
   const sim::MetricsRegistry& metrics() const { return metrics_; }
-  // Cluster-owned span log for migration phase attribution (may stay null).
-  void set_span_log(sim::SpanLog* spans) { spans_ = spans; }
-  sim::SpanLog* spans() { return spans_; }
-  // Cluster-owned flight recorder (may stay null): kernel migration/signal
-  // trace lines mirror into its per-host ring so post-mortems carry kernel
-  // context alongside the spans.
-  void set_flight_recorder(sim::FlightRecorder* recorder) { recorder_ = recorder; }
-  sim::FlightRecorder* flight_recorder() { return recorder_; }
-  // Cluster-owned health monitor (null or disabled in default configs). The
-  // dump and restart paths feed it latency/byte series; like metrics it is
-  // observation-only and never charges cost.
-  void set_health_monitor(sim::HealthMonitor* monitor) { health_monitor_ = monitor; }
-  sim::HealthMonitor* health_monitor() { return health_monitor_; }
-  // Cluster-owned placement decision log (null or disarmed in default
-  // configs). The shell's pwhy built-in reads it back; the kernel itself never
-  // touches it.
-  void set_decision_log(apps::DecisionLog* log) { decision_log_ = log; }
-  apps::DecisionLog* decision_log() { return decision_log_; }
-  // Cluster-owned fault injector (null or disabled in default configs). Also
-  // hands it to the VFS so file-I/O syscalls can draw injected errors.
-  void set_fault_injector(sim::FaultInjector* faults) {
-    faults_ = faults;
-    vfs_->set_fault_injector(faults, hostname_);
-  }
-  sim::FaultInjector* faults() { return faults_; }
   void set_migration_hooks(MigrationHooks hooks) { hooks_ = std::move(hooks); }
   // First pid this kernel hands out. The cluster gives each machine a distinct
   // range so cross-host pid collisions don't confuse tests and dump-file names.
@@ -388,9 +364,8 @@ class Kernel {
 
   std::string hostname_;
   bool down_ = false;
-  sim::VirtualClock* clock_;
+  sim::ClusterContext& ctx_;
   const sim::CostModel* costs_;
-  sim::TraceLog* trace_;
   KernelConfig config_;
   KernelStats stats_;
   KernelTimers timers_;
@@ -401,11 +376,6 @@ class Kernel {
   sim::CounterHandle native_syscall_metric_;
   sim::CounterHandle context_switch_metric_;
   sim::CounterHandle runnable_vm_metric_;
-  sim::SpanLog* spans_ = nullptr;
-  sim::FlightRecorder* recorder_ = nullptr;
-  sim::HealthMonitor* health_monitor_ = nullptr;
-  apps::DecisionLog* decision_log_ = nullptr;
-  sim::FaultInjector* faults_ = nullptr;
   MigrationHooks hooks_;
   const ProgramRegistry* programs_ = nullptr;
 
@@ -431,8 +401,8 @@ class Kernel {
 // RAII phase span opened in a process's distributed-trace context: the span
 // begins as a child of the proc's innermost open span (proc.trace_parent_span)
 // and becomes the proc's context until the scope closes, so nested scopes and
-// remote children spawned inside the scope chain into one causal tree. A null
-// or disabled span log makes the scope a no-op.
+// remote children spawned inside the scope chain into one causal tree. A
+// disabled span log makes the scope a no-op.
 class TraceSpan {
  public:
   TraceSpan(Kernel& kernel, Proc& p, std::string phase);
@@ -444,7 +414,7 @@ class TraceSpan {
   uint64_t id() const { return id_; }
 
  private:
-  sim::SpanLog* log_ = nullptr;
+  sim::SpanLog& log_;
   Proc* proc_ = nullptr;
   uint64_t id_ = 0;
   uint64_t saved_parent_ = 0;

@@ -100,7 +100,7 @@ void Kernel::DeliverSignal(Proc& p, int signo) {
     p.exit_info.killed_by_signal = signo;
     p.sig_pending = 0;
     if (p.wake_timer != 0) {
-      clock_->CancelTimer(p.wake_timer);
+      ctx_.clock.CancelTimer(p.wake_timer);
       p.wake_timer = 0;
     }
     if (p.native != nullptr) {
@@ -149,20 +149,19 @@ void Kernel::StartMigrationDump(Proc& p) {
   ChargeCpu(p, prepared->cpu);
   metrics_.Inc("migration.dumps_started");
   metrics_.Observe("migration.dump_ns", prepared->cpu + prepared->wait);
-  if (health_monitor_ != nullptr && health_monitor_->enabled()) {
+  if (sim::HealthMonitor& monitor = ctx_.health_monitor; monitor.enabled()) {
     int64_t dump_bytes = 0;
     for (const auto& [path, contents] : prepared->files) {
       dump_bytes += static_cast<int64_t>(contents.size());
     }
-    health_monitor_->Observe(hostname_, "migration.dump_ns",
-                             static_cast<double>(prepared->cpu + prepared->wait));
-    health_monitor_->Observe(hostname_, "migration.dump_bytes",
-                             static_cast<double>(dump_bytes));
+    monitor.Observe(hostname_, "migration.dump_ns",
+                    static_cast<double>(prepared->cpu + prepared->wait));
+    monitor.Observe(hostname_, "migration.dump_bytes", static_cast<double>(dump_bytes));
   }
   // The dying process spends (cpu + wait) producing the three files; they become
   // visible — and the process exits — when the dump completes. This is why
   // dumpproc has to poll for a.outXXXXX (Section 6.2).
-  if (p.wake_timer != 0) clock_->CancelTimer(p.wake_timer);
+  if (p.wake_timer != 0) ctx_.clock.CancelTimer(p.wake_timer);
   p.state = ProcState::kSleeping;
   p.unblock_check = nullptr;
   const int32_t pid = p.pid;
@@ -170,10 +169,8 @@ void Kernel::StartMigrationDump(Proc& p) {
   // The dump is asynchronous (the process sleeps while the files are written), so
   // the span cannot be a scope on this stack — it closes inside the timer.
   const uint64_t span_id =
-      spans_ != nullptr
-          ? spans_->Begin("dump", hostname_, pid, p.trace_id, p.trace_parent_span)
-          : 0;
-  p.wake_timer = clock_->CallAfter(
+      ctx_.spans.Begin("dump", hostname_, pid, p.trace_id, p.trace_parent_span);
+  p.wake_timer = ctx_.clock.CallAfter(
       prepared->cpu + prepared->wait,
       [this, pid, span_id, files = std::move(prepared->files)] {
         Proc* proc = FindProc(pid);
@@ -185,15 +182,15 @@ void Kernel::StartMigrationDump(Proc& p) {
         bool aborted = false;
         std::vector<std::pair<std::string, std::string>> written;
         for (const auto& [path, contents] : files) {
-          if (faults_ != nullptr && faults_->DiskFull(hostname_, &metrics_)) {
+          if (ctx_.faults.DiskFull(hostname_, &metrics_)) {
             Trace(sim::TraceCategory::kMigration, pid,
                   "dump aborted: disk full writing " + path);
             aborted = true;
             break;
           }
           std::string bytes = contents;
-          if (faults_ != nullptr && faults_->CorruptsDump(&metrics_)) {
-            faults_->CorruptBytes(&bytes);
+          if (ctx_.faults.CorruptsDump(&metrics_)) {
+            ctx_.faults.CorruptBytes(&bytes);
             Trace(sim::TraceCategory::kMigration, pid, "dump file corrupted " + path);
           }
           vfs_->SetupCreateFile(path, bytes, proc->creds.uid, 0600);  // owner-only: the
@@ -209,11 +206,10 @@ void Kernel::StartMigrationDump(Proc& p) {
         if (aborted) {
           for (const auto& wf : written) vfs_->SetupUnlink(wf.first);
           metrics_.Inc("migration.dump_aborts");
-          if (spans_ != nullptr) spans_->End(span_id);
-          if (recorder_ != nullptr && recorder_->enabled()) {
-            recorder_->Dump(hostname_, proc->trace_id,
-                            "dump aborted for pid " + std::to_string(pid) + " phase=dump");
-          }
+          ctx_.spans.End(span_id);
+          ctx_.flight_recorder.Dump(
+              hostname_, proc->trace_id,
+              "dump aborted for pid " + std::to_string(pid) + " phase=dump");
           proc->state = ProcState::kRunnable;  // resume; the process is not lost
           proc->unblock_check = nullptr;
           // Nothing can be written to disk to announce the failure (the disk
@@ -222,7 +218,7 @@ void Kernel::StartMigrationDump(Proc& p) {
           proc->dump_failed = true;
           return;
         }
-        if (spans_ != nullptr) spans_->End(span_id);
+        ctx_.spans.End(span_id);
         ExitInfo info;
         info.killed_by_signal = Sig::kSigDump;
         info.migration_dumped = true;
@@ -246,11 +242,11 @@ void Kernel::StartCoreDump(Proc& p, int signo) {
 
   // Write "core" in the process's current directory when the I/O completes.
   vfs::InodePtr dir = p.cwd.empty() ? fs_->root() : p.cwd.dir();
-  if (p.wake_timer != 0) clock_->CancelTimer(p.wake_timer);
+  if (p.wake_timer != 0) ctx_.clock.CancelTimer(p.wake_timer);
   p.state = ProcState::kSleeping;
   p.unblock_check = nullptr;
   const int32_t pid = p.pid;
-  p.wake_timer = clock_->CallAfter(
+  p.wake_timer = ctx_.clock.CallAfter(
       cpu_cost + io.wait, [this, pid, signo, dir, bytes = std::move(bytes)] {
         Proc* proc = FindProc(pid);
         if (proc == nullptr || proc->state != ProcState::kSleeping) return;

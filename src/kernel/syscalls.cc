@@ -631,10 +631,8 @@ Status Kernel::SysRestProc(Proc& p, std::string_view aout_path, std::string_view
     timers_.rest_proc.valid = true;
     metrics_.Inc("migration.restarts");
     metrics_.Observe("migration.restart_ns", timers_.rest_proc.real);
-    if (health_monitor_ != nullptr && health_monitor_->enabled()) {
-      health_monitor_->Observe(hostname_, "migration.restart_ns",
-                               static_cast<double>(timers_.rest_proc.real));
-    }
+    ctx_.health_monitor.Observe(hostname_, "migration.restart_ns",
+                                static_cast<double>(timers_.rest_proc.real));
     Trace(sim::TraceCategory::kMigration, p.pid,
           "rest_proc restored image from " + std::string(aout_path));
     // Let the I/O wait of reading the dump files elapse before the restored
@@ -935,7 +933,7 @@ bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
       return epilogue();
     }
     case Sys::kSysTime:
-      ret(clock_->now() / sim::kSecond);
+      ret(ctx_.clock.now() / sim::kSecond);
       return epilogue();
     case Sys::kSysBrk: {
       // sbrk(): grow or shrink the data segment. The dump formats carry the whole

@@ -57,10 +57,7 @@ Result<int> DaemonExec(kernel::SyscallApi& api, Network& net, std::string_view h
   if (!net.Reachable(local.hostname(), remote->hostname(), &local.metrics())) {
     return Errno::kHostUnreach;
   }
-  if (sim::FaultInjector* f = net.faults();
-      f != nullptr && f->NetSendFails(&local.metrics())) {
-    return Errno::kTimedOut;
-  }
+  if (net.context().faults.NetSendFails(&local.metrics())) return Errno::kTimedOut;
 
   auto req = std::make_shared<SpawnService::Request>();
   req->program = program;

@@ -16,14 +16,8 @@
 #include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/sim/context.h"
 #include "src/sim/cost_model.h"
-#include "src/sim/fault.h"
-#include "src/sim/fault_history.h"
-#include "src/sim/health_monitor.h"
-
-namespace pmig::apps {
-class DecisionLog;  // pointer slot only; apps/ owns the type (see decision_log.h)
-}  // namespace pmig::apps
 
 namespace pmig::net {
 
@@ -41,8 +35,8 @@ struct RemoteExecOptions {
 
 // One host's load as the cluster sampler saw it at a sampling edge. Published
 // to registered load observers so coordinators that keep incremental placement
-// state (the apps::ClusterIndex) learn per-host load without surveying — the
-// sampler already paid for the read.
+// state (the placement layer's ClusterIndex) learn per-host load without
+// surveying — the sampler already paid for the read.
 struct LoadObservation {
   sim::Nanos at = 0;
   std::string host;
@@ -53,7 +47,10 @@ struct LoadObservation {
 
 class Network {
  public:
-  explicit Network(const sim::CostModel* costs) : costs_(costs) {}
+  // `context` is the cluster-wide clock, recorders and fault sources; it must
+  // outlive the network.
+  Network(const sim::CostModel* costs, sim::ClusterContext& context)
+      : costs_(costs), ctx_(context) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -69,16 +66,17 @@ class Network {
 
   const sim::CostModel& costs() const { return *costs_; }
 
+  // The cluster-wide context. The remote-exec paths draw injected send losses
+  // from its fault injector; migrate feeds its fault history and health
+  // monitor; the placement engine reads both back and records every pick in
+  // its decision log.
+  sim::ClusterContext& context() const { return ctx_; }
+
   // Well-known-port registry for the Section 6.4 migration daemons.
   void RegisterSpawnService(const std::string& hostname, SpawnService* service) {
     spawn_services_[hostname] = service;
   }
   SpawnService* FindSpawnService(std::string_view hostname);
-
-  // Cluster-wide fault injector (null or disabled in default configs). The
-  // remote-exec paths consult it to drop requests on the wire.
-  void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
-  sim::FaultInjector* faults() const { return faults_; }
 
   // True when traffic from `from` to `to` can flow right now: no configured
   // partition cuts that direction. Liveness (down()) is the caller's check —
@@ -86,28 +84,8 @@ class Network {
   // from a wait predicate so only decision points count injections.
   bool Reachable(std::string_view from, std::string_view to,
                  sim::MetricsRegistry* metrics = nullptr) const {
-    return faults_ == nullptr || !faults_->Partitioned(from, to, metrics);
+    return !ctx_.faults.Partitioned(from, to, metrics);
   }
-
-  // Cluster-wide per-host fault history (null when the network was built bare).
-  // migrate records each remote leg's outcome here; placement policies read the
-  // decayed scores back. Recording never affects virtual time.
-  void set_fault_history(sim::FaultHistory* history) { fault_history_ = history; }
-  sim::FaultHistory* fault_history() const { return fault_history_; }
-
-  // Cluster-wide health monitor (null when the network was built bare).
-  // migrate feeds it end-to-end latency and per-host error outcomes; the
-  // placement engine reads host health scores back. Observation only.
-  void set_health_monitor(sim::HealthMonitor* monitor) { health_monitor_ = monitor; }
-  sim::HealthMonitor* health_monitor() const { return health_monitor_; }
-
-  // Cluster-wide placement decision log (null when the network was built bare,
-  // disarmed unless the cluster was configured for it). The placement engine
-  // records every pick here; coordinators attach migrate outcomes and trace
-  // ids after each leg. Observation only — recording never affects virtual
-  // time, so an armed-but-unread log replays bit-identically.
-  void set_decision_log(apps::DecisionLog* log) { decision_log_ = log; }
-  apps::DecisionLog* decision_log() const { return decision_log_; }
 
   // Load-observation fan-out: the cluster sampler publishes each host's load
   // here as it samples, and subscribers (cluster indexes) fold it in for free.
@@ -129,12 +107,9 @@ class Network {
 
  private:
   const sim::CostModel* costs_;
+  sim::ClusterContext& ctx_;
   std::vector<kernel::Kernel*> hosts_;
   std::map<std::string, SpawnService*, std::less<>> spawn_services_;
-  sim::FaultInjector* faults_ = nullptr;
-  sim::FaultHistory* fault_history_ = nullptr;
-  sim::HealthMonitor* health_monitor_ = nullptr;
-  apps::DecisionLog* decision_log_ = nullptr;
   std::map<uint64_t, std::function<void(const LoadObservation&)>> load_observers_;
   uint64_t next_observer_id_ = 1;
 };

@@ -32,10 +32,7 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   if (!net.Reachable(local.hostname(), remote->hostname(), &metrics)) {
     return Errno::kHostUnreach;
   }
-  if (sim::FaultInjector* f = net.faults();
-      f != nullptr && f->NetSendFails(&metrics)) {
-    return Errno::kTimedOut;
-  }
+  if (net.context().faults.NetSendFails(&metrics)) return Errno::kTimedOut;
 
   // The remote command gets a network pipe for stdio, not a terminal.
   auto stdin_ch = std::make_shared<kernel::Channel>();
@@ -45,7 +42,6 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   kernel::SpawnOptions spawn_opts;
   spawn_opts.creds = kernel::Credentials{api.GetUid(), 0, api.GetEuid(), 0};
   spawn_opts.tty = nullptr;
-  spawn_opts.cwd = "/";
   spawn_opts.ppid = 0;  // child of the (unmodelled) remote rshd
   // The remote command runs in the caller's distributed-trace context: its
   // spans become children of whatever span the caller is inside right now.

@@ -59,7 +59,8 @@ class FaultHistory {
 
   // Single listener slot, invoked after every recorded outcome with the host it
   // was recorded against. Coordinators keeping incremental placement state (the
-  // apps::ClusterIndex) subscribe so fault updates reach them without polling.
+  // placement layer's ClusterIndex) subscribe so fault updates reach them
+  // without polling.
   // A subscriber that replaces an existing listener should save it and chain;
   // recording stays pure bookkeeping (no time, no RNG) regardless.
   //

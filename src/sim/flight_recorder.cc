@@ -1,6 +1,5 @@
 #include "src/sim/flight_recorder.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/sim/metrics.h"  // JsonEscape
@@ -35,12 +34,6 @@ void FlightRecorder::Dump(const std::string& host, uint64_t trace_id,
     }
   }
   pm.jsonl = body.str();
-  if (!output_dir_.empty()) {
-    const std::string path =
-        output_dir_ + "/POSTMORTEM_" + std::to_string(postmortems_.size()) + ".jsonl";
-    std::ofstream f(path, std::ios::trunc);
-    if (f) f << pm.jsonl;
-  }
   postmortems_.push_back(std::move(pm));
 }
 

@@ -8,9 +8,8 @@
 // fixed-capacity ring for its host (old events fall off the back), and when a
 // migrate transaction fails, falls back, or the kernel aborts a dump, the
 // caller snapshots the ring into a JSONL post-mortem tagged with the trace id
-// and a reason. Post-mortems are held in memory (tests assert on them) and
-// optionally written to POSTMORTEM_<n>.jsonl files under a configured real
-// directory.
+// and a reason. Post-mortems are held in memory, where tests assert on them
+// and Cluster::WriteReport summarises them.
 //
 // Recording is pure bookkeeping: it charges no virtual time and consumes no
 // randomness, so an enabled recorder never perturbs the simulation.
@@ -57,11 +56,6 @@ class FlightRecorder {
   bool enabled() const { return enabled_; }
   size_t capacity_per_host() const { return capacity_; }
 
-  // Post-mortems are additionally written to `dir`/POSTMORTEM_<n>.jsonl on the
-  // real filesystem when `dir` is non-empty. Empty (the default) keeps them in
-  // memory only.
-  void set_output_dir(std::string dir) { output_dir_ = std::move(dir); }
-
   // Appends an event to `host`'s ring, evicting the oldest past capacity.
   // No-op while disabled.
   void Note(const std::string& host, int32_t pid, uint64_t trace_id, std::string what);
@@ -78,7 +72,6 @@ class FlightRecorder {
   bool enabled_ = false;
   const VirtualClock* clock_;
   size_t capacity_;
-  std::string output_dir_;
   std::map<std::string, std::deque<FlightEvent>> rings_;
   std::vector<Postmortem> postmortems_;
 };

@@ -167,11 +167,11 @@ TEST(LoadBalancer, MovesJobsFromBusyToIdle) {
   apps::LoadBalancerStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::LoadBalancerOptions options;
-    options.poll_interval = sim::Seconds(2);
-    options.min_age = sim::Seconds(2);
-    options.max_rounds = 6;
-    stats = apps::RunLoadBalancer(api, *net, options);
+    apps::LoadBalancerOptions lb;
+    lb.poll_interval = sim::Seconds(2);
+    lb.min_age = sim::Seconds(2);
+    lb.max_rounds = 6;
+    stats = apps::RunLoadBalancer(api, *net, lb);
     return 0;
   });
   EXPECT_GE(stats.migrations, 1);
@@ -253,11 +253,11 @@ TEST(NightShift, SpreadsAtDuskGathersAtDawn) {
   apps::NightShiftStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::NightShiftOptions options;
-    options.day_host = "brick";
-    options.night_length = sim::Seconds(30);
-    options.nights = 1;
-    stats = apps::RunNightShift(api, *net, options);
+    apps::NightShiftOptions night;
+    night.day_host = "brick";
+    night.night_length = sim::Seconds(30);
+    night.nights = 1;
+    stats = apps::RunNightShift(api, *net, night);
     return 0;
   });
   EXPECT_EQ(stats.nights_run, 1);

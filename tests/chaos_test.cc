@@ -148,7 +148,7 @@ std::string RunChaos(uint64_t seed, bool with_partitions = false) {
 
   // Fault phase over: stop injecting and let everything in flight settle —
   // well past schooner's scheduled recovery, so frozen processes thaw.
-  world.cluster().faults().Disarm();
+  world.cluster().context().faults.Disarm();
   world.cluster().RunFor(sim::Seconds(40));
 
   if (with_partitions) {
@@ -216,7 +216,7 @@ std::string RunChaos(uint64_t seed, bool with_partitions = false) {
   // Every migrate leg that failed or fell back must have left a flight-recorder
   // post-mortem (the kernel may add more for aborted dumps), each tagged with a
   // trace id and a failing phase. The count is part of the replay fingerprint.
-  const auto& postmortems = world.cluster().flight_recorder().postmortems();
+  const auto& postmortems = world.cluster().context().flight_recorder.postmortems();
   EXPECT_GE(static_cast<int>(postmortems.size()), failed_legs)
       << "seed " << seed << ": a failed migrate left no post-mortem";
   for (const auto& pm : postmortems) {

@@ -96,16 +96,22 @@ TEST(ClusterIndex, FreshIndexMatchesFullScanAcrossPolicies) {
 }
 
 TEST(ClusterIndex, IndexedBalancerWithZeroTtlMatchesFullScan) {
-  auto scenario = [](bool use_index, apps::LoadBalancerStats* stats) {
+  struct Outcome {
+    apps::LoadBalancerStats stats;
+    std::string decisions;
+  };
+  auto scenario = [](bool use_index, Outcome* out) {
     WorldOptions options;
     options.num_hosts = 3;
     options.daemons = true;
+    options.decision_log = true;  // the decision sequence under comparison
     World world(options);
     for (int i = 0; i < 5; ++i) {
       world.StartVm("brick", "/bin/hog", {"hog", "4000000"});
     }
     world.cluster().RunFor(sim::Seconds(3));
     net::Network* net = &world.cluster().network();
+    apps::LoadBalancerStats* stats = &out->stats;
     RunSystem(world, "brick", [net, use_index, stats](SyscallApi& api) {
       apps::LoadBalancerOptions lb;
       lb.poll_interval = sim::Seconds(2);
@@ -116,15 +122,16 @@ TEST(ClusterIndex, IndexedBalancerWithZeroTtlMatchesFullScan) {
       *stats = apps::RunLoadBalancer(api, *net, lb);
       return 0;
     });
+    out->decisions = world.cluster().context().decision_log.OutcomeSequence();
     return world.cluster().clock().now();
   };
-  apps::LoadBalancerStats scan, indexed;
+  Outcome scan, indexed;
   const sim::Nanos scan_clock = scenario(false, &scan);
   const sim::Nanos indexed_clock = scenario(true, &indexed);
   EXPECT_FALSE(scan.decisions.empty());  // the scenario must actually migrate
   EXPECT_EQ(indexed.decisions, scan.decisions);
   EXPECT_EQ(indexed_clock, scan_clock);  // same decisions, same virtual timeline
-  EXPECT_EQ(indexed.attempts_to_unreachable, 0);
+  EXPECT_EQ(indexed.stats.attempts_to_unreachable, 0);
 }
 
 // --- Staleness-driven refresh ---
@@ -275,6 +282,7 @@ TEST(ClusterIndex, ChaosSoakWithIndexReplaysBitIdentically) {
     options.num_hosts = 3;
     options.daemons = true;
     options.metrics = true;
+    options.decision_log = true;  // the decision sequence folds into the fingerprint
     options.faults.enabled = true;  // scheduled crashes only, no random rates
     options.faults.crashes.push_back({"schooner", sim::Seconds(6), sim::Seconds(18)});
     options.faults.crashes.push_back({"schooner", sim::Seconds(30), sim::Seconds(42)});
@@ -308,7 +316,8 @@ TEST(ClusterIndex, ChaosSoakWithIndexReplaysBitIdentically) {
     world.cluster().RunFor(sim::Seconds(2));
     int alive = 0;
     std::ostringstream fp;
-    fp << stats->decisions << "|m=" << stats->migrations
+    fp << world.cluster().context().decision_log.OutcomeSequence()
+       << "|m=" << stats->migrations
        << ",f=" << stats->failed_migrations << ",fb=" << stats->fallback_restarts
        << ",refresh=" << stats->index_refreshes;
     for (const auto& host : world.cluster().hosts()) {
@@ -346,6 +355,7 @@ TEST(ClusterIndex, ChaosSoakEventDrivenConservesAndReplays) {
     options.num_hosts = 3;
     options.daemons = true;
     options.metrics = true;
+    options.decision_log = true;  // the decision sequence folds into the fingerprint
     options.sample_period = sim::Millis(500);  // the wakeup source
     options.faults.enabled = true;
     options.faults.crashes.push_back({"schooner", sim::Seconds(6), sim::Seconds(18)});
@@ -395,7 +405,8 @@ TEST(ClusterIndex, ChaosSoakEventDrivenConservesAndReplays) {
     EXPECT_EQ(reaped->revived.size(), 1u);  // the bisected migration's job
     int alive = 0;
     std::ostringstream fp;
-    fp << stats->decisions << "|m=" << stats->migrations
+    fp << world.cluster().context().decision_log.OutcomeSequence()
+       << "|m=" << stats->migrations
        << ",f=" << stats->failed_migrations << ",fb=" << stats->fallback_restarts
        << ",rounds=" << stats->rounds << ",ev=" << stats->event_wakeups
        << ",hb=" << stats->heartbeats << "|reap=" << reaped->log;
@@ -435,14 +446,13 @@ TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderWithoutCorruptingChain) {
     options.num_hosts = 3;
     World world(options);
     net::Network* net = &world.cluster().network();
-    sim::FaultHistory* history = net->fault_history();
-    ASSERT_NE(history, nullptr);
+    sim::FaultHistory& history = net->context().fault_history;
     int base_calls = 0;
-    history->set_listener([&base_calls](std::string_view) { ++base_calls; });
+    history.set_listener([&base_calls](std::string_view) { ++base_calls; });
 
     auto older = std::make_unique<ClusterIndex>(net, "brick");
     auto newer = std::make_unique<ClusterIndex>(net, "schooner");
-    history->RecordFailure("brador", Errno::kHostUnreach);
+    history.RecordFailure("brador", Errno::kHostUnreach);
     EXPECT_EQ(base_calls, 1);  // the chain reaches the base listener
     EXPECT_GT(older->Find("brador")->fault_score, 0.0);
     EXPECT_GT(newer->Find("brador")->fault_score, 0.0);
@@ -456,14 +466,14 @@ TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderWithoutCorruptingChain) {
       survivor = newer.get();
     }
     const double before = survivor->Find("brador")->fault_score;
-    history->RecordFailure("brador", Errno::kHostUnreach);
+    history.RecordFailure("brador", Errno::kHostUnreach);
     EXPECT_EQ(base_calls, 2) << (newer_first ? "newer" : "older")
                              << " destroyed first broke the base listener";
     EXPECT_GT(survivor->Find("brador")->fault_score, before);
 
     older.reset();
     newer.reset();
-    history->RecordFailure("brador", Errno::kHostUnreach);
+    history.RecordFailure("brador", Errno::kHostUnreach);
     EXPECT_EQ(base_calls, 3);  // both gone: the base listener alone remains
   }
 }
@@ -488,6 +498,7 @@ ArmedIdleOutcome RunArmedIdle(bool event_driven) {
   options.num_hosts = 4;
   options.daemons = true;
   options.metrics = true;
+  options.decision_log = true;
   options.sample_period = sim::Millis(500);
   World world(options);
   for (const char* host : {"schooner", "brador", "classic"}) {
@@ -527,7 +538,7 @@ ArmedIdleOutcome RunArmedIdle(bool event_driven) {
       sim::Seconds(300));
   out.drained_at = world.cluster().clock().now();
   world.RunUntilExited("brick", balancer, sim::Seconds(300));
-  out.decisions = stats->decisions;
+  out.decisions = world.cluster().context().decision_log.OutcomeSequence();
   out.migrations = stats->migrations;
   out.rounds = stats->rounds;
   out.event_wakeups = stats->event_wakeups;
@@ -655,11 +666,11 @@ TEST(ClusterIndex, NightShiftPicksDayHostThroughEngine) {
   apps::NightShiftStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::NightShiftOptions options;
+    apps::NightShiftOptions night;
     // day_host left empty: the engine chooses the least-occupied live host.
-    options.night_length = sim::Seconds(30);
-    options.nights = 1;
-    stats = apps::RunNightShift(api, *net, options);
+    night.night_length = sim::Seconds(30);
+    night.nights = 1;
+    stats = apps::RunNightShift(api, *net, night);
     return 0;
   });
   EXPECT_EQ(stats.day_host, "schooner");  // idle, first in network order

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/load_balancer.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -123,8 +124,8 @@ TEST(Cluster, TraceRecordsMigrationEvents) {
   ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
   ASSERT_TRUE(world.host("brick").PostSignal(pid, vm::abi::kSigDump, nullptr).ok());
   ASSERT_TRUE(world.RunUntilExited("brick", pid));
-  EXPECT_GT(world.cluster().trace().CountMatching("SIGDUMP"), 0u);
-  EXPECT_GT(world.cluster().trace().CountMatching("dump file"), 0u);
+  EXPECT_GT(world.cluster().context().trace.CountMatching("SIGDUMP"), 0u);
+  EXPECT_GT(world.cluster().context().trace.CountMatching("dump file"), 0u);
 }
 
 TEST(Cluster, HostsRunInParallelOnOneTimeline) {
@@ -144,6 +145,40 @@ TEST(Cluster, PerHostKernelStats) {
   ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
   EXPECT_GT(world.host("brick").stats().syscalls, 0);
   EXPECT_GT(world.host("brick").stats().procs_spawned, 0);
+}
+
+// Destroying a cluster with a native task still mid-flight unwinds that task,
+// and the unwinding runs its destructors: an indexed balancer's ClusterIndex
+// deregisters from the network and the fault history. The cluster must unwind
+// every host's tasks while the network and context are still alive (this used
+// to be a heap-use-after-free on the network under ASan).
+TEST(Cluster, TeardownWithBalancerMidRoundIsSafe) {
+  WorldOptions options;
+  options.num_hosts = 3;
+  options.daemons = true;
+  options.sample_period = sim::Millis(500);  // the event-driven balancer's wake source
+  auto world = std::make_unique<World>(options);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_GT(world->StartVm("brick", "/bin/hog", {"hog", "400000000"}), 0);
+  }
+  net::Network* net = &world->cluster().network();
+  const int32_t balancer = world->host("brick").SpawnNative(
+      "balancer",
+      [net](kernel::SyscallApi& api) {
+        apps::LoadBalancerOptions lb;
+        lb.min_age = sim::Seconds(1);
+        lb.max_rounds = 100000;  // never finishes on its own
+        lb.use_index = true;
+        lb.event_driven = true;
+        apps::RunLoadBalancer(api, *net, lb);
+        return 0;
+      },
+      kernel::SpawnOptions{});
+  world->cluster().RunFor(sim::Seconds(10));
+  const kernel::Proc* p = world->host("brick").FindAnyProc(balancer);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->Alive());  // still inside RunLoadBalancer at teardown
+  world.reset();
 }
 
 }  // namespace

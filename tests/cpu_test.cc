@@ -63,7 +63,7 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{"addi", "movi r1, 5\naddi r2, r1, -3\nsys 0\n", 2, 2},
         AluCase{"lmul", "movi r1, 6\nmovi r2, 7\nlmul r3, r1, r2\nsys 0\n", 3, 42},
         AluCase{"bfext", "movi r1, 0xF0\nbfext r2, r1, 4+1024\nsys 0\n", 2, 15}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& test) { return std::string(test.param.name); });
 
 TEST(Cpu, LoadStore64) {
   const RunResult r = RunProgram(R"(

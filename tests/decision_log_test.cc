@@ -4,7 +4,7 @@
 // committed balancer migration leaves exactly one decision record, and an
 // armed-but-unread log leaves a run bit-identical to one with the log off.
 
-#include "src/apps/decision_log.h"
+#include "src/sim/decision_log.h"
 
 #include <gtest/gtest.h>
 
@@ -20,8 +20,8 @@
 namespace pmig {
 namespace {
 
-using apps::DecisionLog;
-using apps::DecisionRecord;
+using sim::DecisionLog;
+using sim::DecisionRecord;
 using test::kUserUid;
 using test::World;
 using test::WorldOptions;
@@ -77,6 +77,19 @@ TEST(DecisionLogUnit, AttachOutcomeFindsNewestOutcomelessMatch) {
   EXPECT_EQ(log.records()[1].outcome_rc, 0);
 }
 
+TEST(DecisionLogUnit, OutcomeSequenceListsSettledLegsInRecordOrder) {
+  sim::VirtualClock clock;
+  DecisionLog log(&clock);
+  log.set_enabled(true);
+  EXPECT_EQ(log.OutcomeSequence(), "");
+  log.Record(MakeRecord("schooner", 42));  // abandoned pick: no outcome, no entry
+  log.Record(MakeRecord("brador", 42));
+  log.Record(MakeRecord("classic", 43));
+  log.AttachOutcome(43, "brick", "classic", 5, 0);
+  log.AttachOutcome(42, "brick", "brador", 0, 0);
+  EXPECT_EQ(log.OutcomeSequence(), "42:brick->brador=0;43:brick->classic=5;");
+}
+
 TEST(DecisionLogUnit, LookupsByPidAndHost) {
   sim::VirtualClock clock;
   DecisionLog log(&clock);
@@ -109,7 +122,7 @@ TEST(DecisionLogEngine, RecordsCandidatesRunnerUpAndNearTie) {
   query.context = "test";
   EXPECT_EQ(engine.PickTarget(query), "schooner");
 
-  const DecisionLog& log = world.cluster().decision_log();
+  const DecisionLog& log = world.cluster().context().decision_log;
   ASSERT_EQ(log.records().size(), 1u);
   const DecisionRecord& r = log.records().front();
   EXPECT_EQ(r.context, "test");
@@ -136,7 +149,7 @@ TEST(DecisionLogEngine, ExclusionReasonsNameTheFilter) {
   options.decision_log = true;
   World world(options);
   world.host("schooner").set_down(true);
-  world.cluster().fault_history().RecordFailure("brador", Errno::kHostUnreach);
+  world.cluster().context().fault_history.RecordFailure("brador", Errno::kHostUnreach);
 
   apps::PlacementEngine engine(&world.cluster().network(),
                                apps::PlacementPolicy::kFaultAware);
@@ -146,7 +159,7 @@ TEST(DecisionLogEngine, ExclusionReasonsNameTheFilter) {
   query.exclude.push_back("classic");
   EXPECT_EQ(engine.PickTarget(query), "");  // everything was filtered out
 
-  const DecisionLog& log = world.cluster().decision_log();
+  const DecisionLog& log = world.cluster().context().decision_log;
   ASSERT_EQ(log.records().size(), 1u);
   const DecisionRecord& r = log.records().front();
   EXPECT_EQ(r.margin_factor, "none");
@@ -186,7 +199,7 @@ TEST(DecisionLogEngine, PartitionedCandidateIsNamed) {
   query.reachable_from = "brick";
   EXPECT_EQ(engine.PickTarget(query), "schooner");
 
-  const DecisionRecord* r = world.cluster().decision_log().Latest();
+  const DecisionRecord* r = world.cluster().context().decision_log.Latest();
   ASSERT_NE(r, nullptr);
   ASSERT_EQ(r->exclusions.size(), 1u);
   EXPECT_EQ(r->exclusions[0].host, "brador");
@@ -234,7 +247,7 @@ SoakOutcome RunBalancerSoak() {
 
   SoakOutcome out;
   out.migrations = stats->migrations;
-  const DecisionLog& log = world.cluster().decision_log();
+  const DecisionLog& log = world.cluster().context().decision_log;
   std::ostringstream fp;
   fp << "n=" << log.total_recorded() << ";clock=" << world.cluster().clock().now()
      << ";";
@@ -263,11 +276,32 @@ TEST(DecisionLogSoak, EveryCommittedLegHasExactlyOneRecordAndReplays) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);  // decisions fold into the replay
 }
 
-// Armed-but-unread must be bit-identical to log-off: same balancer decisions,
-// same virtual clock, same total CPU.
+// Where every job ended: per host, the VM processes that are some job's last
+// incarnation — alive, or exited other than by a migration dump. Host i
+// numbers its pids from 100 + 1000 * i (Cluster::Boot), one per spawn.
+std::string FinalHosts(World& world) {
+  std::string out;
+  const auto& hosts = world.cluster().hosts();
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    kernel::Kernel& k = *hosts[i];
+    out += k.hostname() + ":";
+    for (int64_t j = 0; j < k.stats().procs_spawned; ++j) {
+      const kernel::Proc* p =
+          k.FindAnyProc(100 + 1000 * static_cast<int32_t>(i) + static_cast<int32_t>(j));
+      if (p != nullptr && p->kind == kernel::ProcKind::kVm && !p->exit_info.migration_dumped) {
+        out += std::to_string(p->pid) + ",";
+      }
+    }
+    out += ";";
+  }
+  return out;
+}
+
+// Armed-but-unread must be bit-identical to log-off: every job ends on the
+// same host, at the same virtual clock, with the same total CPU.
 TEST(DecisionLogSoak, ArmedButUnreadIsBitIdentical) {
   struct RunResult {
-    std::string decisions;
+    std::string final_hosts;
     sim::Nanos clock = 0;
     sim::Nanos cpu = 0;
   };
@@ -283,25 +317,24 @@ TEST(DecisionLogSoak, ArmedButUnreadIsBitIdentical) {
     }
     world.cluster().RunFor(sim::Seconds(3));
     net::Network* net = &world.cluster().network();
-    auto stats = std::make_shared<apps::LoadBalancerStats>();
     const int32_t balancer = world.host("brick").SpawnNative(
         "balancer",
-        [net, stats](kernel::SyscallApi& api) {
+        [net](kernel::SyscallApi& api) {
           apps::LoadBalancerOptions lb;
           lb.poll_interval = sim::Seconds(2);
           lb.min_age = sim::Seconds(1);
           lb.max_rounds = 8;
-          *stats = apps::RunLoadBalancer(api, *net, lb);
+          apps::RunLoadBalancer(api, *net, lb);
           return 0;
         },
         kernel::SpawnOptions{});
     EXPECT_TRUE(world.RunUntilExited("brick", balancer, sim::Seconds(600)));
-    return RunResult{stats->decisions, world.cluster().clock().now(),
+    return RunResult{FinalHosts(world), world.cluster().clock().now(),
                      world.cluster().TotalCpu()};
   };
   const RunResult off = run(false);
   const RunResult on = run(true);
-  EXPECT_EQ(off.decisions, on.decisions);
+  EXPECT_EQ(off.final_hosts, on.final_hosts);
   EXPECT_EQ(off.clock, on.clock);
   EXPECT_EQ(off.cpu, on.cpu);
 }
@@ -332,7 +365,7 @@ TEST(Pwhy, NamesTheExcludingFactorForAFaultDemotedHost) {
   options.metrics = true;
   options.decision_log = true;
   World world(options);
-  world.cluster().fault_history().RecordFailure("schooner", Errno::kHostUnreach);
+  world.cluster().context().fault_history.RecordFailure("schooner", Errno::kHostUnreach);
 
   apps::PlacementEngine engine(&world.cluster().network(),
                                apps::PlacementPolicy::kFaultAware);

@@ -278,7 +278,7 @@ TEST(HealthCluster, MigrateFeedsSeriesAndReportCarriesSloLines) {
   options.slos = {ErrorSlo()};
   options.health.anomaly_detection = true;
   World world(options);
-  ASSERT_TRUE(world.cluster().health_monitor().enabled());
+  ASSERT_TRUE(world.cluster().context().health_monitor.enabled());
 
   const int32_t pid = world.StartVm("schooner", "/bin/counter");
   ASSERT_GT(pid, 0);
@@ -291,7 +291,7 @@ TEST(HealthCluster, MigrateFeedsSeriesAndReportCarriesSloLines) {
   ASSERT_TRUE(world.RunUntilExited("brick", mig));
   EXPECT_EQ(world.ExitInfoOf("brick", mig).exit_code, 0);
 
-  const sim::HealthMonitor& monitor = world.cluster().health_monitor();
+  const sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   // The dump happened on schooner, the restart (and the landing) on brador.
   ASSERT_NE(monitor.Series("schooner", "migration.dump_ns"), nullptr);
   EXPECT_GT(monitor.Series("schooner", "migration.dump_ns")->Newest().value, 0);
@@ -321,7 +321,7 @@ TEST(HealthCluster, SamplerFeedsPerHostSeries) {
   World world(options);
   world.StartVm("brick", "/bin/hog", {"hog", "2000000"});
   world.cluster().RunFor(sim::Seconds(1));
-  const sim::HealthMonitor& monitor = world.cluster().health_monitor();
+  const sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   for (const char* host : {"brick", "schooner"}) {
     for (const char* metric : {"load.runnable", "segcache.bytes", "fault.score"}) {
       ASSERT_NE(monitor.Series(host, metric), nullptr) << host << "/" << metric;
@@ -337,7 +337,7 @@ TEST(HealthCluster, ReportCarriesAlertLines) {
   options.num_hosts = 2;
   options.slos = {ErrorSlo()};
   World world(options);
-  sim::HealthMonitor& monitor = world.cluster().health_monitor();
+  sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   for (int i = 0; i < 6; ++i) {
     world.cluster().RunFor(sim::Millis(100));
     monitor.ObserveOutcome("schooner", "migrate.errors", true);
@@ -356,7 +356,7 @@ TEST(HealthPlacement, FaultAwarePoliciesDemoteUnhealthyHosts) {
   options.num_hosts = 3;  // brick, schooner, brador
   options.slos = {ErrorSlo()};
   World world(options);
-  sim::HealthMonitor& monitor = world.cluster().health_monitor();
+  sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   net::Network& net = world.cluster().network();
 
   apps::PlacementQuery query;
@@ -405,7 +405,7 @@ TEST(HealthShell, PhealthReportsBudgetsAndAlerts) {
   options.num_hosts = 2;
   options.slos = {ErrorSlo()};
   World world(options);
-  sim::HealthMonitor& monitor = world.cluster().health_monitor();
+  sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   for (int i = 0; i < 6; ++i) {
     world.cluster().RunFor(sim::Millis(100));
     monitor.ObserveOutcome("schooner", "migrate.errors", true);
@@ -430,15 +430,7 @@ TEST(HealthShell, PhealthSaysDisabledWhenUnarmed) {
             std::string::npos);
 }
 
-// --- Flight recorder capacity (TestbedOptions passthrough) -------------------------
-
-TEST(FlightRecorderCapacity, TestbedPassesCapacityThrough) {
-  WorldOptions options;
-  options.flight_recorder = true;
-  options.flight_recorder_capacity = 4;
-  World world(options);
-  EXPECT_EQ(world.cluster().flight_recorder().capacity_per_host(), 4u);
-}
+// --- Flight recorder capacity ------------------------------------------------------
 
 TEST(FlightRecorderCapacity, RingEvictsOldestPastCapacity) {
   sim::VirtualClock clock;

@@ -539,9 +539,9 @@ std::string RunCachedChaos(uint64_t seed) {
     const int32_t mig = world.host("brick").SpawnNative(
         "migrate",
         [rc, net, pid, target](SyscallApi& api) {
-          core::MigrateOptions opts = core::MigrateOptions::Robust();
-          opts.cached = true;
-          *rc = core::Migrate(api, *net, pid, "brick", target, /*use_daemon=*/false, opts);
+          core::MigrateOptions mopts = core::MigrateOptions::Robust();
+          mopts.cached = true;
+          *rc = core::Migrate(api, *net, pid, "brick", target, /*use_daemon=*/false, mopts);
           return *rc;
         },
         opts);
@@ -549,7 +549,7 @@ std::string RunCachedChaos(uint64_t seed) {
     fp << "rc" << i << "=" << *rc << ";";
   }
 
-  world.cluster().faults().Disarm();
+  world.cluster().context().faults.Disarm();
   world.cluster().RunFor(sim::Seconds(40));
 
   int total_alive = 0;

@@ -15,7 +15,8 @@ using test::World;
 
 TEST(Network, TransferTimeScalesWithBytes) {
   sim::CostModel costs;
-  net::Network net(&costs);
+  sim::ClusterContext context;
+  net::Network net(&costs, context);
   EXPECT_GE(net.TransferTime(0), costs.nfs_rpc / 2);
   EXPECT_EQ(net.TransferTime(1000) - net.TransferTime(0), 1000 * costs.net_per_byte);
   EXPECT_LT(net.TransferTime(100), net.TransferTime(10000));
@@ -32,7 +33,8 @@ TEST(Network, FindHostByName) {
 
 TEST(Network, SpawnServiceRegistry) {
   sim::CostModel costs;
-  net::Network net(&costs);
+  sim::ClusterContext context;
+  net::Network net(&costs, context);
   net::SpawnService service;
   net.RegisterSpawnService("brick", &service);
   EXPECT_EQ(net.FindSpawnService("brick"), &service);

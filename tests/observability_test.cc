@@ -342,7 +342,7 @@ TEST(Observability, FlightRecorderDumpsOnHostUnreach) {
   ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
   EXPECT_NE(world.ExitInfoOf("brick", mig).exit_code, 0);
 
-  const sim::FlightRecorder& recorder = world.cluster().flight_recorder();
+  const sim::FlightRecorder& recorder = world.cluster().context().flight_recorder;
   ASSERT_FALSE(recorder.postmortems().empty());
   const sim::FlightRecorder::Postmortem& pm = recorder.postmortems().front();
   EXPECT_EQ(pm.host, "brick");

@@ -87,8 +87,8 @@ TEST(FaultHistory, MigrateOutcomesFeedTheClusterHistory) {
   RunSystem(world, "brick", [net, pid](SyscallApi& api) {
     return core::Migrate(api, *net, pid, "brick", "schooner");
   });
-  EXPECT_GT(world.cluster().fault_history().failures("schooner"), 0);
-  EXPECT_GT(world.cluster().fault_history().Score("schooner"), 0.0);
+  EXPECT_GT(world.cluster().context().fault_history.failures("schooner"), 0);
+  EXPECT_GT(world.cluster().context().fault_history.Score("schooner"), 0.0);
 }
 
 // --- Surveys and the engine skip dead hosts ---
@@ -130,7 +130,7 @@ TEST(Placement, FaultAwareExcludesFailingHostUntilScoreDecays) {
   WorldOptions options;
   options.num_hosts = 3;
   World world(options);
-  sim::FaultHistory& history = world.cluster().fault_history();
+  sim::FaultHistory& history = world.cluster().context().fault_history;
   history.set_half_life(sim::Seconds(10));
   history.RecordFailure("schooner", Errno::kHostUnreach);
 
@@ -188,7 +188,8 @@ TEST(Placement, CostAwarePrefersTheWarmSegmentCache) {
 
 // A copy of the balancer loop as it stood before the placement engine (idlest =
 // min_element over the survey, one-shot migrations), instrumented to log the
-// same decision string the new balancer records. Like the current balancer, it
+// same "pid:from->to=rc;" string DecisionLog::OutcomeSequence renders for the
+// new balancer. Like the current balancer, it
 // exits instead of paying a trailing poll_interval sleep after its last round
 // (the pre-fix loop slept even when no round would follow, inflating every
 // converged run's timeline by one interval).
@@ -248,6 +249,7 @@ TEST(Placement, LoadOnlyReproducesLegacyDecisionSequence) {
     WorldOptions options;
     options.num_hosts = 3;
     options.daemons = true;
+    options.decision_log = true;  // the engine's decision sequence
     World world(options);
     for (int i = 0; i < 5; ++i) {
       world.StartVm("brick", "/bin/hog", {"hog", "4000000"});
@@ -262,10 +264,11 @@ TEST(Placement, LoadOnlyReproducesLegacyDecisionSequence) {
       if (legacy) {
         *decisions = LegacyRunLoadBalancer(api, *net, lb);
       } else {
-        *decisions = apps::RunLoadBalancer(api, *net, lb).decisions;
+        apps::RunLoadBalancer(api, *net, lb);
       }
       return 0;
     });
+    if (!legacy) *decisions = world.cluster().context().decision_log.OutcomeSequence();
     return world.cluster().clock().now();
   };
   std::string legacy_decisions, engine_decisions;
@@ -328,6 +331,7 @@ ChaosResult RunBalancerChaos(PlacementPolicy policy) {
   options.num_hosts = 3;
   options.daemons = true;
   options.metrics = true;
+  options.decision_log = true;  // the decision sequence folds into the fingerprint
   options.faults.enabled = true;  // scheduled crashes only, no random rates
   options.faults.crashes.push_back({"schooner", sim::Seconds(6), sim::Seconds(18)});
   options.faults.crashes.push_back({"schooner", sim::Seconds(30), sim::Seconds(42)});
@@ -363,7 +367,8 @@ ChaosResult RunBalancerChaos(PlacementPolicy policy) {
                            sim::Seconds(120));
   world.cluster().RunFor(sim::Seconds(2));
   std::ostringstream fp;
-  fp << result.stats.decisions << "|m=" << result.stats.migrations
+  fp << world.cluster().context().decision_log.OutcomeSequence()
+     << "|m=" << result.stats.migrations
      << ",f=" << result.stats.failed_migrations << ",fb=" << result.stats.fallback_restarts
      << ",nt=" << result.stats.no_target_rounds << ",down=" << result.stats.attempts_to_down;
   for (const auto& host : world.cluster().hosts()) {
@@ -424,11 +429,11 @@ TEST(NightShift, DownNightHostStrandsJobsVisiblyAndGetsNoAttempts) {
   apps::NightShiftStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::NightShiftOptions options;
-    options.day_host = "brick";
-    options.night_length = sim::Seconds(30);
-    options.nights = 1;
-    stats = apps::RunNightShift(api, *net, options);
+    apps::NightShiftOptions night;
+    night.day_host = "brick";
+    night.night_length = sim::Seconds(30);
+    night.nights = 1;
+    stats = apps::RunNightShift(api, *net, night);
     return 0;
   });
   EXPECT_EQ(stats.spread_migrations, 4);  // dusk happened before the crash

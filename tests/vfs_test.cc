@@ -304,7 +304,7 @@ TEST_F(MountTest, PaperSection43SymlinkAliasing) {
 }
 
 // Cost accounting: remote lookups charge NFS RPC waits; local ones do not.
-class RecordingSink : public CostSink {
+class RecordingSink final : public CostSink {
  public:
   void ChargeCpu(sim::Nanos amount) override { cpu += amount; }
   void ChargeWait(sim::Nanos amount) override { wait += amount; }
