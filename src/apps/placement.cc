@@ -69,8 +69,8 @@ int64_t EstimatedBytes(kernel::Kernel& from, kernel::Kernel& to, int32_t pid) {
   if (p == nullptr || p->kind != kernel::ProcKind::kVm || p->vm == nullptr) return 0;
   const vm::VmContext& ctx = *p->vm;
   int64_t bytes = 0;
-  if (!HasCachedSegment(to, sim::HashBytes(ctx.text))) {
-    bytes += static_cast<int64_t>(ctx.text.size());
+  if (!HasCachedSegment(to, sim::HashBytes(ctx.text()))) {
+    bytes += static_cast<int64_t>(ctx.text().size());
   }
   const bool delta_ok = ctx.dirty.armed && ctx.data.size() == ctx.dirty.base.size();
   if (delta_ok && HasCachedSegment(to, sim::HashBytes(ctx.dirty.base))) {

@@ -108,6 +108,9 @@ Result<StackFile> StackFile::Parse(const std::string& bytes) {
     s.command = r.Str();
   }
   if (!r.ok()) return Errno::kNoExec;
+  // A dump saves exactly [sp, kStackTop), so any other sp is corrupt; taken
+  // verbatim it would point the restored process's stack outside its segment.
+  if (uint64_t{s.cpu.sp} + s.stack.size() != vm::kStackTop) return Errno::kNoExec;
   return s;
 }
 
@@ -186,7 +189,7 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype) {
   a.machtype = machtype;
   a.entry = 0;
   a.text_digest = dirty.text_digest;
-  a.text_size = static_cast<uint32_t>(ctx.text.size());
+  a.text_size = static_cast<uint32_t>(ctx.text().size());
   a.encoding = IncrAout::DataEncoding::kDelta;
   a.base_digest = dirty.base_digest;
   a.result_digest = sim::HashBytes(ctx.data);

@@ -67,7 +67,7 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
   // Round 1: the whole address space (text ships once; it cannot change).
   Snapshot shipped = Snapshot::Of(*src);
   stats.rounds = 1;
-  const int64_t first = static_cast<int64_t>(src->vm->text.size()) + shipped.TotalBytes();
+  const int64_t first = static_cast<int64_t>(src->vm->text().size()) + shipped.TotalBytes();
   stats.bytes_precopied += first;
   ship(first);
 

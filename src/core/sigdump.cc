@@ -13,7 +13,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
   }
   const vm::VmContext& ctx = *p.vm;
   const uint32_t machtype =
-      vm::RequiredLevel(ctx.text.data(), ctx.text.size()) == vm::IsaLevel::kIsa20 ? 20 : 10;
+      vm::RequiredLevel(ctx.text().data(), ctx.text().size()) == vm::IsaLevel::kIsa20 ? 20 : 10;
 
   // --- a.outXXXXX. Full dump: text + data behind an ordinary exec header
   // (running it from scratch is the `undump` behaviour: fresh start, dumped
@@ -38,7 +38,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     aout_bytes = incr.Serialize();
     full_equivalent = incr.FullEquivalentBytes();
     const std::pair<uint64_t, const std::vector<uint8_t>*> segments[] = {
-        {incr.text_digest, &ctx.text}, {incr.base_digest, &ctx.dirty.base}};
+        {incr.text_digest, &ctx.text()}, {incr.base_digest, &ctx.dirty.base}};
     for (const auto& [digest, bytes] : segments) {
       const std::string path = SegCachePath(digest);
       if (k.vfs().Resolve(k.vfs().RootState(), path, vfs::Follow::kAll, nullptr).ok()) {
@@ -52,7 +52,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     k.metrics().Set("vm.dirty_pages.stack", ctx.dirty.CountStackDirty());
   } else {
     vm::AoutImage image;
-    image.text = ctx.text;
+    image.text = ctx.text();
     image.data = ctx.data;
     image.header.entry = 0;  // entry is only used when executed as a fresh program
     image.header.machtype = machtype;

@@ -1,5 +1,8 @@
 #include "src/core/test_programs.h"
 
+#include <utility>
+#include <vector>
+
 #include "src/vm/assembler.h"
 
 namespace pmig::core {
@@ -450,25 +453,46 @@ std::string WithPadding(std::string_view source, int extra_text_instructions,
   return out;
 }
 
-void InstallProgram(kernel::Kernel& host, const std::string& path, std::string_view source) {
-  const vm::AoutImage image = vm::MustAssemble(source);
-  const std::vector<uint8_t> bytes = image.Serialize();
+namespace {
+
+std::vector<uint8_t> AssembleExecutable(std::string_view source) {
+  return vm::MustAssemble(source).Serialize();
+}
+
+void WriteExecutable(kernel::Kernel& host, const std::string& path,
+                     const std::vector<uint8_t>& bytes) {
   host.vfs().SetupCreateFile(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
                                                     bytes.size()),
                              /*uid=*/0, /*mode=*/0755);
 }
 
+}  // namespace
+
+void InstallProgram(kernel::Kernel& host, const std::string& path, std::string_view source) {
+  WriteExecutable(host, path, AssembleExecutable(source));
+}
+
 void InstallStandardPrograms(kernel::Kernel& host) {
-  InstallProgram(host, "/bin/counter", CounterProgramSource());
-  InstallProgram(host, "/bin/hog", CpuHogProgramSource());
-  InstallProgram(host, "/bin/editor", EditorProgramSource());
-  InstallProgram(host, "/bin/socketer", SocketProgramSource());
-  InstallProgram(host, "/bin/forkwait", ForkWaitProgramSource());
-  InstallProgram(host, "/bin/isa20", Isa20ProgramSource());
-  InstallProgram(host, "/bin/identity", IdentityProgramSource());
-  InstallProgram(host, "/bin/handler", HandlerProgramSource());
-  InstallProgram(host, "/bin/deepstack", DeepStackProgramSource());
-  InstallProgram(host, "/bin/dirtier", DirtierProgramSource());
+  // The sources are constants, so each is assembled once per process and every
+  // host gets a copy of the same bytes.
+  static const std::vector<std::pair<std::string, std::vector<uint8_t>>> kExecutables = [] {
+    const std::pair<const char*, std::string_view> programs[] = {
+        {"/bin/counter", CounterProgramSource()},
+        {"/bin/hog", CpuHogProgramSource()},
+        {"/bin/editor", EditorProgramSource()},
+        {"/bin/socketer", SocketProgramSource()},
+        {"/bin/forkwait", ForkWaitProgramSource()},
+        {"/bin/isa20", Isa20ProgramSource()},
+        {"/bin/identity", IdentityProgramSource()},
+        {"/bin/handler", HandlerProgramSource()},
+        {"/bin/deepstack", DeepStackProgramSource()},
+        {"/bin/dirtier", DirtierProgramSource()},
+    };
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> out;
+    for (const auto& [path, source] : programs) out.emplace_back(path, AssembleExecutable(source));
+    return out;
+  }();
+  for (const auto& [path, bytes] : kExecutables) WriteExecutable(host, path, bytes);
 }
 
 }  // namespace pmig::core

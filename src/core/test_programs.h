@@ -54,7 +54,8 @@ std::string WithPadding(std::string_view source, int extra_text_instructions,
 void InstallProgram(kernel::Kernel& host, const std::string& path, std::string_view source);
 
 // Installs every program above under /bin on `host` (counter, hog, editor,
-// socketer, forkwait, isa20, identity, handler, deepstack).
+// socketer, forkwait, isa20, identity, handler, deepstack, dirtier), assembling
+// them only on the first call in the process.
 void InstallStandardPrograms(kernel::Kernel& host);
 
 }  // namespace pmig::core

@@ -1,6 +1,7 @@
 #include "src/vm/cpu.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/sim/hash.h"
@@ -25,8 +26,20 @@ std::string_view FaultName(Fault f) {
   return "?";
 }
 
+namespace {
+
+// Decoded-slot values past the real opcodes. Decoding maps every raw byte to a
+// real opcode or kBadSlot, so no text can alias kUndecoded.
+constexpr uint8_t Op(Opcode op) { return static_cast<uint8_t>(op); }
+
+constexpr uint8_t kBadSlot = Op(Opcode::kNumOpcodes);
+constexpr uint8_t kUndecoded = kBadSlot + 1;
+
+}  // namespace
+
 void VmContext::LoadImage(const AoutImage& image) {
-  text = image.text;
+  text_ = image.text;
+  decoded_.assign(text_.size() / kInstrBytes, DecodedInstr{kUndecoded, 0, 0, 0, 0});
   data = image.data;
   stack.assign(kStackMax, 0);
   cpu = CpuState{};
@@ -45,7 +58,7 @@ int64_t DirtyTracking::CountStackDirty() const {
 
 void VmContext::ArmDirtyTracking() {
   dirty.armed = true;
-  dirty.text_digest = sim::HashBytes(text);
+  dirty.text_digest = sim::HashBytes(text_);
   dirty.base = data;
   dirty.base_digest = sim::HashBytes(dirty.base);
   dirty.data_dirty.assign((data.size() + kDirtyPageBytes - 1) / kDirtyPageBytes, false);
@@ -119,57 +132,56 @@ bool VmContext::SetStackContents(const std::vector<uint8_t>& contents) {
 
 namespace {
 
-// Resolves a [addr, addr+len) range to a backing pointer within one segment, or
-// nullptr. Text is excluded: it is execute-only, as on a real split-I/D machine.
-const uint8_t* ResolveRead(const VmContext& ctx, uint32_t addr, uint32_t len) {
-  if (len == 0) return reinterpret_cast<const uint8_t*>(&ctx);  // any non-null
-  if (addr >= kDataBase && addr + len > addr &&
-      addr + len <= kDataBase + ctx.data.size()) {
-    return ctx.data.data() + (addr - kDataBase);
-  }
-  if (addr >= kStackBase && addr + len > addr && addr + len <= kStackTop) {
-    return ctx.stack.data() + (addr - kStackBase);
-  }
-  return nullptr;
-}
+// The one map from a guest address range to host memory: the data segment,
+// then the stack region. Text is not mapped; it is execute-only, as on a real
+// split-I/D machine.
+struct Segments {
+  uint8_t* data;
+  uint64_t data_end;  // kDataBase + data size
+  uint8_t* stack;
 
-uint8_t* ResolveWrite(VmContext& ctx, uint32_t addr, uint32_t len) {
-  return const_cast<uint8_t*>(ResolveRead(ctx, addr, len));
-}
+  explicit Segments(const VmContext& ctx)
+      : data(const_cast<uint8_t*>(ctx.data.data())),
+        data_end(kDataBase + uint64_t{ctx.data.size()}),
+        stack(const_cast<uint8_t*>(ctx.stack.data())) {}
+
+  // [addr, addr + len) inside one segment, or nullptr. Requires len > 0.
+  uint8_t* Resolve(uint32_t addr, uint32_t len) const {
+    const uint64_t end = uint64_t{addr} + len;
+    if (addr >= kDataBase && end <= data_end) return data + (addr - kDataBase);
+    if (addr >= kStackBase && end <= kStackTop) return stack + (addr - kStackBase);
+    return nullptr;
+  }
+};
+
+// Guest words are little-endian; the 8-byte paths below copy them directly.
+static_assert(std::endian::native == std::endian::little);
 
 }  // namespace
 
 bool VmContext::ReadBytes(uint32_t addr, uint32_t len, uint8_t* out) const {
-  const uint8_t* p = ResolveRead(*this, addr, len);
+  if (len == 0) return true;
+  const uint8_t* p = Segments(*this).Resolve(addr, len);
   if (p == nullptr) return false;
-  if (len > 0) std::memcpy(out, p, len);
+  std::memcpy(out, p, len);
   return true;
 }
 
 bool VmContext::WriteBytes(uint32_t addr, uint32_t len, const uint8_t* in) {
-  uint8_t* p = ResolveWrite(*this, addr, len);
+  if (len == 0) return true;
+  uint8_t* p = Segments(*this).Resolve(addr, len);
   if (p == nullptr) return false;
-  if (len > 0) {
-    std::memcpy(p, in, len);
-    if (dirty.armed) MarkDirty(addr, len);
-  }
+  std::memcpy(p, in, len);
+  if (dirty.armed) MarkDirty(addr, len);
   return true;
 }
 
 bool VmContext::ReadU64(uint32_t addr, int64_t* out) const {
-  uint8_t buf[8];
-  if (!ReadBytes(addr, 8, buf)) return false;
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | buf[i];
-  *out = static_cast<int64_t>(v);
-  return true;
+  return ReadBytes(addr, 8, reinterpret_cast<uint8_t*>(out));
 }
 
 bool VmContext::WriteU64(uint32_t addr, int64_t value) {
-  uint8_t buf[8];
-  const auto u = static_cast<uint64_t>(value);
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<uint8_t>((u >> (8 * i)) & 0xFF);
-  return WriteBytes(addr, 8, buf);
+  return WriteBytes(addr, 8, reinterpret_cast<const uint8_t*>(&value));
 }
 
 bool VmContext::ReadU16(uint32_t addr, uint16_t* out) const {
@@ -204,182 +216,267 @@ bool VmContext::WriteCString(uint32_t addr, const std::string& s) {
   return WriteBytes(addr + static_cast<uint32_t>(s.size()), 1, &nul);
 }
 
-StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
-  steps_executed_ = 0;
-  last_fault_ = Fault::kNone;
-  while (steps_executed_ < max_steps) {
-    const StopReason reason = StepOnce(ctx);
-    ++steps_executed_;
-    if (reason != StopReason::kSteps) return reason;
+namespace {
+
+// Validates one raw instruction, once, on its first fetch: the opcode must be
+// defined and every register field it reads in range. The machine's ISA level
+// is not part of a slot; the two kIsa20 opcodes check it when they run.
+DecodedInstr DecodeSlot(const uint8_t* bytes) {
+  const Instruction in = Instruction::Decode(bytes);
+  DecodedInstr out{Op(in.op), in.ra, in.rb, in.rc, in.imm};
+  if (in.op >= Opcode::kNumOpcodes) {
+    out.op = kBadSlot;
+    return out;
   }
-  return StopReason::kSteps;
+  const OpcodeInfo::Shape shape = GetOpcodeInfo(in.op).shape;
+  const bool reads_ra = shape != OpcodeInfo::Shape::kNone && shape != OpcodeInfo::Shape::kImm;
+  if ((reads_ra && in.ra >= kNumRegs) || in.rb >= kNumRegs || in.rc >= kNumRegs) {
+    out.op = kBadSlot;
+  }
+  return out;
 }
 
-StopReason Cpu::StepOnce(VmContext& ctx) {
-  CpuState& cpu = ctx.cpu;
-  if (cpu.pc + kInstrBytes > ctx.text.size() || cpu.pc % kInstrBytes != 0) {
-    last_fault_ = Fault::kBadAddress;
-    return StopReason::kFault;
+// The fault of a kBadSlot instruction, in the order the ISA checks: an undefined
+// opcode, then an opcode above the machine's level, then a bad register field.
+Fault BadSlotFault(const uint8_t* bytes, IsaLevel machine) {
+  const auto op = static_cast<Opcode>(bytes[0]);
+  if (op < Opcode::kNumOpcodes && !IsaCompatible(GetOpcodeInfo(op).level, machine)) {
+    return Fault::kIsaViolation;
   }
-  const Instruction in = Instruction::Decode(ctx.text.data() + cpu.pc);
-  const OpcodeInfo& info = GetOpcodeInfo(in.op);
-  if (in.op >= Opcode::kNumOpcodes) {
-    last_fault_ = Fault::kIllegalInstruction;
-    return StopReason::kFault;
-  }
-  if (!IsaCompatible(info.level, machine_level_)) {
-    last_fault_ = Fault::kIsaViolation;
-    return StopReason::kFault;
-  }
-  if ((in.ra >= kNumRegs && info.shape != OpcodeInfo::Shape::kNone &&
-       info.shape != OpcodeInfo::Shape::kImm) ||
-      in.rb >= kNumRegs || in.rc >= kNumRegs) {
-    last_fault_ = Fault::kIllegalInstruction;
-    return StopReason::kFault;
-  }
-  cpu.pc += kInstrBytes;  // default: fall through; branches overwrite
+  return Fault::kIllegalInstruction;
+}
 
-  auto fault = [&](Fault f) {
-    cpu.pc -= kInstrBytes;  // leave pc at the faulting instruction
-    last_fault_ = f;
-    return StopReason::kFault;
-  };
+// Arithmetic wraps modulo 2^64 (isa.h), so it is done on the unsigned bits.
+uint64_t U(int64_t v) { return static_cast<uint64_t>(v); }
+int64_t S(uint64_t v) { return static_cast<int64_t>(v); }
 
-  int64_t* r = cpu.regs;
-  switch (in.op) {
-    case Opcode::kNop:
+// The rb + imm operand address of ld/st, wrapped to the 32-bit address space.
+uint32_t EffectiveAddress(int64_t base, int32_t imm) {
+  return static_cast<uint32_t>(base) + static_cast<uint32_t>(imm);
+}
+
+}  // namespace
+
+StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
+  last_fault_ = Fault::kNone;
+  const uint8_t* const text = ctx.text_.data();
+  DecodedInstr* const slots = ctx.decoded_.data();
+  const uint64_t num_slots = ctx.decoded_.size();
+  const Segments mem(ctx);
+  const bool track_dirty = ctx.dirty.armed;
+  const bool isa20 = IsaCompatible(IsaLevel::kIsa20, machine_level_);
+  int64_t* const r = ctx.cpu.regs;
+  uint32_t pc = ctx.cpu.pc;
+  uint32_t sp = ctx.cpu.sp;
+  int64_t steps = 0;
+  StopReason reason = StopReason::kSteps;
+  Fault fault = Fault::kNone;
+
+  // Every fetch counts one step, a faulting one included. A slot fetched for
+  // the first time is decoded in place and dispatched again, still one step.
+  while (steps < max_steps) {
+    ++steps;
+    const uint32_t index = pc / kInstrBytes;
+    if (pc % kInstrBytes != 0 || index >= num_slots) {
+      fault = Fault::kBadAddress;
       break;
-    case Opcode::kMovI:
-      r[in.ra] = in.imm;
-      break;
-    case Opcode::kMov:
-      r[in.ra] = r[in.rb];
-      break;
-    case Opcode::kAdd:
-      r[in.ra] = r[in.rb] + r[in.rc];
-      break;
-    case Opcode::kSub:
-      r[in.ra] = r[in.rb] - r[in.rc];
-      break;
-    case Opcode::kMul:
-    case Opcode::kLMul:
-      r[in.ra] = r[in.rb] * r[in.rc];
-      break;
-    case Opcode::kDiv:
-      if (r[in.rc] == 0) return fault(Fault::kDivideByZero);
-      r[in.ra] = r[in.rb] / r[in.rc];
-      break;
-    case Opcode::kMod:
-      if (r[in.rc] == 0) return fault(Fault::kDivideByZero);
-      r[in.ra] = r[in.rb] % r[in.rc];
-      break;
-    case Opcode::kAnd:
-      r[in.ra] = r[in.rb] & r[in.rc];
-      break;
-    case Opcode::kOr:
-      r[in.ra] = r[in.rb] | r[in.rc];
-      break;
-    case Opcode::kXor:
-      r[in.ra] = r[in.rb] ^ r[in.rc];
-      break;
-    case Opcode::kShl:
-      r[in.ra] = r[in.rb] << (r[in.rc] & 63);
-      break;
-    case Opcode::kShr:
-      r[in.ra] = static_cast<int64_t>(static_cast<uint64_t>(r[in.rb]) >> (r[in.rc] & 63));
-      break;
-    case Opcode::kAddI:
-      r[in.ra] = r[in.rb] + in.imm;
-      break;
-    case Opcode::kLd: {
-      int64_t v;
-      if (!ctx.ReadU64(static_cast<uint32_t>(r[in.rb] + in.imm), &v)) {
-        return fault(Fault::kBadAddress);
+    }
+    DecodedInstr in = slots[index];
+    uint32_t next = pc + kInstrBytes;  // branches overwrite
+  dispatch:
+    switch (in.op) {
+      case kUndecoded:
+        in = slots[index] = DecodeSlot(text + pc);
+        goto dispatch;
+      case kBadSlot:
+        fault = BadSlotFault(text + pc, machine_level_);
+        break;
+      case Op(Opcode::kNop):
+        break;
+      case Op(Opcode::kMovI):
+        r[in.ra] = in.imm;
+        break;
+      case Op(Opcode::kMov):
+        r[in.ra] = r[in.rb];
+        break;
+      case Op(Opcode::kAdd):
+        r[in.ra] = S(U(r[in.rb]) + U(r[in.rc]));
+        break;
+      case Op(Opcode::kSub):
+        r[in.ra] = S(U(r[in.rb]) - U(r[in.rc]));
+        break;
+      case Op(Opcode::kLMul):
+        if (!isa20) {
+          fault = Fault::kIsaViolation;
+          break;
+        }
+        [[fallthrough]];
+      case Op(Opcode::kMul):
+        r[in.ra] = S(U(r[in.rb]) * U(r[in.rc]));
+        break;
+      case Op(Opcode::kDiv):
+        if (r[in.rc] == 0) {
+          fault = Fault::kDivideByZero;
+        } else {
+          // n / -1 is the wrapped negation, so INT64_MIN / -1 = INT64_MIN.
+          r[in.ra] = r[in.rc] == -1 ? S(0 - U(r[in.rb])) : r[in.rb] / r[in.rc];
+        }
+        break;
+      case Op(Opcode::kMod):
+        if (r[in.rc] == 0) {
+          fault = Fault::kDivideByZero;
+        } else {
+          r[in.ra] = r[in.rc] == -1 ? 0 : r[in.rb] % r[in.rc];
+        }
+        break;
+      case Op(Opcode::kAnd):
+        r[in.ra] = r[in.rb] & r[in.rc];
+        break;
+      case Op(Opcode::kOr):
+        r[in.ra] = r[in.rb] | r[in.rc];
+        break;
+      case Op(Opcode::kXor):
+        r[in.ra] = r[in.rb] ^ r[in.rc];
+        break;
+      case Op(Opcode::kShl):
+        r[in.ra] = S(U(r[in.rb]) << (r[in.rc] & 63));
+        break;
+      case Op(Opcode::kShr):
+        r[in.ra] = S(U(r[in.rb]) >> (r[in.rc] & 63));
+        break;
+      case Op(Opcode::kAddI):
+        r[in.ra] = S(U(r[in.rb]) + U(in.imm));
+        break;
+      case Op(Opcode::kLd): {
+        const uint8_t* p = mem.Resolve(EffectiveAddress(r[in.rb], in.imm), 8);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+        } else {
+          std::memcpy(&r[in.ra], p, 8);
+        }
+        break;
       }
-      r[in.ra] = v;
-      break;
-    }
-    case Opcode::kLdB: {
-      uint8_t v;
-      if (!ctx.ReadBytes(static_cast<uint32_t>(r[in.rb] + in.imm), 1, &v)) {
-        return fault(Fault::kBadAddress);
+      case Op(Opcode::kLdB): {
+        const uint8_t* p = mem.Resolve(EffectiveAddress(r[in.rb], in.imm), 1);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+        } else {
+          r[in.ra] = *p;
+        }
+        break;
       }
-      r[in.ra] = v;
-      break;
-    }
-    case Opcode::kSt:
-      if (!ctx.WriteU64(static_cast<uint32_t>(r[in.rb] + in.imm), r[in.ra])) {
-        return fault(Fault::kBadAddress);
+      case Op(Opcode::kSt): {
+        const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
+        uint8_t* p = mem.Resolve(addr, 8);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+          break;
+        }
+        std::memcpy(p, &r[in.ra], 8);
+        if (track_dirty) ctx.MarkDirty(addr, 8);
+        break;
       }
-      break;
-    case Opcode::kStB: {
-      const uint8_t v = static_cast<uint8_t>(r[in.ra] & 0xFF);
-      if (!ctx.WriteBytes(static_cast<uint32_t>(r[in.rb] + in.imm), 1, &v)) {
-        return fault(Fault::kBadAddress);
+      case Op(Opcode::kStB): {
+        const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
+        uint8_t* p = mem.Resolve(addr, 1);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+          break;
+        }
+        *p = static_cast<uint8_t>(r[in.ra]);
+        if (track_dirty) ctx.MarkDirty(addr, 1);
+        break;
       }
-      break;
+      case Op(Opcode::kPush):
+      case Op(Opcode::kCall): {
+        if (sp < kStackBase + 8) {
+          fault = Fault::kStackOverflow;
+          break;
+        }
+        sp -= 8;  // stays lowered if the store below faults
+        uint8_t* p = mem.Resolve(sp, 8);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+          break;
+        }
+        if (in.op == Op(Opcode::kPush)) {
+          std::memcpy(p, &r[in.ra], 8);
+        } else {
+          const int64_t ret = next;
+          std::memcpy(p, &ret, 8);
+          next = static_cast<uint32_t>(in.imm);
+        }
+        if (track_dirty) ctx.MarkDirty(sp, 8);
+        break;
+      }
+      case Op(Opcode::kPop):
+      case Op(Opcode::kRet): {
+        const uint8_t* p = sp + 8 > kStackTop ? nullptr : mem.Resolve(sp, 8);
+        if (p == nullptr) {
+          fault = Fault::kBadAddress;
+          break;
+        }
+        int64_t v;
+        std::memcpy(&v, p, 8);
+        sp += 8;
+        if (in.op == Op(Opcode::kPop)) {
+          r[in.ra] = v;
+        } else {
+          next = static_cast<uint32_t>(v);
+        }
+        break;
+      }
+      case Op(Opcode::kJmp):
+        next = static_cast<uint32_t>(in.imm);
+        break;
+      case Op(Opcode::kBeq):
+        if (r[in.ra] == r[in.rb]) next = static_cast<uint32_t>(in.imm);
+        break;
+      case Op(Opcode::kBne):
+        if (r[in.ra] != r[in.rb]) next = static_cast<uint32_t>(in.imm);
+        break;
+      case Op(Opcode::kBlt):
+        if (r[in.ra] < r[in.rb]) next = static_cast<uint32_t>(in.imm);
+        break;
+      case Op(Opcode::kBge):
+        if (r[in.ra] >= r[in.rb]) next = static_cast<uint32_t>(in.imm);
+        break;
+      case Op(Opcode::kRdSp):
+        r[in.ra] = sp;
+        break;
+      case Op(Opcode::kBfExt): {
+        if (!isa20) {
+          fault = Fault::kIsaViolation;
+          break;
+        }
+        const uint32_t shift = static_cast<uint32_t>(in.imm) & 0xFF;
+        const uint32_t width = (static_cast<uint32_t>(in.imm) >> 8) & 0xFF;
+        const uint64_t mask = width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+        r[in.ra] = shift >= 64 ? 0 : S((U(r[in.rb]) >> shift) & mask);
+        break;
+      }
+      case Op(Opcode::kSys):
+        last_syscall_ = in.imm;
+        pc = next;
+        reason = StopReason::kSyscall;
+        goto stop;
+      case Op(Opcode::kHalt):
+      default:
+        fault = Fault::kIllegalInstruction;
+        break;
     }
-    case Opcode::kPush:
-      if (cpu.sp < kStackBase + 8) return fault(Fault::kStackOverflow);
-      cpu.sp -= 8;
-      if (!ctx.WriteU64(cpu.sp, r[in.ra])) return fault(Fault::kBadAddress);
-      break;
-    case Opcode::kPop: {
-      int64_t v;
-      if (cpu.sp + 8 > kStackTop) return fault(Fault::kBadAddress);
-      if (!ctx.ReadU64(cpu.sp, &v)) return fault(Fault::kBadAddress);
-      cpu.sp += 8;
-      r[in.ra] = v;
-      break;
-    }
-    case Opcode::kJmp:
-      cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kCall:
-      if (cpu.sp < kStackBase + 8) return fault(Fault::kStackOverflow);
-      cpu.sp -= 8;
-      if (!ctx.WriteU64(cpu.sp, cpu.pc)) return fault(Fault::kBadAddress);
-      cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kRet: {
-      int64_t v;
-      if (cpu.sp + 8 > kStackTop) return fault(Fault::kBadAddress);
-      if (!ctx.ReadU64(cpu.sp, &v)) return fault(Fault::kBadAddress);
-      cpu.sp += 8;
-      cpu.pc = static_cast<uint32_t>(v);
-      break;
-    }
-    case Opcode::kBeq:
-      if (r[in.ra] == r[in.rb]) cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kBne:
-      if (r[in.ra] != r[in.rb]) cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kBlt:
-      if (r[in.ra] < r[in.rb]) cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kBge:
-      if (r[in.ra] >= r[in.rb]) cpu.pc = static_cast<uint32_t>(in.imm);
-      break;
-    case Opcode::kBfExt: {
-      const int shift = in.imm & 0xFF;
-      const int width = (in.imm >> 8) & 0xFF;
-      const uint64_t mask = width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-      r[in.ra] = static_cast<int64_t>((static_cast<uint64_t>(r[in.rb]) >> shift) & mask);
-      break;
-    }
-    case Opcode::kRdSp:
-      r[in.ra] = cpu.sp;
-      break;
-    case Opcode::kSys:
-      last_syscall_ = in.imm;
-      return StopReason::kSyscall;
-    case Opcode::kHalt:
-      return fault(Fault::kIllegalInstruction);
-    case Opcode::kNumOpcodes:
-      return fault(Fault::kIllegalInstruction);
+    if (fault != Fault::kNone) break;  // pc stays on the faulting instruction
+    pc = next;
   }
-  return StopReason::kSteps;
+  if (fault != Fault::kNone) {
+    last_fault_ = fault;
+    reason = StopReason::kFault;
+  }
+stop:
+  ctx.cpu.pc = pc;
+  ctx.cpu.sp = sp;
+  steps_executed_ = steps;
+  return reason;
 }
 
 }  // namespace pmig::vm

@@ -65,9 +65,19 @@ struct DirtyTracking {
   int64_t CountStackDirty() const;
 };
 
+// One text slot as Cpu::Run executes it: the raw instruction after its
+// machine-independent checks, or a sentinel (see cpu.cc) for a slot not yet
+// fetched or one that failed them.
+struct DecodedInstr {
+  uint8_t op;
+  uint8_t ra;
+  uint8_t rb;
+  uint8_t rc;
+  int32_t imm;
+};
+
 // The migratable machine context.
 struct VmContext {
-  std::vector<uint8_t> text;
   std::vector<uint8_t> data;
   // Backing store for the whole possible stack region [kStackBase, kStackTop).
   // Only [sp, kStackTop) is meaningful and only that slice is dumped.
@@ -79,6 +89,10 @@ struct VmContext {
   // stack. (The modified execve() of Section 5.2 instead pre-sizes the stack; that
   // logic lives in the kernel.)
   void LoadImage(const AoutImage& image);
+
+  // The text segment. It is execute-only and changes only through LoadImage,
+  // which is what lets Cpu::Run keep its decoded slots for the image's lifetime.
+  const std::vector<uint8_t>& text() const { return text_; }
 
   // Arms dirty tracking with the current data segment as the delta base (used at
   // exec time). Clears both bitmaps and computes the text/base digests.
@@ -111,9 +125,16 @@ struct VmContext {
   bool WriteCString(uint32_t addr, const std::string& s);  // writes s + NUL
 
  private:
+  friend class Cpu;
+
   // Flags the pages covered by a completed write. Every mutation of data/stack
-  // funnels through WriteBytes, so this is the single tracking point.
+  // goes through WriteBytes or Cpu::Run's stores, which both call this.
   void MarkDirty(uint32_t addr, uint32_t len);
+
+  std::vector<uint8_t> text_;
+  // One slot per whole instruction of text_, each filled on its first fetch;
+  // LoadImage resets them, and a copy (fork) carries them along.
+  std::vector<DecodedInstr> decoded_;
 };
 
 // Executes instructions against a VmContext.
@@ -124,7 +145,9 @@ class Cpu {
 
   // Runs up to `max_steps` instructions. Returns why execution stopped. On
   // kSyscall the pc has advanced past the SYS instruction (rewind by kInstrBytes to
-  // re-execute it, which is how interrupted blocking syscalls restart).
+  // re-execute it, which is how interrupted blocking syscalls restart). On kFault
+  // the pc stays on the faulting instruction. steps_executed() counts every
+  // instruction fetched, the faulting one included.
   StopReason Run(VmContext& ctx, int64_t max_steps);
 
   int64_t steps_executed() const { return steps_executed_; }
@@ -132,8 +155,6 @@ class Cpu {
   Fault last_fault() const { return last_fault_; }
 
  private:
-  StopReason StepOnce(VmContext& ctx);
-
   IsaLevel machine_level_;
   int64_t steps_executed_ = 0;
   int32_t last_syscall_ = 0;

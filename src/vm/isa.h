@@ -14,6 +14,13 @@
 //     stack growing down from kStackTop (at most kStackMax bytes);
 //   * fixed 8-byte instructions: opcode, three register fields, 32-bit immediate.
 //
+// Arithmetic is two's complement and every result is defined, as on a real CPU:
+//   * add, sub, mul, lmul and addi wrap modulo 2^64;
+//   * div and mod truncate toward zero; INT64_MIN / -1 = INT64_MIN and
+//     INT64_MIN % -1 = 0 (only a zero divisor faults);
+//   * the rb + imm address of ld/ldb/st/stb wraps modulo 2^32;
+//   * shl/shr use the low 6 bits of rc; bfext with a shift of 64 or more yields 0.
+//
 // This state — text, data, stack, registers — is exactly what SIGDUMP saves and
 // rest_proc() restores, so migration in this repository is genuine state transfer.
 

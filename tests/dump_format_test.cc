@@ -119,6 +119,21 @@ TEST(StackFile, RejectsTruncation) {
   EXPECT_FALSE(StackFile::Parse(bytes.substr(0, bytes.size() - 3)).ok());
 }
 
+// Every genuine dump saves exactly [sp, kStackTop), so an sp that disagrees
+// with the saved stack's size is corrupt (restored verbatim, it would point the
+// process's stack outside its segment).
+TEST(StackFile, RejectsSpThatDisagreesWithStackSize) {
+  for (const uint32_t sp : {vm::kStackTop - 16, vm::kStackTop, vm::kStackTop + 8, 0xFFFFFFF8u}) {
+    StackFile s = SampleStack();  // 8 bytes of stack
+    s.cpu.sp = sp;
+    EXPECT_EQ(StackFile::Parse(s.Serialize()).error(), Errno::kNoExec) << sp;
+  }
+  StackFile empty = SampleStack();
+  empty.stack.clear();
+  empty.cpu.sp = vm::kStackTop;
+  EXPECT_TRUE(StackFile::Parse(empty.Serialize()).ok());
+}
+
 TEST(StackFile, RejectsUnknownVersion) {
   std::string bytes = SampleStack().Serialize();
   bytes[4] = 99;  // version field follows the magic

@@ -184,6 +184,36 @@ TEST(DumpCorruption, FlippedBitFailsRestartCleanly) {
   EXPECT_NE(world.tty("brick", "ttyp0")->PlainOutput().find(""), std::string::npos);
 }
 
+// A stack file is trusted only as far as its checks go: with its saved pc
+// patched to the top of the address space it still parses, and the restarted
+// process then faults at its first fetch, dies by SIGSEGV like any wild jump,
+// and leaves the rest of the host running.
+TEST(DumpCorruption, PatchedPcKillsOnlyTheRestartedProcess) {
+  World world;
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const int32_t dp = world.StartTool("brick", "dumpproc", {"-p", std::to_string(pid)});
+  ASSERT_TRUE(world.RunUntilExited("brick", dp));
+
+  const DumpPaths paths = DumpPaths::For(pid);
+  kernel::Kernel& k = world.host("brick");
+  auto r = k.vfs().Resolve(k.vfs().RootState(), paths.stack, vfs::Follow::kAll, nullptr);
+  ASSERT_TRUE(r.ok());
+  Result<core::StackFile> stack = core::StackFile::Parse(r->inode->data);
+  ASSERT_TRUE(stack.ok());
+  stack->cpu.pc = 0xFFFFFFF8;
+  r->inode->data = stack->Serialize();
+
+  const int32_t rs = world.StartTool("brick", "restart", {"-p", std::to_string(pid)},
+                                     kUserUid, world.console("brick"));
+  ASSERT_TRUE(world.RunUntilExited("brick", rs, sim::Seconds(120)));
+  EXPECT_EQ(world.ExitInfoOf("brick", rs).killed_by_signal, vm::abi::kSigSegv);
+
+  const int32_t hog = world.StartVm("brick", "/bin/hog", {"hog", "1000"});
+  ASSERT_TRUE(world.RunUntilExited("brick", hog, sim::Seconds(30)));
+  EXPECT_EQ(world.ExitInfoOf("brick", hog).exit_code, 0);
+}
+
 namespace {
 
 // Spawns a native process on `host` that runs migrate with the given options

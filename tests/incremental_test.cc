@@ -80,7 +80,7 @@ TEST(Incremental, DeltaRestoreIsBitIdenticalToFullRestore) {
   ASSERT_NE(delta->vm, nullptr);
 
   // The restored memory images and CPU state must match exactly.
-  EXPECT_EQ(full->vm->text, delta->vm->text);
+  EXPECT_EQ(full->vm->text(), delta->vm->text());
   EXPECT_EQ(full->vm->data, delta->vm->data);
   EXPECT_EQ(full->vm->stack, delta->vm->stack);
   EXPECT_EQ(full->vm->cpu.pc, delta->vm->cpu.pc);
@@ -193,8 +193,10 @@ TEST(Incremental, DumpModeNeedsTrackingArmed) {
 
 TEST(Incremental, MarkDirtyAfterHeapGrowthStaysInsideBitmap) {
   vm::VmContext ctx;
-  ctx.text.assign(vm::kInstrBytes, 0);
-  ctx.data.assign(100, 7);
+  vm::AoutImage image;
+  image.text.assign(vm::kInstrBytes, 0);
+  image.data.assign(100, 7);
+  ctx.LoadImage(image);
   ctx.ArmDirtyTracking();
   const size_t tracked = ctx.dirty.data_dirty.size();
   // Grow well past the armed bitmap (as sbrk() does) and write into the new
