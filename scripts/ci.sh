@@ -6,26 +6,32 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every build and ctest run uses at most this many jobs: the core count, capped
+# at 4 (as in scripts/bench_tables_diff.sh), so the sanitizer builds stay
+# within a small machine's memory.
+jobs=$(nproc 2>/dev/null || echo 2)
+[ "$jobs" -le 4 ] || jobs=4
+
 echo "== tier-1 build (warnings are errors) =="
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-cmake --build build -j
+cmake --build build -j "$jobs"
 
 echo "== tier-1 ctest =="
-(cd build && ctest --output-on-failure --timeout 300 -j)
+(cd build && ctest --output-on-failure --timeout 300 -j "$jobs")
 
 echo "== ASan build =="
 cmake -B build-asan -S . -DPMIG_SANITIZE=address >/dev/null
-cmake --build build-asan -j
+cmake --build build-asan -j "$jobs"
 
 echo "== ASan ctest =="
-(cd build-asan && ctest --output-on-failure --timeout 300 -j)
+(cd build-asan && ctest --output-on-failure --timeout 300 -j "$jobs")
 
 echo "== UBSan build =="
 cmake -B build-ubsan -S . -DPMIG_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j
+cmake --build build-ubsan -j "$jobs"
 
 echo "== UBSan ctest =="
-(cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure --timeout 300 -j)
+(cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure --timeout 300 -j "$jobs")
 
 echo "== phase-drift gate =="
 ./build/bench/check_phases --fig4 ./build/bench/fig4_migrate \

@@ -25,12 +25,17 @@ Kernel::Kernel(std::string hostname, sim::ClusterContext& context,
 }
 
 Kernel::~Kernel() {
-  // Unwind native threads before anything they might reference is destroyed.
+  // Unwind native tasks before anything they might reference is destroyed.
   UnwindNativeTasks();
 }
 
 void Kernel::UnwindNativeTasks() {
   for (auto& proc : procs_) proc->native.reset();
+}
+
+void Kernel::set_pid_base(int32_t base) {
+  assert(procs_.empty() && "a pid indexes the proc table from its base");
+  first_pid_ = base;
 }
 
 void Kernel::BootFilesystem() {
@@ -77,7 +82,7 @@ Tty* Kernel::FindTty(std::string_view name) {
 Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& opts) {
   auto owned = std::make_unique<Proc>();
   Proc& p = *owned;
-  p.pid = AllocatePid();
+  p.pid = first_pid_ + static_cast<int32_t>(procs_.size());
   p.ppid = opts.ppid;
   p.command = std::move(command);
   p.kind = kind;
@@ -88,6 +93,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
   p.trace_parent_span = opts.trace_parent_span;
   InitProcCwd(p, opts.cwd);
   procs_.push_back(std::move(owned));
+  live_.push_back(&p);
   apis_[p.pid] = std::make_unique<SyscallApi>(this, p.pid);
   ++stats_.procs_spawned;
   metrics_.Inc("kernel.procs_spawned");
@@ -101,7 +107,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
 
 bool Kernel::WaitReady(int32_t parent_pid) const {
   bool any = false;
-  for (const auto& q : procs_) {
+  for (const Proc* q : live_) {
     if (q->ppid != parent_pid || q->state == ProcState::kDead) continue;
     if (q->state == ProcState::kZombie) return true;
     if (q->overlaid) return true;
@@ -166,10 +172,8 @@ Result<int32_t> Kernel::SpawnVm(const std::string& aout_path, std::vector<std::s
 }
 
 Proc* Kernel::FindProc(int32_t pid) {
-  for (auto& p : procs_) {
-    if (p->pid == pid && p->state != ProcState::kDead) return p.get();
-  }
-  return nullptr;
+  Proc* p = FindAnyProc(pid);
+  return p != nullptr && p->state != ProcState::kDead ? p : nullptr;
 }
 
 const Proc* Kernel::FindProc(int32_t pid) const {
@@ -177,23 +181,22 @@ const Proc* Kernel::FindProc(int32_t pid) const {
 }
 
 Proc* Kernel::FindAnyProc(int32_t pid) {
-  for (auto& p : procs_) {
-    if (p->pid == pid) return p.get();
-  }
-  return nullptr;
+  const int64_t index = int64_t{pid} - first_pid_;
+  if (index < 0 || index >= static_cast<int64_t>(procs_.size())) return nullptr;
+  return procs_[static_cast<size_t>(index)].get();
 }
 
 std::vector<Proc*> Kernel::ListProcs() {
   std::vector<Proc*> out;
-  for (auto& p : procs_) {
-    if (p->Alive()) out.push_back(p.get());
+  for (Proc* p : live_) {
+    if (p->Alive()) out.push_back(p);
   }
   return out;
 }
 
 int Kernel::RunnableCount() const {
   int n = 0;
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     if (p->state == ProcState::kRunnable) ++n;
   }
   return n;
@@ -295,7 +298,7 @@ void Kernel::BlockProc(Proc& p, std::function<bool()> check) {
 // --- Scheduler ---------------------------------------------------------------------
 
 bool Kernel::HasWork() const {
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     switch (p->state) {
       case ProcState::kRunnable:
       case ProcState::kSleeping:
@@ -310,7 +313,7 @@ bool Kernel::HasWork() const {
 
 bool Kernel::HasTimedWork() const {
   if (down_) return false;
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     if (p->state == ProcState::kRunnable || p->state == ProcState::kSleeping) return true;
   }
   return false;
@@ -318,14 +321,14 @@ bool Kernel::HasTimedWork() const {
 
 bool Kernel::HasRunnableProc() const {
   if (down_) return false;
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     if (p->state == ProcState::kRunnable) return true;
   }
   return false;
 }
 
 void Kernel::WakeBlockedProcs() {
-  for (auto& p : procs_) {
+  for (Proc* p : live_) {
     if (p->state == ProcState::kBlocked && p->unblock_check && p->unblock_check()) {
       p->state = ProcState::kRunnable;
       p->unblock_check = nullptr;
@@ -334,25 +337,33 @@ void Kernel::WakeBlockedProcs() {
 }
 
 Proc* Kernel::PickNext() {
-  if (procs_.empty()) return nullptr;
-  const size_t n = procs_.size();
-  for (size_t i = 0; i < n; ++i) {
-    Proc* p = procs_[(rr_cursor_ + i) % n].get();
-    if (p->state == ProcState::kRunnable) {
-      rr_cursor_ = (rr_cursor_ + i + 1) % n;
+  // The first runnable proc at or after rr_cursor_ in procs_, wrapping around.
+  // Reaped procs are never runnable, so scanning live_ (also in pid order)
+  // picks the same proc.
+  Proc* wrapped = nullptr;  // the first runnable proc before the cursor
+  for (Proc* p : live_) {
+    if (p->state != ProcState::kRunnable) continue;
+    const size_t index = static_cast<size_t>(p->pid - first_pid_);
+    if (index >= rr_cursor_) {
+      rr_cursor_ = (index + 1) % procs_.size();
       return p;
     }
+    if (wrapped == nullptr) wrapped = p;
   }
-  return nullptr;
+  if (wrapped != nullptr) {
+    rr_cursor_ = (static_cast<size_t>(wrapped->pid - first_pid_) + 1) % procs_.size();
+  }
+  return wrapped;
 }
 
 bool Kernel::RunQuantum() {
+  std::erase_if(live_, [](const Proc* p) { return p->state == ProcState::kDead; });
   if (down_) return false;  // the machine is powered off / crashed
   DeliverPendingSignals();
   WakeBlockedProcs();
   if (metrics_.enabled()) {
     int64_t runnable_vm = 0;
-    for (const auto& q : procs_) {
+    for (const Proc* q : live_) {
       if (q->kind == ProcKind::kVm && q->state == ProcState::kRunnable) ++runnable_vm;
     }
     runnable_vm_metric_.Set(runnable_vm);
@@ -389,7 +400,7 @@ void Kernel::HandleNativeFinish(Proc& p) {
   NativeTask* task = p.native.get();
   if (task->became_vm()) {
     // rest_proc() succeeded: the process was overlaid with the restarted program.
-    // Only the C++ thread ends; the process (now kVm) keeps running.
+    // Only the native task ends; the process (now kVm) keeps running.
     p.native.reset();
     Trace(sim::TraceCategory::kMigration, p.pid, "native task overlaid by rest_proc");
     return;
@@ -421,9 +432,15 @@ void Kernel::TerminateProc(Proc& p, ExitInfo info) {
   p.pending_wait = 0;
   p.sig_pending = 0;
 
-  // Children are reparented to the kernel ("init"); their exit will be autoreaped.
-  for (auto& q : procs_) {
-    if (q->Alive() && q->ppid == p.pid) q->ppid = 0;
+  // Children are reparented to the kernel ("init"): live ones are autoreaped when
+  // they exit, and init reaps the ones that already exited.
+  for (Proc* q : live_) {
+    if (q->ppid != p.pid) continue;
+    if (q->Alive()) {
+      q->ppid = 0;
+    } else {
+      q->state = ProcState::kDead;
+    }
   }
 
   if (p.kind == ProcKind::kNative && p.native != nullptr) {

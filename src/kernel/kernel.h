@@ -104,7 +104,7 @@ struct MigrationHooks {
   std::function<Result<PreparedDump>(Kernel&, Proc&)> sigdump;
   // rest_proc(): overlays `proc` with the dumped process. On success the proc has
   // become a running VM process and, for native callers, the hook does not return
-  // (BecameVm unwinds the thread). Returns an errno on failure.
+  // (BecameVm unwinds the native task). Returns an errno on failure.
   std::function<Status(Kernel&, Proc&, const std::string& aout_path,
                        const std::string& stack_path)>
       rest_proc;
@@ -160,7 +160,7 @@ class Kernel {
          KernelConfig config);
   ~Kernel();
 
-  // Unwinds every native process's thread. A task unwinding runs its
+  // Unwinds every native process's stack. A task unwinding runs its
   // destructors, which may still reach the network or other hosts, so the
   // cluster calls this on every host before it destroys any of them.
   void UnwindNativeTasks();
@@ -191,7 +191,8 @@ class Kernel {
   void set_migration_hooks(MigrationHooks hooks) { hooks_ = std::move(hooks); }
   // First pid this kernel hands out. The cluster gives each machine a distinct
   // range so cross-host pid collisions don't confuse tests and dump-file names.
-  void set_pid_base(int32_t base) { next_pid_ = base; }
+  // Only before the first spawn: a pid indexes the proc table from this base.
+  void set_pid_base(int32_t base);
   void set_program_registry(const ProgramRegistry* registry) { programs_ = registry; }
   const ProgramRegistry* program_registry() const { return programs_; }
 
@@ -216,7 +217,8 @@ class Kernel {
   // Like FindProc but also returns reaped (kDead) processes, whose ExitInfo is
   // still readable. Proc storage is never recycled within a simulation.
   Proc* FindAnyProc(int32_t pid);
-  // Live process listing (used by ps-like tools and the load balancer).
+  // Live process listing in pid order (used by ps-like tools and the load
+  // balancer).
   std::vector<Proc*> ListProcs();
   int RunnableCount() const;
 
@@ -336,7 +338,6 @@ class Kernel {
   friend class SyscallApi;
 
   void BootFilesystem();
-  int32_t AllocatePid() { return next_pid_++; }
   Proc& NewProc(std::string command, ProcKind kind, const SpawnOptions& opts);
   void InitProcCwd(Proc& p, const std::string& cwd);
 
@@ -385,13 +386,19 @@ class Kernel {
   std::vector<std::unique_ptr<Tty>> ttys_;
   std::map<const Tty*, vfs::InodePtr> tty_nodes_;
 
-  int32_t next_pid_ = 100;
+  // Every proc this kernel ever spawned, in pid order: pids are handed out
+  // sequentially from first_pid_ and storage is never recycled, so the proc
+  // with pid p is procs_[p - first_pid_].
+  int32_t first_pid_ = 100;
   std::vector<std::unique_ptr<Proc>> procs_;
+  // The unreaped procs, in pid order. Spawns append; RunQuantum drops the reaped
+  // ones before each quantum, so loops over it still skip kDead entries.
+  std::vector<Proc*> live_;
   std::map<int32_t, std::unique_ptr<SyscallApi>> apis_;
+  // Round-robin position: the procs_ index PickNext scans from.
   size_t rr_cursor_ = 0;
   int32_t last_run_pid_ = -1;
   sim::Nanos quantum_left_ = 0;
-  sim::Nanos reaped_cpu_ = 0;
 
   // The Section 5.2 "global flag" protocol between rest_proc() and execve().
   bool restproc_flag_ = false;

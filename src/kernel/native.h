@@ -2,27 +2,31 @@
 //
 // The migration tools (dumpproc, restart, migrate), shells, and daemons are native
 // programs: ordinary C++ functions that talk to the kernel through SyscallApi. Each
-// runs on its own host thread, but the simulation is strictly single-threaded in
-// effect: exactly one thread (the scheduler's or one task's) is ever runnable, and
-// control passes by explicit handoff. The scheduler parks inside Resume() while the
-// task runs; the task parks inside Yield() (called from blocking syscalls) while
-// the rest of the simulation runs. No kernel data is ever touched concurrently.
+// runs as a stackful coroutine on the simulator's one thread. Start() maps a
+// fixed-size stack (kStackBytes) with an inaccessible guard page below it, so an
+// overflow faults instead of overwriting memory. Control passes only by explicit
+// switch: the scheduler's Resume() swaps to the task, and the task's Yield() (called
+// from blocking syscalls) swaps back. No kernel data is ever touched by two contexts
+// at once. Under AddressSanitizer each switch is announced with the fiber
+// annotations, so ASan knows which stack is running.
 //
-// A native task ends in one of four ways, all by unwinding its thread:
+// A native task ends in one of four ways, all by unwinding its stack:
 //   * its entry function returns an exit code;
 //   * it calls SyscallApi::Exit (ExitRequest unwinds to the trampoline);
 //   * it is killed (RequestKill; KilledSignal unwinds at the next yield point);
 //   * it calls rest_proc() successfully: the *process* lives on as a VM process,
-//     only the C++ thread unwinds (BecameVm).
+//     only the C++ stack unwinds (BecameVm).
+//
+// All tasks share the thread's exception-handling state, so a task must not yield
+// inside a catch block (only the trampoline catches, and it never yields).
 
 #ifndef PMIG_SRC_KERNEL_NATIVE_H_
 #define PMIG_SRC_KERNEL_NATIVE_H_
 
-#include <atomic>
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
 
 namespace pmig::kernel {
 
@@ -46,11 +50,13 @@ class NativeTask {
   NativeTask(const NativeTask&) = delete;
   NativeTask& operator=(const NativeTask&) = delete;
 
-  // Launches the thread; the entry function does not run until the first Resume().
+  // Maps the stack and prepares the coroutine; the entry function does not run
+  // until the first Resume(). Throws std::system_error if the stack cannot be
+  // mapped.
   void Start(Entry entry, SyscallApi* api);
 
   // Scheduler side: hands the turn to the task; returns when the task yields or
-  // finishes. Must not be called after finished().
+  // finishes. Does nothing after finished().
   void Resume();
 
   // Task side (only from within syscalls): hands the turn back to the scheduler;
@@ -66,18 +72,32 @@ class NativeTask {
   int exit_code() const { return exit_code_; }
 
  private:
-  enum class Turn { kScheduler, kTask };
+  // Usable stack per task (a guard page sits below it). The tools, shells and
+  // daemons are shallow C++: no task in the test suite touches more than three
+  // 4 KiB pages of stack in a RelWithDebInfo build, and a test runs an entry
+  // that uses 64 KiB.
+  static constexpr size_t kStackBytes = 256 * 1024;
 
-  void HandToScheduler();
-  void AwaitTurn();
+  // The coroutine's entry point; makecontext passes `this` as two 32-bit halves.
+  static void Trampoline(unsigned int self_high, unsigned int self_low);
+  void Run() noexcept;
 
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kScheduler;
+  Entry entry_;
+  SyscallApi* api_ = nullptr;
 
-  std::atomic<bool> kill_requested_{false};
-  std::atomic<bool> finished_{false};
+  // Guard page + stack, from one anonymous mapping.
+  void* mapping_ = nullptr;
+  size_t mapping_bytes_ = 0;
+  void* stack_ = nullptr;
+
+  ucontext_t task_context_{};
+  ucontext_t caller_context_{};
+  // The stack that last resumed the task, for the ASan fiber annotations.
+  const void* caller_stack_ = nullptr;
+  size_t caller_stack_bytes_ = 0;
+
+  bool kill_requested_ = false;
+  bool finished_ = false;
   bool became_vm_ = false;
   bool was_killed_ = false;
   int exit_code_ = 0;

@@ -8,7 +8,7 @@
 //
 // Two process kinds exist:
 //   * kVm: runs machine code on the simulated CPU; fully migratable.
-//   * kNative: a C++ callable on a parked host thread (the dumpproc/restart/migrate
+//   * kNative: a C++ callable run as a coroutine (the dumpproc/restart/migrate
 //     tools, shells, daemons). Scheduled and time-charged like any process, but its
 //     state lives in a C++ stack, so SIGDUMP cannot dump it (the paper's tools are
 //     not themselves migratable either).

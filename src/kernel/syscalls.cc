@@ -646,7 +646,7 @@ Status Kernel::SysRestProc(Proc& p, std::string_view aout_path, std::string_view
 
 Result<WaitResult> Kernel::TryWait(Proc& p) {
   bool any_child = false;
-  for (auto& q : procs_) {
+  for (Proc* q : live_) {
     if (q->ppid != p.pid || q->state == ProcState::kDead) continue;
     if (q->state == ProcState::kZombie) {
       q->state = ProcState::kDead;
@@ -1487,7 +1487,7 @@ Status SyscallApi::RestProc(std::string_view aout_path, std::string_view stack_p
   const Status st = kernel_->SysRestProc(p, aout_path, stack_path);
   if (st.ok()) {
     // "Normally, there is no return from this system call." The process has been
-    // overlaid; unwind the native thread while the (VM) process lives on.
+    // overlaid; unwind the native task while the (VM) process lives on.
     p.overlaid = true;
     throw BecameVm{};
   }

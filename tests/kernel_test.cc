@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -71,6 +74,42 @@ TEST(KernelProc, PidsAreUniqueAndHostDisjoint) {
   EXPECT_NE(p1, p2);
   EXPECT_NE(p1, p3);
   EXPECT_NE(p2, p3);
+}
+
+TEST(KernelProc, LookupsStayInsideTheHostsPidRange) {
+  World world;
+  kernel::Kernel& a = world.host("brick");
+  kernel::Kernel& b = world.host("schooner");
+  const int32_t reaped = a.SpawnNative("reaped", [](SyscallApi&) { return 0; }, UserOpts(world));
+  ASSERT_TRUE(world.RunUntilExited("brick", reaped));
+  auto sleeper = [](SyscallApi& api) {
+    api.Sleep(sim::Seconds(100));
+    return 0;
+  };
+  const int32_t first = a.SpawnNative("first", sleeper, UserOpts(world));
+  const int32_t second = a.SpawnNative("second", sleeper, UserOpts(world));
+  const int32_t remote = b.SpawnNative("remote", sleeper, UserOpts(world, "schooner"));
+  world.cluster().RunFor(sim::Seconds(1));
+
+  // A reaped proc stays readable through FindAnyProc only.
+  ASSERT_NE(a.FindAnyProc(reaped), nullptr);
+  EXPECT_EQ(a.FindAnyProc(reaped)->state, ProcState::kDead);
+  EXPECT_EQ(a.FindProc(reaped), nullptr);
+  ASSERT_NE(a.FindProc(first), nullptr);
+  EXPECT_EQ(a.FindProc(first)->pid, first);
+
+  // `reaped` is brick's first pid. Below it, past the last spawn, another
+  // host's range, and the extremes all miss on both lookups.
+  for (const int32_t pid : {reaped - 1, second + 1, remote, 0, -1, INT32_MIN, INT32_MAX}) {
+    EXPECT_EQ(a.FindProc(pid), nullptr) << pid;
+    EXPECT_EQ(a.FindAnyProc(pid), nullptr) << pid;
+  }
+  EXPECT_EQ(b.FindAnyProc(first), nullptr);
+  ASSERT_NE(b.FindProc(remote), nullptr);
+
+  std::vector<int32_t> listed;
+  for (const Proc* p : a.ListProcs()) listed.push_back(p->pid);
+  EXPECT_EQ(listed, (std::vector<int32_t>{first, second}));
 }
 
 TEST(KernelProc, StdioAttachedToTty) {
@@ -710,6 +749,32 @@ TEST(KernelWait, OrphansAreAutoReaped) {
   EXPECT_EQ(c->state, ProcState::kDead);  // reaped by the kernel, not a lingering zombie
 }
 
+TEST(KernelWait, ZombieOrphansAreReaped) {
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  // The child exits while its parent sleeps, so it is a zombie when the parent
+  // exits without waiting; init must then reap it.
+  auto child_pid = std::make_shared<int32_t>(0);
+  const int32_t parent =
+      k.SpawnNative("parent",
+                    [child_pid](SyscallApi& api) {
+                      const Result<int32_t> c = api.SpawnProgram("undump", {});  // exits 2
+                      if (!c.ok()) return 1;
+                      *child_pid = *c;
+                      api.Sleep(sim::Seconds(5));
+                      const Proc* child = api.kernel().FindProc(*c);
+                      return child != nullptr && child->state == ProcState::kZombie ? 0 : 2;
+                    },
+                    UserOpts(world));
+  ASSERT_TRUE(world.RunUntilExited("brick", parent));
+  ASSERT_EQ(world.ExitInfoOf("brick", parent).exit_code, 0);
+  const Proc* c = k.FindAnyProc(*child_pid);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->exit_info.exit_code, 2);
+  EXPECT_EQ(c->state, ProcState::kDead);
+  EXPECT_EQ(k.FindProc(*child_pid), nullptr);
+}
+
 TEST(KernelVm, ForkReturnsTwiceWithSharedFiles) {
   World world;
   // forkwait: parent waits; child blocks reading the tty, then exits 7.
@@ -761,6 +826,35 @@ TEST(KernelSched, RoundRobinSharesCpu) {
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
   EXPECT_GT(k.stats().context_switches, 10);
+}
+
+TEST(KernelSched, RoundRobinOrderSurvivesReapAndSpawn) {
+  std::vector<int32_t> picks;  // outlives the tasks that append to it
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  // Each turn records the pid and gives up the CPU (a zero sleep still yields),
+  // so every quantum runs one turn of the proc the scheduler picked. A task
+  // with a turn limit (0: none) exits on its last turn.
+  auto turns = [&picks](int limit) {
+    return [&picks, limit](SyscallApi& api) {
+      for (int turn = 1;; ++turn) {
+        picks.push_back(api.GetPid());
+        if (turn == limit) return 0;
+        api.Sleep(0);
+      }
+    };
+  };
+  const int32_t a = k.SpawnNative("a", turns(0), UserOpts(world));
+  const int32_t b = k.SpawnNative("b", turns(2), UserOpts(world));  // reaped mid-table
+  const int32_t c = k.SpawnNative("c", turns(0), UserOpts(world));
+  const int32_t d = k.SpawnNative("d", turns(0), UserOpts(world));
+  for (int q = 0; q < 8; ++q) ASSERT_TRUE(k.RunQuantum());
+  ASSERT_EQ(k.FindProc(b), nullptr);
+  // The cursor has wrapped back to the start of the table; e joins at its end.
+  const int32_t e = k.SpawnNative("e", turns(0), UserOpts(world));
+  for (int q = 0; q < 8; ++q) ASSERT_TRUE(k.RunQuantum());
+  EXPECT_EQ(picks, (std::vector<int32_t>{a, b, c, d, a, b, c, d,  //
+                                         a, c, d, e, a, c, d, e}));
 }
 
 TEST(KernelSched, SetReUidRules) {

@@ -1,9 +1,15 @@
 // The native SyscallApi conveniences and process-level behaviours that the tools
 // rely on: ReadLine/ReadAll, Sleep accuracy, BlockUntil, preemption fairness, and
-// name-tracking under the fixed-size storage policy.
+// name-tracking under the fixed-size storage policy. Also the native-task
+// lifecycle: every way a task ends unwinds its own stack exactly once.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "src/sim/context.h"
+#include "src/sim/cost_model.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -13,12 +19,16 @@ using kernel::SyscallApi;
 using test::kUserUid;
 using test::World;
 
-int RunUser(World& world, kernel::NativeTask::Entry fn) {
+kernel::SpawnOptions UserOpts(World& world) {
   kernel::SpawnOptions opts;
   opts.creds = {kUserUid, 10, kUserUid, 10};
   opts.cwd = "/u/user";
   opts.tty = world.console("brick");
-  const int32_t pid = world.host("brick").SpawnNative("api", std::move(fn), opts);
+  return opts;
+}
+
+int RunUser(World& world, kernel::NativeTask::Entry fn) {
+  const int32_t pid = world.host("brick").SpawnNative("api", std::move(fn), UserOpts(world));
   world.RunUntilExited("brick", pid);
   return world.ExitInfoOf("brick", pid).exit_code;
 }
@@ -184,6 +194,141 @@ TEST(NativeApi, SyscallsCountedInStats) {
     return 0;
   });
   EXPECT_GE(k.stats().syscalls - before, 10);
+}
+
+// --- Native-task lifecycle ---
+
+// Counts its destructor runs, to check that an unwind runs it exactly once.
+class DestructorCounter {
+ public:
+  explicit DestructorCounter(int* count) : count_(count) {}
+  ~DestructorCounter() { ++*count_; }
+  DestructorCounter(const DestructorCounter&) = delete;
+  DestructorCounter& operator=(const DestructorCounter&) = delete;
+
+ private:
+  int* count_;
+};
+
+TEST(NativeTask, KillWhileBlockedRunsStackDestructorsOnce) {
+  int destroyed = 0;
+  bool woke = false;
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  const int32_t pid = k.SpawnNative("blocked",
+                                    [&destroyed, &woke](SyscallApi& api) {
+                                      DestructorCounter outer(&destroyed);
+                                      {
+                                        DestructorCounter inner(&destroyed);
+                                        api.BlockUntil([] { return false; });
+                                      }
+                                      woke = true;
+                                      return 0;
+                                    },
+                                    UserOpts(world));
+  ASSERT_TRUE(world.cluster().RunUntil(
+      [&k, pid] {
+        const kernel::Proc* p = k.FindProc(pid);
+        return p != nullptr && p->state == kernel::ProcState::kBlocked;
+      },
+      sim::Seconds(10)));
+  EXPECT_EQ(destroyed, 0);
+  ASSERT_TRUE(k.PostSignal(pid, vm::abi::kSigKill, nullptr).ok());
+  ASSERT_TRUE(world.RunUntilExited("brick", pid));
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_FALSE(woke);
+  EXPECT_EQ(world.ExitInfoOf("brick", pid).killed_by_signal, vm::abi::kSigKill);
+}
+
+TEST(NativeTask, KillBeforeFirstResumeNeverRunsEntry) {
+  bool ran = false;
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  const int32_t pid = k.SpawnNative("unstarted",
+                                    [&ran](SyscallApi&) {
+                                      ran = true;
+                                      return 0;
+                                    },
+                                    UserOpts(world));
+  ASSERT_TRUE(k.PostSignal(pid, vm::abi::kSigKill, nullptr).ok());
+  ASSERT_TRUE(world.RunUntilExited("brick", pid));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(world.ExitInfoOf("brick", pid).killed_by_signal, vm::abi::kSigKill);
+}
+
+// Recurses `depth` frames that each hold a counter, sleeps at the bottom, and
+// exits from there.
+[[noreturn]] void ExitFromDepth(SyscallApi& api, int depth, int* destroyed) {
+  DestructorCounter frame(destroyed);
+  if (depth == 0) {
+    api.Sleep(sim::Millis(10));
+    api.Exit(42);
+  }
+  ExitFromDepth(api, depth - 1, destroyed);
+}
+
+TEST(NativeTask, ExitFromNestedFrameYieldsItsCode) {
+  int destroyed = 0;
+  World world;
+  const int code = RunUser(world, [&destroyed](SyscallApi& api) {
+    ExitFromDepth(api, 4, &destroyed);
+    return 0;  // not reached
+  });
+  EXPECT_EQ(code, 42);
+  EXPECT_EQ(destroyed, 5);
+}
+
+TEST(NativeTask, KernelDestructionUnwindsUnstartedAndBlockedTasks) {
+  int destroyed = 0;
+  bool read_returned = false;
+  bool unstarted_ran = false;
+  sim::ClusterContext context;
+  const sim::CostModel costs;
+  {
+    kernel::Kernel k("solo", context, &costs, kernel::KernelConfig{});
+    kernel::SpawnOptions opts;
+    opts.tty = k.CreateTty("console");  // nobody ever types on it
+    const int32_t reader = k.SpawnNative("reader",
+                                         [&destroyed, &read_returned](SyscallApi& api) {
+                                           DestructorCounter frame(&destroyed);
+                                           const Result<std::string> line = api.Read(0, 64);
+                                           read_returned = true;
+                                           return line.ok() ? 0 : 1;
+                                         },
+                                         opts);
+    ASSERT_TRUE(k.RunQuantum());
+    const kernel::Proc* p = k.FindProc(reader);
+    ASSERT_NE(p, nullptr);
+    ASSERT_EQ(p->state, kernel::ProcState::kBlocked);  // inside read()
+    k.SpawnNative("unstarted",
+                  [&unstarted_ran](SyscallApi&) {
+                    unstarted_ran = true;
+                    return 0;
+                  },
+                  opts);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(read_returned);
+  EXPECT_FALSE(unstarted_ran);
+}
+
+// Fills and sums a 64 KiB buffer on the task's stack, sleeping in between so the
+// buffer lives across a switch. Not inlined, so the frame really is that large.
+[[gnu::noinline]] int64_t SumStackBuffer(SyscallApi& api) {
+  volatile unsigned char buffer[64 * 1024];
+  for (size_t i = 0; i < sizeof(buffer); ++i) buffer[i] = static_cast<unsigned char>(i);
+  api.Sleep(sim::Millis(1));
+  int64_t sum = 0;
+  for (size_t i = 0; i < sizeof(buffer); ++i) sum += buffer[i];
+  return sum;
+}
+
+TEST(NativeTask, EntryUsing64KiBOfStackRunsToCompletion) {
+  World world;
+  const int code = RunUser(world, [](SyscallApi& api) {
+    return SumStackBuffer(api) == 256 * (255 * 256 / 2) ? 0 : 1;
+  });
+  EXPECT_EQ(code, 0);
 }
 
 }  // namespace
