@@ -17,10 +17,16 @@
 // unknown type or a missing/mistyped required key fails, so a writer cannot
 // silently drift away from what the readers parse.
 //
+// The --equal mode holds a fresh BENCH file to its committed baseline: every
+// row's case, vcpu_ms, vreal_ms and bytes_moved must match exactly, so a
+// change that moves any virtual figure fails until its baseline is
+// regenerated on purpose.
+//
 // Usage: check_bench_json <file-or-dir>...           (BENCH_*.json mode;
 //        directories are scanned for BENCH_*.json)
 //        check_bench_json --report <file.jsonl>...   (report-line mode)
-// Exits 1 on any violation.
+//        check_bench_json --equal <fresh> <baseline> (baseline-equality mode)
+// Exits 1 on any violation or difference.
 //
 // The parser below covers exactly the JSON subset our writers emit (no
 // third-party JSON dependency in this repo, by design).
@@ -480,7 +486,13 @@ bool ParseRow(Cursor* c, BenchRow* row) {
   return c->Eat('}');
 }
 
-bool ValidateFile(const std::string& path, std::string* why) {
+struct BenchFile {
+  std::string bench;
+  std::vector<BenchRow> rows;
+};
+
+// Parses a BENCH_<name>.json file into `out` and checks it against the schema.
+bool ParseBenchFile(const std::string& path, BenchFile* out, std::string* why) {
   std::ifstream in(path);
   if (!in) {
     *why = "cannot open";
@@ -492,8 +504,9 @@ bool ValidateFile(const std::string& path, std::string* why) {
   Cursor c;
   c.text = &text;
 
-  std::string key, bench_name;
-  std::vector<BenchRow> rows;
+  std::string key;
+  std::string& bench_name = out->bench;
+  std::vector<BenchRow>& rows = out->rows;
   bool has_bench = false, has_rows = false;
   if (!c.Eat('{')) goto parse_error;
   for (;;) {
@@ -570,15 +583,79 @@ parse_error:
   return false;
 }
 
+// True when `fresh` holds exactly `baseline`'s rows: the same cases in the
+// same order with identical vcpu_ms, vreal_ms and bytes_moved. Both files are
+// schema-checked first.
+bool EqualToBaseline(const std::string& fresh_path, const std::string& baseline_path,
+                     std::string* why) {
+  BenchFile fresh, baseline;
+  if (!ParseBenchFile(fresh_path, &fresh, why)) {
+    *why = fresh_path + ": " + *why;
+    return false;
+  }
+  if (!ParseBenchFile(baseline_path, &baseline, why)) {
+    *why = baseline_path + ": " + *why;
+    return false;
+  }
+  if (fresh.bench != baseline.bench) {
+    *why = "bench \"" + fresh.bench + "\" vs baseline \"" + baseline.bench + "\"";
+    return false;
+  }
+  if (fresh.rows.size() != baseline.rows.size()) {
+    *why = std::to_string(fresh.rows.size()) + " rows vs " +
+           std::to_string(baseline.rows.size()) + " in the baseline";
+    return false;
+  }
+  for (size_t i = 0; i < fresh.rows.size(); ++i) {
+    const BenchRow& f = fresh.rows[i];
+    const BenchRow& b = baseline.rows[i];
+    const std::string where = "row " + std::to_string(i) + " (" + b.case_name + "): ";
+    if (f.case_name != b.case_name) {
+      *why = where + "case \"" + f.case_name + "\"";
+      return false;
+    }
+    const struct {
+      const char* key;
+      double fresh, baseline;
+    } fields[] = {{"vcpu_ms", f.vcpu_ms, b.vcpu_ms},
+                  {"vreal_ms", f.vreal_ms, b.vreal_ms},
+                  {"bytes_moved", f.bytes_moved, b.bytes_moved}};
+    for (const auto& field : fields) {
+      if (field.fresh != field.baseline) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf), "%s %.10g vs baseline %.10g", field.key, field.fresh,
+                      field.baseline);
+        *why = where + buf;
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <BENCH_*.json file or directory>...\n"
-                 "       %s --report <report.jsonl>...\n",
-                 argv[0], argv[0]);
+                 "       %s --report <report.jsonl>...\n"
+                 "       %s --equal <fresh BENCH_*.json> <baseline BENCH_*.json>\n",
+                 argv[0], argv[0], argv[0]);
     return 2;
+  }
+  if (std::string(argv[1]) == "--equal") {
+    if (argc != 4) {
+      std::fprintf(stderr, "check_bench_json: --equal needs a fresh file and a baseline\n");
+      return 2;
+    }
+    std::string why;
+    if (!EqualToBaseline(argv[2], argv[3], &why)) {
+      std::printf("DIFFERS %s: %s\n", argv[2], why.c_str());
+      return 1;
+    }
+    std::printf("equal   %s == %s\n", argv[2], argv[3]);
+    return 0;
   }
   if (std::string(argv[1]) == "--report") {
     if (argc < 3) {
@@ -619,7 +696,8 @@ int main(int argc, char** argv) {
   int bad = 0;
   for (const std::string& file : files) {
     std::string why;
-    if (ValidateFile(file, &why)) {
+    BenchFile parsed;
+    if (ParseBenchFile(file, &parsed, &why)) {
       std::printf("ok      %s\n", file.c_str());
     } else {
       std::printf("INVALID %s: %s\n", file.c_str(), why.c_str());

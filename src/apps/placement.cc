@@ -4,7 +4,7 @@
 
 #include "src/apps/cluster_index.h"
 #include "src/core/dump_format.h"
-#include "src/sim/hash.h"
+#include "src/sim/blob.h"
 #include "src/vm/cpu.h"
 
 namespace pmig::apps {
@@ -69,11 +69,11 @@ int64_t EstimatedBytes(kernel::Kernel& from, kernel::Kernel& to, int32_t pid) {
   if (p == nullptr || p->kind != kernel::ProcKind::kVm || p->vm == nullptr) return 0;
   const vm::VmContext& ctx = *p->vm;
   int64_t bytes = 0;
-  if (!HasCachedSegment(to, sim::HashBytes(ctx.text()))) {
+  if (!HasCachedSegment(to, ctx.text().Digest())) {
     bytes += static_cast<int64_t>(ctx.text().size());
   }
   const bool delta_ok = ctx.dirty.armed && ctx.data.size() == ctx.dirty.base.size();
-  if (delta_ok && HasCachedSegment(to, sim::HashBytes(ctx.dirty.base))) {
+  if (delta_ok && HasCachedSegment(to, ctx.dirty.base.Digest())) {
     bytes += ctx.dirty.CountDataDirty() * static_cast<int64_t>(vm::kDirtyPageBytes);
   } else {
     bytes += static_cast<int64_t>(ctx.data.size());

@@ -188,7 +188,7 @@ class Testbed {
     kernel::Kernel& k = host(host_name);
     auto r = k.vfs().Resolve(k.vfs().RootState(), path, vfs::Follow::kAll, nullptr);
     if (!r.ok() || !r->inode->IsRegular()) return "<missing>";
-    return r->inode->data;
+    return std::string(r->inode->contents());
   }
 
   bool FileExists(std::string_view host_name, const std::string& path) {

@@ -31,7 +31,7 @@ std::string FilesFile::Serialize() const {
   return w.Take();
 }
 
-Result<FilesFile> FilesFile::Parse(const std::string& bytes) {
+Result<FilesFile> FilesFile::Parse(std::string_view bytes) {
   sim::ByteReader r(bytes);
   if (r.U32() != kFilesMagic) return Errno::kNoExec;
   FilesFile f;
@@ -78,7 +78,7 @@ std::string StackFile::Serialize() const {
   return w.Take();
 }
 
-Result<StackFile> StackFile::Parse(const std::string& bytes) {
+Result<StackFile> StackFile::Parse(std::string_view bytes) {
   sim::ByteReader r(bytes);
   if (r.U32() != kStackMagic) return Errno::kNoExec;
   const uint32_t version = r.U32();
@@ -148,7 +148,7 @@ std::string IncrAout::Serialize() const {
   return w.Take();
 }
 
-Result<IncrAout> IncrAout::Parse(const std::string& bytes) {
+Result<IncrAout> IncrAout::Parse(std::string_view bytes) {
   sim::ByteReader r(bytes);
   if (r.U32() != kIncrAoutMagic) return Errno::kNoExec;
   if (r.U32() != kIncrAoutVersion) return Errno::kNoExec;
@@ -168,6 +168,15 @@ Result<IncrAout> IncrAout::Parse(const std::string& bytes) {
     a.full_size = r.U32();
     const uint32_t npages = r.U32();
     if (!r.ok()) return Errno::kNoExec;
+    // The count is untrusted: bound it before allocating. Every page takes at
+    // least 8 bytes (index + length), and a delta has at most one entry per
+    // page of the segment.
+    constexpr size_t kMinPageBytes = 2 * sizeof(uint32_t);
+    const uint64_t segment_pages =
+        (uint64_t{a.full_size} + vm::kDirtyPageBytes - 1) / vm::kDirtyPageBytes;
+    if (npages > r.remaining() / kMinPageBytes || npages > segment_pages) {
+      return Errno::kNoExec;
+    }
     a.pages.resize(npages);
     for (DeltaPage& page : a.pages) {
       page.index = r.U32();
@@ -188,10 +197,10 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype) {
   IncrAout a;
   a.machtype = machtype;
   a.entry = 0;
-  a.text_digest = dirty.text_digest;
+  a.text_digest = ctx.text().Digest();
   a.text_size = static_cast<uint32_t>(ctx.text().size());
   a.encoding = IncrAout::DataEncoding::kDelta;
-  a.base_digest = dirty.base_digest;
+  a.base_digest = dirty.base.Digest();
   a.result_digest = sim::HashBytes(ctx.data);
   a.full_size = static_cast<uint32_t>(ctx.data.size());
   for (uint32_t page = 0; page < dirty.data_dirty.size(); ++page) {
@@ -207,11 +216,10 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype) {
   return a;
 }
 
-Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr,
-                                               std::vector<uint8_t> text,
-                                               std::vector<uint8_t> base) {
+Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr, sim::Blob text,
+                                               sim::Blob base) {
   if (text.size() != incr.text_size) return Errno::kNoExec;
-  if (sim::HashBytes(text) != incr.text_digest) return Errno::kNoExec;
+  if (text.Digest() != incr.text_digest) return Errno::kNoExec;
 
   ReconstructedImage out;
   out.image.text = std::move(text);
@@ -219,8 +227,9 @@ Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr,
     out.image.data = incr.full_data;
   } else {
     if (base.size() != incr.full_size) return Errno::kNoExec;
-    if (sim::HashBytes(base) != incr.base_digest) return Errno::kNoExec;
-    std::vector<uint8_t> data = base;
+    if (base.Digest() != incr.base_digest) return Errno::kNoExec;
+    std::vector<uint8_t> data(base.begin(), base.end());
+    std::vector<uint32_t> dirty_pages;
     for (const IncrAout::DeltaPage& page : incr.pages) {
       const uint64_t start = uint64_t{page.index} * vm::kDirtyPageBytes;
       if (start + page.bytes.size() > data.size() ||
@@ -229,14 +238,14 @@ Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr,
       }
       std::copy(page.bytes.begin(), page.bytes.end(),
                 data.begin() + static_cast<ptrdiff_t>(start));
-      out.delta_pages.push_back(page.index);
+      dirty_pages.push_back(page.index);
     }
     // Final check: the patched segment must hash to what the dumper recorded, so
     // a stale cache entry or a digest collision can never restore wrong bytes.
+    // These bytes are new, so this hash always runs.
     if (sim::HashBytes(data) != incr.result_digest) return Errno::kNoExec;
     out.image.data = std::move(data);
-    out.was_delta = true;
-    out.base = std::move(base);
+    out.delta = vm::DeltaBase{std::move(base), std::move(dirty_pages)};
   }
   out.image.header.magic = vm::kAoutMagic;
   out.image.header.machtype = incr.machtype;
@@ -288,20 +297,21 @@ DumpPaths DumpPaths::For(int32_t pid, const std::string& dir) {
   return p;
 }
 
-bool VerifyDumpBytes(const std::vector<std::pair<std::string, std::string>>& files) {
-  for (const auto& [path, bytes] : files) {
+bool VerifyDumpBytes(const std::vector<std::pair<std::string, sim::Blob>>& files) {
+  for (const auto& [path, blob] : files) {
     const size_t slash = path.rfind('/');
     const std::string base = slash == std::string::npos ? path : path.substr(slash + 1);
+    const std::string_view bytes = blob.view();
     if (path.rfind(std::string(kSegCacheDir) + "/", 0) == 0) {
       // A segment-cache blob must hash to the digest it is named by.
       uint64_t digest = 0;
       if (!sim::ParseHexDigest(base, &digest)) return false;
-      if (sim::HashBytes(bytes) != digest) return false;
+      if (blob.Digest() != digest) return false;
     } else if (base.rfind("a.out", 0) == 0) {
       if (IsIncrAout(bytes)) {
         if (!IncrAout::Parse(bytes).ok()) return false;
       } else {
-        const std::vector<uint8_t> raw(bytes.begin(), bytes.end());
+        const std::vector<uint8_t> raw(blob.begin(), blob.end());
         if (!vm::AoutImage::Parse(raw).ok()) return false;
       }
     } else if (base.rfind("files", 0) == 0) {

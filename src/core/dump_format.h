@@ -15,11 +15,13 @@
 #define PMIG_SRC_CORE_DUMP_FORMAT_H_
 
 #include <array>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/kernel/proc.h"
+#include "src/sim/blob.h"
 #include "src/sim/result.h"
 #include "src/vm/cpu.h"
 
@@ -44,7 +46,7 @@ struct FilesFile {
   uint16_t tty_flags = 0;  // "raw mode, echo/noecho, etc."
 
   std::string Serialize() const;
-  static Result<FilesFile> Parse(const std::string& bytes);
+  static Result<FilesFile> Parse(std::string_view bytes);
 };
 
 struct StackFile {
@@ -67,7 +69,7 @@ struct StackFile {
   uint32_t stack_size() const { return static_cast<uint32_t>(stack.size()); }
 
   std::string Serialize() const;
-  static Result<StackFile> Parse(const std::string& bytes);
+  static Result<StackFile> Parse(std::string_view bytes);
 };
 
 // Dump-file names: "a.outXXXXX", "filesXXXXX", "stackXXXXX" in `dir`, plus the
@@ -147,7 +149,7 @@ struct IncrAout {
   int64_t FullEquivalentBytes() const;
 
   std::string Serialize() const;
-  static Result<IncrAout> Parse(const std::string& bytes);
+  static Result<IncrAout> Parse(std::string_view bytes);
 };
 
 // True when `bytes` begins with kIncrAoutMagic (cheap dispatch for restart).
@@ -160,19 +162,17 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype);
 // The materialised image plus what rest_proc needs to re-arm tracking on the
 // restored process (so its *next* dump stays a delta against the same base).
 struct ReconstructedImage {
-  vm::AoutImage image;
-  bool was_delta = false;
-  std::vector<uint8_t> base;          // kDelta: the base data segment
-  std::vector<uint32_t> delta_pages;  // kDelta: pages that differ from base
+  vm::AoutImage image;  // its text shares the fetched text blob
+  std::optional<vm::DeltaBase> delta;  // kDelta: the fetched base, dirty pages
 };
 
 // Reconstructs the full image from an incremental dump plus the cached
 // segments. `text` must hash to incr.text_digest; for kDelta dumps `base` must
-// hash to incr.base_digest and the patched result to incr.result_digest.
+// hash to incr.base_digest. Those two read the blobs' kept digests; the
+// patched result is always hashed afresh and must match incr.result_digest.
 // Errno::kNoExec on any mismatch.
-Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr,
-                                               std::vector<uint8_t> text,
-                                               std::vector<uint8_t> base);
+Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr, sim::Blob text,
+                                               sim::Blob base);
 
 // True when `bytes` parses as the dump file its basename prefix announces
 // ("a.out" -> vm::AoutImage or IncrAout, "files" -> FilesFile, "stack" ->
@@ -180,7 +180,7 @@ Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr,
 // Installed as MigrationHooks::verify_dump so a dump whose files would not
 // parse back — e.g. corrupted by an injected fault — is aborted and unlinked
 // instead of killing the process it can no longer represent.
-bool VerifyDumpBytes(const std::vector<std::pair<std::string, std::string>>& files);
+bool VerifyDumpBytes(const std::vector<std::pair<std::string, sim::Blob>>& files);
 
 }  // namespace pmig::core
 

@@ -106,9 +106,9 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
   // target's /usr/tmp. Only the final dirty bytes plus the two small state files
   // cross the wire — the rest is already at the destination.
   PMIG_TRY(kernel::PreparedDump dump, BuildSigdump(source, *src));
-  PMIG_TRY(FilesFile files, FilesFile::Parse(dump.files[1].second));
+  PMIG_TRY(FilesFile files, FilesFile::Parse(dump.files[1].second.view()));
   RewriteFilesForMigration(api, &files);
-  dump.files[1].second = files.Serialize();
+  dump.files[1].second = sim::Blob(files.Serialize());
 
   stats.bytes_frozen = final_dirty +
                        static_cast<int64_t>(dump.files[1].second.size()) +

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/core/dump_format.h"
-#include "src/sim/hash.h"
+#include "src/sim/blob.h"
 #include "src/vfs/path.h"
 #include "src/vm/aout.h"
 
@@ -56,11 +56,12 @@ std::string NfsPrefixOf(const std::string& path) {
 // Resolves a content-addressed segment: local cache first (demand-paged, like
 // any local executable), then the dump host's cache over NFS (full transfer,
 // write-through into the local cache). `kind` is "text" or "data" for the
-// hit/miss counters; `nfs_prefix` is where the dump came from.
-Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
-                                          uint64_t digest, uint32_t expected_size,
-                                          const std::string& nfs_prefix,
-                                          const char* kind) {
+// hit/miss counters; `nfs_prefix` is where the dump came from. The returned
+// blob is the cache file's own, so an NFS fetch, its write-through and every
+// later local hit share one set of bytes and hash them at most once.
+Result<sim::Blob> FetchSegment(kernel::Kernel& k, kernel::Proc& p, uint64_t digest,
+                               uint32_t expected_size, const std::string& nfs_prefix,
+                               const char* kind) {
   kernel::SyscallApi* sink = k.ApiFor(p.pid);
   const sim::CostModel& costs = k.costs();
   sim::MetricsRegistry& metrics = k.metrics();
@@ -73,9 +74,8 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
   const std::string local_path = SegCachePath(digest);
   auto local = k.vfs().Resolve(k.vfs().RootState(), local_path, vfs::Follow::kAll, nullptr);
   if (local.ok() && local->inode->IsRegular()) {
-    std::string bytes;
-    k.vfs().ReadAt(*local->inode, 0, local->inode->size(), &bytes, nullptr);
-    if (bytes.size() == expected_size && sim::HashBytes(bytes) == digest) {
+    sim::Blob bytes = k.vfs().ReadBlob(*local->inode, nullptr);
+    if (bytes.size() == expected_size && bytes.Digest() == digest) {
       if (sink != nullptr) {
         const int64_t prefetch = std::min<int64_t>(
             static_cast<int64_t>(bytes.size()), costs.exec_prefetch_bytes);
@@ -84,7 +84,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
         sink->ChargeWait(io.wait + costs.inode_fetch);
       }
       metrics.Inc(hit_name);
-      return std::vector<uint8_t>(bytes.begin(), bytes.end());
+      return bytes;
     }
     // A blob that no longer hashes to its name is useless: drop it and refetch.
     k.vfs().SetupUnlink(local_path);
@@ -101,9 +101,8 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
   if (!remote.inode->IsRegular()) return Errno::kNoEnt;
   if (!vfs::CheckAccess(*remote.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   PMIG_RETURN_IF_ERROR(k.vfs().InjectedIoFault(*remote.inode, /*write=*/false));
-  std::string bytes;
-  k.vfs().ReadAt(*remote.inode, 0, remote.inode->size(), &bytes, sink);
-  if (bytes.size() != expected_size || sim::HashBytes(bytes) != digest) {
+  sim::Blob bytes = k.vfs().ReadBlob(*remote.inode, sink);
+  if (bytes.size() != expected_size || bytes.Digest() != digest) {
     return Errno::kNoExec;  // corrupted in the source cache: refuse, never guess
   }
 
@@ -120,7 +119,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
       sink->ChargeWait(io.wait);
     }
   }
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
+  return bytes;
 }
 
 }  // namespace
@@ -137,26 +136,21 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // segments by digest; they are resolved from the local cache or the dump
   // host's cache, and the reconstruction is digest-checked end to end.
   PMIG_TRY(std::string aout_bytes, ReadAoutDemandPaged(k, p, aout_path));
-  vm::AoutImage image;
   ReconstructedImage recon;
-  bool was_incremental = false;
   if (IsIncrAout(aout_bytes)) {
     PMIG_TRY(IncrAout incr, IncrAout::Parse(aout_bytes));
     const std::string nfs_prefix = NfsPrefixOf(aout_path);
-    PMIG_TRY(std::vector<uint8_t> text,
+    PMIG_TRY(sim::Blob text,
              FetchSegment(k, p, incr.text_digest, incr.text_size, nfs_prefix, "text"));
-    std::vector<uint8_t> base;
+    sim::Blob base;
     if (incr.encoding == IncrAout::DataEncoding::kDelta) {
       PMIG_TRY(base,
                FetchSegment(k, p, incr.base_digest, incr.full_size, nfs_prefix, "data"));
     }
     PMIG_TRY(recon, ReconstructIncrAout(incr, std::move(text), std::move(base)));
-    image = std::move(recon.image);
-    was_incremental = true;
   } else {
-    PMIG_TRY(vm::AoutImage full,
+    PMIG_TRY(recon.image,
              vm::AoutImage::Parse(std::vector<uint8_t>(aout_bytes.begin(), aout_bytes.end())));
-    image = std::move(full);
   }
 
   // 3. Set the global flag indicating process migration and the stack-size
@@ -166,7 +160,12 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   k.SetRestProcExec(stack.stack_size());
   const kernel::ProcKind previous_kind = p.kind;
   p.kind = kernel::ProcKind::kVm;
-  const Status exec_status = k.OverlayVmImage(p, image, {});
+  // A restored delta keeps its delta base stable across migrations: tracking
+  // re-arms against the *original* base (already in every involved host's
+  // cache) with the restored pages pre-marked dirty, so the next dump is again
+  // a cumulative delta and never has to ship a new full-size base blob.
+  const Status exec_status =
+      k.OverlayVmImage(p, recon.image, {}, recon.delta ? &*recon.delta : nullptr);
   // 5. Reset the flag so that further calls to execve() work properly.
   k.ClearRestProcExec();
   if (!exec_status.ok()) {
@@ -190,14 +189,6 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // 8. Read in the information on the disposition of signals.
   p.sig_dispositions = stack.sig_dispositions;
   p.sig_pending = stack.sig_pending;
-
-  // Keep the delta base stable across migrations: re-arm tracking against the
-  // *original* base (already in every involved host's cache) with the restored
-  // pages pre-marked dirty, so the next dump is again a cumulative delta and
-  // never has to ship a new full-size base blob.
-  if (was_incremental && recon.was_delta && p.vm->dirty.armed) {
-    p.vm->ArmDirtyTrackingWithBase(std::move(recon.base), recon.delta_pages);
-  }
 
   // 9. At this point, the process running is a copy of the old process.
   p.migrated = true;

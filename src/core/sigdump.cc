@@ -31,22 +31,22 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     k.metrics().Inc("dump.full_fallback");
   }
   std::string aout_bytes;
-  std::vector<std::pair<std::string, std::string>> cache_blobs;
+  std::vector<std::pair<std::string, sim::Blob>> cache_blobs;
   int64_t full_equivalent = 0;
   if (incremental) {
     const IncrAout incr = BuildIncrAout(ctx, machtype);
     aout_bytes = incr.Serialize();
     full_equivalent = incr.FullEquivalentBytes();
-    const std::pair<uint64_t, const std::vector<uint8_t>*> segments[] = {
-        {incr.text_digest, &ctx.text()}, {incr.base_digest, &ctx.dirty.base}};
-    for (const auto& [digest, bytes] : segments) {
-      const std::string path = SegCachePath(digest);
+    // Each segment is named by its blob's kept digest, and a cache file holds
+    // the blob itself: shipping it copies no bytes.
+    for (const sim::Blob& segment : {ctx.text(), ctx.dirty.base}) {
+      const std::string path = SegCachePath(segment.Digest());
       if (k.vfs().Resolve(k.vfs().RootState(), path, vfs::Follow::kAll, nullptr).ok()) {
         k.metrics().Inc("cache.seg.dump_hits");
         continue;  // the blob is already on this host's disk: nothing to ship
       }
       k.metrics().Inc("cache.seg.dump_misses");
-      cache_blobs.emplace_back(path, std::string(bytes->begin(), bytes->end()));
+      cache_blobs.emplace_back(path, segment);
     }
     k.metrics().Set("vm.dirty_pages.data", ctx.dirty.CountDataDirty());
     k.metrics().Set("vm.dirty_pages.stack", ctx.dirty.CountStackDirty());
@@ -104,9 +104,9 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
 
   const DumpPaths paths = DumpPaths::For(p.pid);
   kernel::PreparedDump dump;
-  dump.files.emplace_back(paths.aout, std::move(aout_bytes));
-  dump.files.emplace_back(paths.files, files_bytes);
-  dump.files.emplace_back(paths.stack, stack_bytes);
+  dump.files.emplace_back(paths.aout, sim::Blob(std::move(aout_bytes)));
+  dump.files.emplace_back(paths.files, sim::Blob(files_bytes));
+  dump.files.emplace_back(paths.stack, sim::Blob(stack_bytes));
   for (auto& blob : cache_blobs) dump.files.push_back(std::move(blob));
 
   // Cost: like the SIGQUIT core-dump path but for each written file — assemble

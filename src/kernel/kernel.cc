@@ -467,14 +467,15 @@ void Kernel::TerminateProc(Proc& p, ExitInfo info) {
 }
 
 Status Kernel::OverlayVmImage(Proc& p, const vm::AoutImage& image,
-                              const std::vector<std::string>& args) {
+                              const std::vector<std::string>& args,
+                              const vm::DeltaBase* restored) {
   if (!vm::IsaCompatible(image.isa_level(), config_.isa)) {
     return Errno::kNoExec;  // 68020 binary on a 68010 machine
   }
   if (p.vm == nullptr) p.vm = std::make_unique<vm::VmContext>();
   p.vm->LoadImage(image);
   p.dump_incremental = false;  // a new image invalidates any pending delta mode
-  if (config_.track_dirty_pages) p.vm->ArmDirtyTracking();
+  if (config_.track_dirty_pages) p.vm->ArmDirtyTracking(restored);
   ChargeCpu(p, costs_->exec_overhead);
   ChargeCpu(p, static_cast<sim::Nanos>(image.text.size() + image.data.size()) *
                    costs_->buffer_copy_per_byte);

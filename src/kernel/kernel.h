@@ -29,6 +29,7 @@
 #include "src/kernel/native.h"
 #include "src/kernel/proc.h"
 #include "src/kernel/tty.h"
+#include "src/sim/blob.h"
 #include "src/sim/clock.h"
 #include "src/sim/context.h"
 #include "src/sim/cost_model.h"
@@ -36,6 +37,7 @@
 #include "src/sim/result.h"
 #include "src/vfs/vfs.h"
 #include "src/vm/aout.h"
+#include "src/vm/cpu.h"
 
 namespace pmig::kernel {
 
@@ -93,7 +95,7 @@ struct KernelTimers {
 // plus its cost. (The dying process pays the cost; the files become visible only
 // when the dump finishes — which is why dumpproc must poll for a.outXXXXX.)
 struct PreparedDump {
-  std::vector<std::pair<std::string, std::string>> files;  // absolute path -> bytes
+  std::vector<std::pair<std::string, sim::Blob>> files;  // absolute path -> bytes
   sim::Nanos cpu = 0;
   sim::Nanos wait = 0;
 };
@@ -112,7 +114,7 @@ struct MigrationHooks {
   // Returns false when any file fails to parse — the kernel then aborts the
   // dump, removes the partial files, and resumes the process instead of
   // terminating it against an unusable dump.
-  std::function<bool(const std::vector<std::pair<std::string, std::string>>&)>
+  std::function<bool(const std::vector<std::pair<std::string, sim::Blob>>&)>
       verify_dump;
 };
 
@@ -309,9 +311,12 @@ class Kernel {
 
   // Used by the rest_proc hook: loads `image` into `p` as its new VM program,
   // using the modified-execve stack protocol if armed. Charges I/O-free CPU only
-  // (file reads are charged by the caller). Fails on ISA mismatch.
+  // (file reads are charged by the caller). Fails on ISA mismatch. With
+  // track_dirty_pages it arms tracking once: against `restored` (a restored
+  // delta's original base) when given, else against the image's data.
   Status OverlayVmImage(Proc& p, const vm::AoutImage& image,
-                        const std::vector<std::string>& args);
+                        const std::vector<std::string>& args,
+                        const vm::DeltaBase* restored = nullptr);
 
   // --- Fd plumbing for spawn-time stdio setup (boot, rsh, daemons) ---
   // An OpenFile on a terminal's device node (O_RDWR), for wiring fds 0/1/2.

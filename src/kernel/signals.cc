@@ -180,7 +180,7 @@ void Kernel::StartMigrationDump(Proc& p) {
         // On any failure the partial files are removed and the process resumes
         // — a dump that cannot land intact must never kill its process.
         bool aborted = false;
-        std::vector<std::pair<std::string, std::string>> written;
+        std::vector<std::pair<std::string, sim::Blob>> written;
         for (const auto& [path, contents] : files) {
           if (ctx_.faults.DiskFull(hostname_, &metrics_)) {
             Trace(sim::TraceCategory::kMigration, pid,
@@ -188,9 +188,11 @@ void Kernel::StartMigrationDump(Proc& p) {
             aborted = true;
             break;
           }
-          std::string bytes = contents;
+          sim::Blob bytes = contents;
           if (ctx_.faults.CorruptsDump(&metrics_)) {
-            ctx_.faults.CorruptBytes(&bytes);
+            std::string corrupted(contents.view());
+            ctx_.faults.CorruptBytes(&corrupted);
+            bytes = sim::Blob(std::move(corrupted));
             Trace(sim::TraceCategory::kMigration, pid, "dump file corrupted " + path);
           }
           vfs_->SetupCreateFile(path, bytes, proc->creds.uid, 0600);  // owner-only: the
@@ -233,7 +235,7 @@ void Kernel::StartCoreDump(Proc& p, int signo) {
   core.cpu = p.vm->cpu;
   core.data = p.vm->data;
   core.stack = p.vm->StackContents();
-  std::string bytes = core.Serialize();
+  sim::Blob bytes(core.Serialize());
 
   const auto io = costs_->DiskIo(static_cast<int64_t>(bytes.size()));
   const sim::Nanos cpu_cost =
@@ -254,7 +256,7 @@ void Kernel::StartCoreDump(Proc& p, int signo) {
         dir->entries.erase("core");
         vfs::Filesystem* owner = dir->fs;
         vfs::InodePtr file = owner->NewRegular(proc->creds.uid, 0600);
-        file->data = bytes;
+        file->SetContents(bytes);
         const Status st = owner->Link(dir, "core", file);
         (void)st;
         ExitInfo info;

@@ -51,6 +51,7 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  size_t remaining() const { return bytes_.size() - pos_; }
 
   uint8_t U8() {
     if (!Need(1)) return 0;

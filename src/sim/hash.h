@@ -9,6 +9,12 @@
 // FNV-1a is not collision-resistant against adversaries; dump validation therefore
 // always re-checks the digest of the *reconstructed* bytes, so a collision (or a
 // corrupted cache entry) surfaces as a clean Errno, never a silently wrong restore.
+//
+// A segment travels as a sim::Blob (src/sim/blob.h), which hashes its bytes once
+// and keeps the digest. That is safe because a blob's bytes never change: its
+// kept digest is always the digest of its bytes. Anything that changes bytes —
+// patching a delta, an injected corruption, a test flipping a cached file —
+// makes a new blob, so the check above still runs on bytes never hashed before.
 
 #ifndef PMIG_SRC_SIM_HASH_H_
 #define PMIG_SRC_SIM_HASH_H_

@@ -13,6 +13,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+
+#include "src/sim/blob.h"
 
 namespace pmig::vfs {
 
@@ -49,9 +52,6 @@ struct Inode {
   // has crossed onto another machine's disk (NFS accounting).
   Filesystem* fs = nullptr;
 
-  // kRegular: file contents.
-  std::string data;
-
   // kDirectory: name -> inode. (No "." / ".." entries; the resolver handles those.)
   std::map<std::string, std::shared_ptr<Inode>> entries;
 
@@ -61,12 +61,36 @@ struct Inode {
   // kCharDevice: non-owning device hook (the kernel owns its devices).
   Device* device = nullptr;
 
-  int64_t size() const { return static_cast<int64_t>(data.size()); }
+  // kRegular: file contents, in one of two states. A file set in one piece
+  // holds the blob it was given, so every whole-file reader shares its bytes
+  // and kept digest. The first partial write copies the blob, once, into a
+  // string that later writes grow in place (appends stay amortised O(1)).
+  std::string_view contents() const { return blob_.empty() ? data_ : blob_.view(); }
+  int64_t size() const { return static_cast<int64_t>(contents().size()); }
+  // The whole contents as a blob: the held one, or a copy of the string.
+  sim::Blob ContentsBlob() const { return blob_.empty() ? sim::Blob(data_) : blob_; }
+  // Replaces the contents with `blob`, sharing it.
+  void SetContents(sim::Blob blob) {
+    blob_ = std::move(blob);
+    data_ = std::string();
+  }
+  // The contents as a writable string; leaves the blob state for good.
+  std::string& MutableContents() {
+    if (!blob_.empty()) {
+      data_.assign(blob_.view());
+      blob_ = sim::Blob();
+    }
+    return data_;
+  }
 
   bool IsDir() const { return type == InodeType::kDirectory; }
   bool IsRegular() const { return type == InodeType::kRegular; }
   bool IsSymlink() const { return type == InodeType::kSymlink; }
   bool IsDevice() const { return type == InodeType::kCharDevice; }
+
+ private:
+  sim::Blob blob_;    // set in one piece (empty otherwise)
+  std::string data_;  // after the first partial write
 };
 
 using InodePtr = std::shared_ptr<Inode>;

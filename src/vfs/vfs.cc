@@ -138,10 +138,23 @@ Result<std::string> Vfs::Readlink(const WalkState& cwd, std::string_view path,
 int64_t Vfs::ReadAt(const Inode& inode, int64_t offset, int64_t len, std::string* out,
                     CostSink* sink) const {
   out->clear();
+  const int64_t n = ChargeRead(inode, offset, len, sink);
+  if (n > 0) {
+    out->assign(inode.contents().substr(static_cast<size_t>(offset), static_cast<size_t>(n)));
+  }
+  return n;
+}
+
+sim::Blob Vfs::ReadBlob(const Inode& inode, CostSink* sink) const {
+  if (ChargeRead(inode, 0, inode.size(), sink) == 0) return sim::Blob();
+  return inode.ContentsBlob();
+}
+
+int64_t Vfs::ChargeRead(const Inode& inode, int64_t offset, int64_t len,
+                        CostSink* sink) const {
   if (FsUnreachable(inode.fs)) return 0;  // server gone: reads see nothing
   if (offset >= inode.size() || len <= 0) return 0;
   const int64_t n = std::min(len, inode.size() - offset);
-  out->assign(inode.data, static_cast<size_t>(offset), static_cast<size_t>(n));
   if (sink != nullptr) {
     const auto io = InodeIsRemote(inode) ? costs_->NetIo(n) : costs_->DiskIo(n);
     sink->ChargeCpu(io.cpu);
@@ -158,13 +171,14 @@ int64_t Vfs::ReadAt(const Inode& inode, int64_t offset, int64_t len, std::string
 
 int64_t Vfs::WriteAt(Inode& inode, int64_t offset, std::string_view bytes,
                      CostSink* sink) const {
+  std::string& data = inode.MutableContents();
   if (offset > inode.size()) {
-    inode.data.resize(static_cast<size_t>(offset), '\0');
+    data.resize(static_cast<size_t>(offset), '\0');
   }
   if (offset + static_cast<int64_t>(bytes.size()) > inode.size()) {
-    inode.data.resize(static_cast<size_t>(offset) + bytes.size());
+    data.resize(static_cast<size_t>(offset) + bytes.size());
   }
-  inode.data.replace(static_cast<size_t>(offset), bytes.size(), bytes);
+  data.replace(static_cast<size_t>(offset), bytes.size(), bytes);
   if (sink != nullptr) {
     const int64_t n = static_cast<int64_t>(bytes.size());
     if (InodeIsRemote(inode)) {
@@ -193,7 +207,7 @@ int64_t Vfs::WriteAt(Inode& inode, int64_t offset, std::string_view bytes,
 Status Vfs::Truncate(Inode& inode, int64_t size, CostSink* sink) const {
   if (!inode.IsRegular()) return Errno::kInval;
   if (size < 0) return Errno::kInval;
-  inode.data.resize(static_cast<size_t>(size), '\0');
+  inode.MutableContents().resize(static_cast<size_t>(size), '\0');
   if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
   return Status::Ok();
 }
@@ -224,12 +238,17 @@ InodePtr Vfs::SetupMkdirAll(std::string_view path) {
 
 InodePtr Vfs::SetupCreateFile(std::string_view path, std::string_view contents, int32_t uid,
                               uint16_t mode) {
+  return SetupCreateFile(path, sim::Blob(std::string(contents)), uid, mode);
+}
+
+InodePtr Vfs::SetupCreateFile(std::string_view path, sim::Blob contents, int32_t uid,
+                              uint16_t mode) {
   InodePtr dir = SetupMkdirAll(Dirname(path));
   const std::string name = Basename(path);
   dir->entries.erase(name);
   Filesystem* owner = dir->fs;
   InodePtr file = owner->NewRegular(uid, mode);
-  file->data.assign(contents);
+  file->SetContents(std::move(contents));
   const Status st = owner->Link(dir, name, file);
   assert(st.ok());
   (void)st;

@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/sim/blob.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/fault.h"
 #include "src/sim/metrics.h"
@@ -146,6 +147,9 @@ class Vfs {
   // Reads up to `len` bytes at `offset`; returns bytes read (0 at EOF).
   int64_t ReadAt(const Inode& inode, int64_t offset, int64_t len, std::string* out,
                  CostSink* sink) const;
+  // Reads the whole file as a blob, sharing the inode's when it holds one.
+  // Charges and records exactly what ReadAt(inode, 0, inode.size()) does.
+  sim::Blob ReadBlob(const Inode& inode, CostSink* sink) const;
   // Writes `bytes` at `offset`, growing the file as needed; returns bytes written.
   int64_t WriteAt(Inode& inode, int64_t offset, std::string_view bytes, CostSink* sink) const;
   Status Truncate(Inode& inode, int64_t size, CostSink* sink) const;
@@ -160,7 +164,10 @@ class Vfs {
   // Creates every missing directory along an absolute path; returns the leaf.
   InodePtr SetupMkdirAll(std::string_view path);
   // Creates (or replaces) a regular file with the given contents; returns it.
+  // The blob form makes the file hold (share) `contents`.
   InodePtr SetupCreateFile(std::string_view path, std::string_view contents, int32_t uid = 0,
+                           uint16_t mode = 0644);
+  InodePtr SetupCreateFile(std::string_view path, sim::Blob contents, int32_t uid = 0,
                            uint16_t mode = 0644);
   // Creates a symlink at `path` pointing to `target`.
   InodePtr SetupSymlink(std::string_view path, std::string_view target);
@@ -169,6 +176,9 @@ class Vfs {
   void SetupUnlink(std::string_view path);
 
  private:
+  // Charges, and records in the metrics, a read of up to `len` bytes at
+  // `offset`; returns how many there are (0 at EOF or with the server gone).
+  int64_t ChargeRead(const Inode& inode, int64_t offset, int64_t len, CostSink* sink) const;
   Result<Resolved> WalkComponents(WalkState state, std::deque<std::string> pending,
                                   Follow follow, CostSink* sink) const;
 

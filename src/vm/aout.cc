@@ -51,7 +51,7 @@ Result<AoutImage> AoutImage::Parse(const std::vector<uint8_t>& bytes) {
     return Errno::kNoExec;
   }
   const uint8_t* text_begin = bytes.data() + kAoutHeaderBytes;
-  img.text.assign(text_begin, text_begin + img.header.text_size);
+  img.text = sim::Blob(text_begin, img.header.text_size);
   img.data.assign(text_begin + img.header.text_size,
                   text_begin + img.header.text_size + img.header.data_size);
   return img;

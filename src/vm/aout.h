@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/blob.h"
 #include "src/sim/result.h"
 #include "src/vm/isa.h"
 
@@ -32,10 +33,11 @@ struct AoutHeader {
 };
 constexpr size_t kAoutHeaderBytes = 5 * sizeof(uint32_t);
 
-// A loaded (or to-be-written) executable image.
+// A loaded (or to-be-written) executable image. Text is immutable, so it is a
+// shared blob: loading, forking and restoring an image share its bytes.
 struct AoutImage {
   AoutHeader header;
-  std::vector<uint8_t> text;
+  sim::Blob text;
   std::vector<uint8_t> data;
 
   IsaLevel isa_level() const {

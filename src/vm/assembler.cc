@@ -550,7 +550,7 @@ class Assembler {
   }
 
   void FinishImage() {
-    output_.image.text = std::move(text_);
+    output_.image.text = sim::Blob(std::move(text_));
     output_.image.data = std::move(data_);
     output_.image.header.text_size = static_cast<uint32_t>(output_.image.text.size());
     output_.image.header.data_size = static_cast<uint32_t>(output_.image.data.size());
@@ -565,7 +565,7 @@ class Assembler {
   std::string_view source_;
   std::vector<Line> lines_;
   std::map<std::string, int64_t, std::less<>> symbols_;
-  std::vector<uint8_t> text_;
+  std::string text_;  // becomes the image's text blob without a copy
   std::vector<uint8_t> data_;
   uint32_t entry_ = 0;
   bool entry_set_ = false;

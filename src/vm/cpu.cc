@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "src/sim/hash.h"
-
 namespace pmig::vm {
 
 std::string_view FaultName(Fault f) {
@@ -56,25 +54,18 @@ int64_t DirtyTracking::CountStackDirty() const {
   return std::count(stack_dirty.begin(), stack_dirty.end(), true);
 }
 
-void VmContext::ArmDirtyTracking() {
+void VmContext::ArmDirtyTracking(const DeltaBase* restored) {
   dirty.armed = true;
-  dirty.text_digest = sim::HashBytes(text_);
-  dirty.base = data;
-  dirty.base_digest = sim::HashBytes(dirty.base);
   dirty.data_dirty.assign((data.size() + kDirtyPageBytes - 1) / kDirtyPageBytes, false);
   dirty.stack_dirty.assign(kStackMax / kDirtyPageBytes, false);
-}
-
-bool VmContext::ArmDirtyTrackingWithBase(std::vector<uint8_t> base,
-                                         const std::vector<uint32_t>& dirty_pages) {
-  if (base.size() != data.size()) return false;
-  ArmDirtyTracking();
-  dirty.base = std::move(base);
-  dirty.base_digest = sim::HashBytes(dirty.base);
-  for (const uint32_t page : dirty_pages) {
+  if (restored == nullptr || restored->base.size() != data.size()) {
+    dirty.base = sim::Blob(data);
+    return;
+  }
+  dirty.base = restored->base;
+  for (const uint32_t page : restored->dirty_pages) {
     if (page < dirty.data_dirty.size()) dirty.data_dirty[page] = true;
   }
-  return true;
 }
 
 void VmContext::MarkDirty(uint32_t addr, uint32_t len) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/blob.h"
 #include "src/vm/aout.h"
 #include "src/vm/isa.h"
 
@@ -48,21 +49,26 @@ enum class StopReason : uint8_t {
 constexpr uint32_t kDirtyPageBytes = 1024;
 
 // Page-granular dirty tracking for the incremental dump path (opt-in via
-// KernelConfig::track_dirty_pages). Text is immutable after load and is tracked
-// once by content digest; data is tracked against a stable `base` snapshot taken
-// at arm time, so a delta dump is always cumulative against one well-known base
+// KernelConfig::track_dirty_pages). Text is immutable after load and is named
+// by its blob's digest; data is tracked against a stable `base` blob fixed at
+// arm time, so a delta dump is always cumulative against one well-known base
 // (no chain replay on restore). The stack is tracked too, but only for
 // observability — stacks are small and always dumped in full.
 struct DirtyTracking {
   bool armed = false;
-  uint64_t text_digest = 0;  // FNV-1a of the text segment at arm time
-  uint64_t base_digest = 0;  // FNV-1a of `base`
-  std::vector<uint8_t> base;  // the data segment as of arming (the delta base)
+  sim::Blob base;  // the delta base; its digest names it in the segment cache
   std::vector<bool> data_dirty;   // one flag per kDirtyPageBytes page of data
   std::vector<bool> stack_dirty;  // one flag per page of [kStackBase, kStackTop)
 
   int64_t CountDataDirty() const;
   int64_t CountStackDirty() const;
+};
+
+// What a restored delta re-arms tracking against: its original base, and the
+// pages where the restored data already differs from it.
+struct DeltaBase {
+  sim::Blob base;
+  std::vector<uint32_t> dirty_pages;
 };
 
 // One text slot as Cpu::Run executes it: the raw instruction after its
@@ -90,18 +96,16 @@ struct VmContext {
   // logic lives in the kernel.)
   void LoadImage(const AoutImage& image);
 
-  // The text segment. It is execute-only and changes only through LoadImage,
-  // which is what lets Cpu::Run keep its decoded slots for the image's lifetime.
-  const std::vector<uint8_t>& text() const { return text_; }
+  // The text segment, shared with the image it was loaded from. It is
+  // execute-only and changes only through LoadImage, which is what lets
+  // Cpu::Run keep its decoded slots for the image's lifetime.
+  const sim::Blob& text() const { return text_; }
 
-  // Arms dirty tracking with the current data segment as the delta base (used at
-  // exec time). Clears both bitmaps and computes the text/base digests.
-  void ArmDirtyTracking();
-  // Arms with an explicit base (a restored process: `base` is the original
-  // exec-time data, `dirty_pages` are the pages the restored image differs in).
-  // Requires base.size() == data.size(); returns false otherwise.
-  bool ArmDirtyTrackingWithBase(std::vector<uint8_t> base,
-                                const std::vector<uint32_t>& dirty_pages);
+  // Arms dirty tracking and clears both bitmaps; hashes nothing. The base is
+  // `restored->base` with its dirty pages pre-marked when given and sized like
+  // the data segment (a restored delta keeps its original base), else a
+  // snapshot of the current data segment (exec time).
+  void ArmDirtyTracking(const DeltaBase* restored = nullptr);
   // Records a data-segment resize (sbrk) in the dirty state: pages covering the
   // resized range are marked dirty, since the bytes there change (shrink
   // discards, regrow zero-fills) without any tracked write. No-op when disarmed.
@@ -131,7 +135,7 @@ struct VmContext {
   // goes through WriteBytes or Cpu::Run's stores, which both call this.
   void MarkDirty(uint32_t addr, uint32_t len);
 
-  std::vector<uint8_t> text_;
+  sim::Blob text_;
   // One slot per whole instruction of text_, each filled on its first fetch;
   // LoadImage resets them, and a copy (fork) carries them along.
   std::vector<DecodedInstr> decoded_;

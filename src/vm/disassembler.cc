@@ -35,7 +35,7 @@ std::string DisassembleInstruction(const Instruction& in) {
   return buf;
 }
 
-std::string DisassembleText(const std::vector<uint8_t>& text) {
+std::string DisassembleText(const sim::Blob& text) {
   std::string out;
   for (size_t off = 0; off + kInstrBytes <= text.size(); off += kInstrBytes) {
     char head[32];

@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "src/sim/blob.h"
 #include "src/vm/isa.h"
 
 namespace pmig::vm {
@@ -17,7 +17,7 @@ namespace pmig::vm {
 std::string DisassembleInstruction(const Instruction& in);
 
 // Whole text segment, one line per instruction, prefixed with the byte offset.
-std::string DisassembleText(const std::vector<uint8_t>& text);
+std::string DisassembleText(const sim::Blob& text);
 
 }  // namespace pmig::vm
 

@@ -222,7 +222,7 @@ TEST(Disassembler, AssembleDisassembleAgrees) {
 
 TEST(Aout, SerializeParseRoundTrip) {
   AoutImage img;
-  img.text = {1, 2, 3, 4, 5, 6, 7, 8};
+  img.text = sim::Blob(std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8});
   img.data = {9, 10};
   img.header.entry = 0;
   img.header.machtype = 20;
@@ -243,7 +243,7 @@ TEST(Aout, RejectsBadMagic) {
 
 TEST(Aout, RejectsTruncated) {
   AoutImage img;
-  img.text.resize(kInstrBytes);
+  img.text = sim::Blob(std::vector<uint8_t>(kInstrBytes));
   std::vector<uint8_t> bytes = img.Serialize();
   bytes.resize(bytes.size() - 4);
   EXPECT_EQ(AoutImage::Parse(bytes).error(), Errno::kNoExec);
@@ -251,7 +251,7 @@ TEST(Aout, RejectsTruncated) {
 
 TEST(Aout, RejectsMisalignedText) {
   AoutImage img;
-  img.text.resize(5);  // not a multiple of kInstrBytes
+  img.text = sim::Blob(std::vector<uint8_t>(5));  // not a multiple of kInstrBytes
   EXPECT_EQ(AoutImage::Parse(img.Serialize()).error(), Errno::kNoExec);
 }
 

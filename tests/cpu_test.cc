@@ -251,11 +251,13 @@ TEST(CpuFault, ReturnToTopOfAddressSpace) {
 // --- The decoder contract ---
 
 AoutImage ImageOf(const std::vector<Instruction>& program) {
-  AoutImage image;
+  std::vector<uint8_t> text;
   for (const Instruction& in : program) {
     const auto bytes = in.Encode();
-    image.text.insert(image.text.end(), bytes.begin(), bytes.end());
+    text.insert(text.end(), bytes.begin(), bytes.end());
   }
+  AoutImage image;
+  image.text = sim::Blob(text);
   return image;
 }
 
@@ -436,7 +438,7 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
           return static_cast<uint32_t>(rng.Next());
       }
     };
-    AoutImage image;
+    std::vector<uint8_t> text;
     for (size_t i = 0; i < slots; ++i) {
       Instruction in;
       in.op = static_cast<Opcode>(rng.Chance(0.85) ? rng.Below(32) : rng.Below(256));
@@ -445,9 +447,11 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
       in.rc = static_cast<uint8_t>(rng.Chance(0.9) ? rng.Below(8) : rng.Below(256));
       in.imm = static_cast<int32_t>(pick_target());
       const auto bytes = in.Encode();
-      image.text.insert(image.text.end(), bytes.begin(), bytes.end());
+      text.insert(text.end(), bytes.begin(), bytes.end());
     }
-    image.text.resize(image.text.size() + rng.Below(8));  // a ragged tail
+    text.resize(text.size() + rng.Below(8));  // a ragged tail
+    AoutImage image;
+    image.text = sim::Blob(text);
     image.data.resize(rng.Below(64));
     image.header.entry = rng.Chance(0.8) ? 0 : pick_target();
 
@@ -477,7 +481,7 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
       case StopReason::kSyscall:
         ASSERT_GE(ctx.cpu.pc, static_cast<uint32_t>(kInstrBytes)) << where;
         EXPECT_EQ(ctx.cpu.pc % kInstrBytes, 0u) << where;
-        EXPECT_EQ(ctx.text()[ctx.cpu.pc - kInstrBytes], static_cast<uint8_t>(Opcode::kSys))
+        EXPECT_EQ(ctx.text().data()[ctx.cpu.pc - kInstrBytes], static_cast<uint8_t>(Opcode::kSys))
             << where;
         break;
       case StopReason::kFault:

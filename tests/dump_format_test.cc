@@ -140,6 +140,45 @@ TEST(StackFile, RejectsUnknownVersion) {
   EXPECT_EQ(StackFile::Parse(bytes).error(), Errno::kNoExec);
 }
 
+IncrAout SampleDelta(uint32_t full_size) {
+  IncrAout a;
+  a.machtype = 10;
+  a.text_digest = 0x1111;
+  a.text_size = 64;
+  a.encoding = IncrAout::DataEncoding::kDelta;
+  a.base_digest = 0x2222;
+  a.result_digest = 0x3333;
+  a.full_size = full_size;
+  return a;
+}
+
+TEST(IncrAout, DeltaRoundTrip) {
+  IncrAout a = SampleDelta(3 * vm::kDirtyPageBytes);
+  a.pages.push_back({2, {7, 8, 9}});
+  const Result<IncrAout> back = IncrAout::Parse(a.Serialize());
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back->pages.size(), 1u);
+  EXPECT_EQ(back->pages[0].index, 2u);
+  EXPECT_EQ(back->pages[0].bytes, (std::vector<uint8_t>{7, 8, 9}));
+}
+
+// The page count is read off the disk: a huge one must be refused before
+// anything is sized by it (a 53-byte file once asked for ~128 GiB).
+TEST(IncrAout, HugePageCountIsRejectedWithoutAllocating) {
+  std::string bytes = SampleDelta(4 * vm::kDirtyPageBytes).Serialize();
+  ASSERT_EQ(bytes.size(), 53u);  // no pages: the count is the last field
+  for (size_t i = bytes.size() - 4; i < bytes.size(); ++i) bytes[i] = '\xff';
+  EXPECT_EQ(IncrAout::Parse(bytes).error(), Errno::kNoExec);
+}
+
+// A delta has at most one entry per page of its segment.
+TEST(IncrAout, MorePagesThanTheSegmentHasIsRejected) {
+  IncrAout a = SampleDelta(vm::kDirtyPageBytes);
+  a.pages.push_back({0, {1}});
+  a.pages.push_back({0, {2}});
+  EXPECT_EQ(IncrAout::Parse(a.Serialize()).error(), Errno::kNoExec);
+}
+
 TEST(DumpPaths, NamesFollowThePaper) {
   const DumpPaths p = DumpPaths::For(1234);
   EXPECT_EQ(p.aout, "/usr/tmp/a.out1234");

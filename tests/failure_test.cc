@@ -175,7 +175,7 @@ TEST(DumpCorruption, FlippedBitFailsRestartCleanly) {
   kernel::Kernel& k = world.host("brick");
   auto r = k.vfs().Resolve(k.vfs().RootState(), paths.stack, vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  r->inode->data[0] ^= 0x40;
+  r->inode->MutableContents()[0] ^= 0x40;
 
   const int32_t rs = world.StartTool("brick", "restart", {"-p", std::to_string(pid)},
                                      kUserUid, world.console("brick"));
@@ -199,10 +199,10 @@ TEST(DumpCorruption, PatchedPcKillsOnlyTheRestartedProcess) {
   kernel::Kernel& k = world.host("brick");
   auto r = k.vfs().Resolve(k.vfs().RootState(), paths.stack, vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  Result<core::StackFile> stack = core::StackFile::Parse(r->inode->data);
+  Result<core::StackFile> stack = core::StackFile::Parse(r->inode->contents());
   ASSERT_TRUE(stack.ok());
   stack->cpu.pc = 0xFFFFFFF8;
-  r->inode->data = stack->Serialize();
+  r->inode->SetContents(sim::Blob(stack->Serialize()));
 
   const int32_t rs = world.StartTool("brick", "restart", {"-p", std::to_string(pid)},
                                      kUserUid, world.console("brick"));
@@ -297,7 +297,7 @@ TEST(MigrateTransaction, CorruptedFilesFileIsRejectedAndSweptUp) {
   kernel::Kernel& k = world.host("brick");
   auto r = k.vfs().Resolve(k.vfs().RootState(), paths.files, vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  r->inode->data[0] ^= 0x40;
+  r->inode->MutableContents()[0] ^= 0x40;
 
   // The dump leg resumes idempotently (readyXXXXX exists); restart rejects the
   // corrupt file everywhere, including the fallback — the dump set is
@@ -331,7 +331,7 @@ TEST(MigrateTransaction, HalfWrittenDumpNeverSurvivesDumpproc) {
   kernel::Kernel& k = world.host("brick");
   auto r = k.vfs().Resolve(k.vfs().RootState(), paths.files, vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  r->inode->data[0] ^= 0x40;
+  r->inode->MutableContents()[0] ^= 0x40;
 
   const int32_t dp =
       world.StartTool("brick", "dumpproc", {"-p", std::to_string(pid), "--tx"});
@@ -479,7 +479,7 @@ TEST(DumpCorruption, TruncatedAoutFailsRestartCleanly) {
   kernel::Kernel& k = world.host("brick");
   auto r = k.vfs().Resolve(k.vfs().RootState(), paths.aout, vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  r->inode->data.resize(10);  // header survives partially; body gone
+  r->inode->MutableContents().resize(10);  // header survives partially; body gone
 
   const int32_t rs = world.StartTool("brick", "restart", {"-p", std::to_string(pid)},
                                      kUserUid, world.console("brick"));

@@ -111,7 +111,7 @@ TEST(Incremental, SegmentBlobsLandInDumpHostCache) {
   for (const auto& [name, inode] : dir->inode->entries) {
     uint64_t digest = 0;
     EXPECT_TRUE(sim::ParseHexDigest(name, &digest)) << name;
-    EXPECT_EQ(sim::HashBytes(inode->data), digest) << name;
+    EXPECT_EQ(sim::HashBytes(inode->contents()), digest) << name;
     ++blobs;
   }
   EXPECT_EQ(blobs, 2);  // text + delta base
@@ -141,8 +141,9 @@ TEST(Incremental, CorruptedBaseBlobIsRejectedCleanly) {
   ASSERT_TRUE(dir.ok());
   ASSERT_FALSE(dir->inode->entries.empty());
   for (auto& [name, inode] : dir->inode->entries) {
-    ASSERT_FALSE(inode->data.empty());
-    inode->data[0] = static_cast<char>(inode->data[0] ^ 0xff);
+    std::string& bytes = inode->MutableContents();
+    ASSERT_FALSE(bytes.empty());
+    bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
   }
 
   // The restore must fail with a clean nonzero exit — no half-restored process.
@@ -179,6 +180,112 @@ TEST(Incremental, MissingBlobsFailTheRestoreNotTheHost) {
   EXPECT_NE(world.ExitInfoOf("schooner", rs).exit_code, 0);
 }
 
+// --- Blobs on the --cached path: hash once, copy never ---
+
+// One hop of a --cached migrate, by hand: an incremental dump of `pid` on
+// `from`, then a restart on `to` that reads the dump and any missing segment
+// blobs from `from` over NFS. Returns the restart's pid, which is the restored
+// process once it succeeds.
+int32_t CachedHop(World& world, int32_t pid, const std::string& from, const std::string& to) {
+  const int32_t dp =
+      world.StartTool(from, "dumpproc", {"-p", std::to_string(pid), "--incremental"});
+  EXPECT_TRUE(world.RunUntilExited(from, dp));
+  EXPECT_EQ(world.ExitInfoOf(from, dp).exit_code, 0);
+  return world.StartTool(to, "restart", {"-p", std::to_string(pid), "-h", from}, kUserUid,
+                         world.console(to));
+}
+
+vfs::InodePtr CachedSegment(World& world, std::string_view host, uint64_t digest) {
+  kernel::Kernel& k = world.host(host);
+  auto r = k.vfs().Resolve(k.vfs().RootState(), core::SegCachePath(digest),
+                           vfs::Follow::kAll, nullptr);
+  return r.ok() ? r->inode : nullptr;
+}
+
+void FlipFirstByte(vfs::Inode& inode) {
+  std::string& bytes = inode.MutableContents();
+  ASSERT_FALSE(bytes.empty());
+  bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
+}
+
+TEST(Incremental, WarmHopSharesOneBufferPerSegment) {
+  World world(TrackedOptions());
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const int32_t at_schooner = CachedHop(world, pid, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
+  // Back to brick: a warm hop, both segments hit brick's cache.
+  const int32_t at_brick = CachedHop(world, at_schooner, "schooner", "brick");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
+  kernel::Proc* restored = world.host("brick").FindProc(at_brick);
+  ASSERT_NE(restored, nullptr);
+  ASSERT_NE(restored->vm, nullptr);
+
+  // The restored text, its delta base, and every host's cache file for each
+  // are one buffer: no hop copied a segment.
+  const sim::Blob& text = restored->vm->text();
+  const sim::Blob& base = restored->vm->dirty.base;
+  for (const std::string_view host : {"brick", "schooner"}) {
+    const vfs::InodePtr cached_text = CachedSegment(world, host, text.Digest());
+    const vfs::InodePtr cached_base = CachedSegment(world, host, base.Digest());
+    ASSERT_NE(cached_text, nullptr) << host;
+    ASSERT_NE(cached_base, nullptr) << host;
+    EXPECT_EQ(cached_text->contents().data(), text.view().data()) << host;
+    EXPECT_EQ(cached_base->contents().data(), base.view().data()) << host;
+  }
+}
+
+TEST(Incremental, KeptDigestNeverHidesLaterCorruption) {
+  WorldOptions options = TrackedOptions();
+  options.metrics = true;
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const uint64_t base_digest = world.host("brick").FindProc(pid)->vm->dirty.base.Digest();
+
+  // brick -> schooner fills schooner's cache with the fetched blobs, their
+  // digests kept; then back to brick.
+  int32_t at_schooner = CachedHop(world, pid, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
+  int32_t at_brick = CachedHop(world, at_schooner, "schooner", "brick");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
+  vfs::InodePtr cached_base = CachedSegment(world, "schooner", base_digest);
+  ASSERT_NE(cached_base, nullptr);
+  ASSERT_TRUE(cached_base->ContentsBlob().digest_kept());
+
+  // Flip schooner's cached base: the next restore there must notice, drop it,
+  // fetch the blob again from the dump host, and still restore exact bytes.
+  FlipFirstByte(*cached_base);
+  const sim::MetricsRegistry& metrics = world.host("schooner").metrics();
+  const int64_t corrupt_before = metrics.Counter("cache.seg.corrupt");
+  const int64_t misses_before = metrics.Counter("cache.data.misses");
+  const std::vector<uint8_t> expected = world.host("brick").FindProc(at_brick)->vm->data;
+  at_schooner = CachedHop(world, at_brick, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
+  EXPECT_EQ(metrics.Counter("cache.seg.corrupt"), corrupt_before + 1);
+  EXPECT_EQ(metrics.Counter("cache.data.misses"), misses_before + 1);
+  kernel::Proc* restored = world.host("schooner").FindProc(at_schooner);
+  ASSERT_NE(restored, nullptr);
+  ASSERT_NE(restored->vm, nullptr);
+  EXPECT_EQ(restored->vm->data, expected);
+  cached_base = CachedSegment(world, "schooner", base_digest);
+  ASSERT_NE(cached_base, nullptr);
+  EXPECT_EQ(sim::HashBytes(cached_base->contents()), base_digest);  // written through
+
+  // With the dump host's copy flipped as well, no good copy is left: the
+  // restart fails cleanly and leaves no VM process behind.
+  at_brick = CachedHop(world, at_schooner, "schooner", "brick");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
+  FlipFirstByte(*CachedSegment(world, "schooner", base_digest));
+  FlipFirstByte(*CachedSegment(world, "brick", base_digest));
+  const int32_t rs = CachedHop(world, at_brick, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilExited("schooner", rs));
+  EXPECT_NE(world.ExitInfoOf("schooner", rs).exit_code, 0);
+  for (kernel::Proc* p : world.host("schooner").ListProcs()) {
+    EXPECT_NE(p->kind, kernel::ProcKind::kVm);
+  }
+}
+
 TEST(Incremental, DumpModeNeedsTrackingArmed) {
   // Without track_dirty_pages, dumpproc --incremental degrades to a full dump
   // (setdumpmode refuses) and still succeeds end to end.
@@ -194,7 +301,7 @@ TEST(Incremental, DumpModeNeedsTrackingArmed) {
 TEST(Incremental, MarkDirtyAfterHeapGrowthStaysInsideBitmap) {
   vm::VmContext ctx;
   vm::AoutImage image;
-  image.text.assign(vm::kInstrBytes, 0);
+  image.text = sim::Blob(std::vector<uint8_t>(vm::kInstrBytes, 0));
   image.data.assign(100, 7);
   ctx.LoadImage(image);
   ctx.ArmDirtyTracking();
@@ -436,8 +543,9 @@ TEST(Incremental, CheckpointDedupDistrustsBareHashMatch) {
   auto copy = brick.vfs().Resolve(brick.vfs().RootState(), "/ckpt/0.open3",
                                   vfs::Follow::kAll, nullptr);
   ASSERT_TRUE(copy.ok());
-  ASSERT_FALSE(copy->inode->data.empty());
-  copy->inode->data[0] = static_cast<char>(copy->inode->data[0] ^ 0xff);
+  std::string& saved = copy->inode->MutableContents();
+  ASSERT_FALSE(saved.empty());
+  saved[0] = static_cast<char>(saved[0] ^ 0xff);
 
   ASSERT_EQ(take(1), 0);
   ASSERT_TRUE(world.RunUntilBlocked("brick", *current));

@@ -167,7 +167,7 @@ TEST(Placement, CostAwarePrefersTheWarmSegmentCache) {
   kernel::Proc* p = world.host("brick").FindProc(pid);
   ASSERT_NE(p, nullptr);
   ASSERT_NE(p->vm, nullptr);
-  const uint64_t digest = sim::HashBytes(p->vm->text());
+  const uint64_t digest = sim::HashBytes(p->vm->text().view());
   world.host("brador").vfs().SetupMkdirAll("/var/segcache");
   world.host("brador").vfs().SetupCreateFile(core::SegCachePath(digest), "seg");
 

@@ -72,7 +72,7 @@ TEST(Sigdump, AoutCapturesLiveTextAndData) {
   const int32_t pid = StartCounter(world, 2);
   kernel::Proc* p = world.host("brick").FindProc(pid);
   ASSERT_NE(p, nullptr);
-  const std::vector<uint8_t> live_text = p->vm->text();
+  const sim::Blob live_text = p->vm->text();
   const std::vector<uint8_t> live_data = p->vm->data;
 
   Sigdump(world, pid);

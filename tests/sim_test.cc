@@ -1,8 +1,9 @@
 // Unit tests for the simulation base: virtual clock, RNG, trace log, byte codec,
-// and the cost-model helpers.
+// immutable blobs, and the cost-model helpers.
 
 #include <gtest/gtest.h>
 
+#include "src/sim/blob.h"
 #include "src/sim/bytes.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -253,6 +254,39 @@ TEST(Bytes, OversizedStringLengthFailsGracefully) {
   ByteReader r(w.str());
   EXPECT_EQ(r.Str(), "");
   EXPECT_FALSE(r.ok());
+}
+
+// --- Blob: hash once, copy never ---
+
+TEST(Blob, DigestIsFnvOfTheBytes) {
+  const Blob blob(std::string("segment bytes"));
+  EXPECT_FALSE(blob.digest_kept());
+  EXPECT_EQ(blob.Digest(), HashBytes(std::string_view("segment bytes")));
+  EXPECT_TRUE(blob.digest_kept());
+  EXPECT_EQ(Blob().Digest(), HashBytes(std::string_view()));
+}
+
+TEST(Blob, CopiesShareBytesAndKeptDigest) {
+  const Blob original(std::vector<uint8_t>(4096, 0x5a));
+  const Blob copy = original;
+  EXPECT_EQ(copy.data(), original.data());  // the same buffer, not equal bytes
+  EXPECT_FALSE(copy.digest_kept());
+  const uint64_t digest = original.Digest();
+  EXPECT_TRUE(copy.digest_kept());  // hashed through one copy, kept for all
+  EXPECT_EQ(copy.Digest(), digest);
+}
+
+TEST(Blob, FlippedBytesMakeANewBlobWithANewDigest) {
+  const Blob original(std::string("abcdefgh"));
+  const uint64_t digest = original.Digest();
+  std::string flipped(original.view());
+  flipped[0] = static_cast<char>(flipped[0] ^ 0x01);
+  const Blob changed(std::move(flipped));
+  EXPECT_NE(changed.data(), original.data());
+  EXPECT_FALSE(changed.digest_kept());
+  EXPECT_NE(changed.Digest(), digest);
+  EXPECT_EQ(original.Digest(), digest);  // the original's bytes never changed
+  EXPECT_EQ(original.view(), "abcdefgh");
 }
 
 TEST(CostModel, DiskIoRoundsUpBlocks) {

@@ -40,7 +40,7 @@ TEST_F(VfsTest, SetupAndLookup) {
   auto r = ResolveInode("/a/b/c.txt");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, file);
-  EXPECT_EQ((*r)->data, "hello");
+  EXPECT_EQ((*r)->contents(), "hello");
 }
 
 TEST_F(VfsTest, MissingComponentIsNoEnt) {
@@ -72,7 +72,7 @@ TEST_F(VfsTest, RelativeResolutionFromCwd) {
   ASSERT_TRUE(cwd.ok());
   auto r = vfs_.Resolve(cwd->state, "b/f", Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->inode->data, "x");
+  EXPECT_EQ(r->inode->contents(), "x");
 }
 
 TEST_F(VfsTest, SymlinkFollowedInMiddle) {
@@ -80,7 +80,7 @@ TEST_F(VfsTest, SymlinkFollowedInMiddle) {
   vfs_.SetupSymlink("/link", "/real");
   auto r = ResolveInode("/link/target");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->data, "data");
+  EXPECT_EQ((*r)->contents(), "data");
 }
 
 TEST_F(VfsTest, RelativeSymlinkTarget) {
@@ -88,7 +88,7 @@ TEST_F(VfsTest, RelativeSymlinkTarget) {
   vfs_.SetupSymlink("/a/alias", "real");
   auto r = ResolveInode("/a/alias");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->data, "y");
+  EXPECT_EQ((*r)->contents(), "y");
 }
 
 TEST_F(VfsTest, SymlinkWithDotDotTarget) {
@@ -97,7 +97,7 @@ TEST_F(VfsTest, SymlinkWithDotDotTarget) {
   vfs_.SetupSymlink("/a/up", "../x/f");
   auto r = ResolveInode("/a/up");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->data, "z");
+  EXPECT_EQ((*r)->contents(), "z");
 }
 
 TEST_F(VfsTest, NoFollowStopsAtFinalSymlink) {
@@ -118,7 +118,7 @@ TEST_F(VfsTest, SymlinkChainWithinLimit) {
   }
   auto r = ResolveInode(prev);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->data, "ok");
+  EXPECT_EQ((*r)->contents(), "ok");
 }
 
 TEST_F(VfsTest, SymlinkLoopIsEloop) {
@@ -174,18 +174,18 @@ TEST_F(VfsTest, ReadWriteAtOffsets) {
   EXPECT_EQ(vfs_.ReadAt(*f, 20, 10, &out, nullptr), 0);  // past EOF
 
   EXPECT_EQ(vfs_.WriteAt(*f, 10, "AB", nullptr), 2);
-  EXPECT_EQ(f->data, "0123456789AB");
+  EXPECT_EQ(f->contents(), "0123456789AB");
   EXPECT_EQ(vfs_.WriteAt(*f, 14, "XY", nullptr), 2);  // hole filled with NULs
-  EXPECT_EQ(f->data.size(), 16u);
-  EXPECT_EQ(f->data[12], '\0');
+  EXPECT_EQ(f->contents().size(), 16u);
+  EXPECT_EQ(f->contents()[12], '\0');
 }
 
 TEST_F(VfsTest, TruncateGrowsAndShrinks) {
   const InodePtr f = vfs_.SetupCreateFile("/f", "abcdef");
   ASSERT_TRUE(vfs_.Truncate(*f, 3, nullptr).ok());
-  EXPECT_EQ(f->data, "abc");
+  EXPECT_EQ(f->contents(), "abc");
   ASSERT_TRUE(vfs_.Truncate(*f, 5, nullptr).ok());
-  EXPECT_EQ(f->data.size(), 5u);
+  EXPECT_EQ(f->contents().size(), 5u);
   EXPECT_EQ(vfs_.Truncate(*f, -1, nullptr).error(), Errno::kInval);
 }
 
@@ -256,7 +256,7 @@ TEST_F(MountTest, CrossMountResolution) {
   vfs_b_.SetupCreateFile("/usr/foo", "remote bytes");
   auto r = vfs_a_.Resolve(vfs_a_.RootState(), "/n/brador/usr/foo", Follow::kAll, nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->inode->data, "remote bytes");
+  EXPECT_EQ(r->inode->contents(), "remote bytes");
   EXPECT_TRUE(vfs_a_.InodeIsRemote(*r->inode));
   EXPECT_FALSE(vfs_b_.InodeIsRemote(*r->inode));
 }
@@ -267,7 +267,7 @@ TEST_F(MountTest, DotDotOutOfMountReturnsToLocalSide) {
   auto r = vfs_a_.Resolve(vfs_a_.RootState(), "/n/brador/usr/../../marker", Follow::kAll,
                           nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->inode->data, "local");  // ".." climbed back onto classic's /n
+  EXPECT_EQ(r->inode->contents(), "local");  // ".." climbed back onto classic's /n
 }
 
 // Section 4.3's exact scenario: on classic, /usr is a symlink to /n/brador/usr.
@@ -300,7 +300,7 @@ TEST_F(MountTest, PaperSection43SymlinkAliasing) {
   vfs_c.AddMount(vfs_c.SetupMkdirAll("/n/brador"), fs_b_.root());
   auto resolved = vfs_c.Resolve(vfs_c.RootState(), "/n/brador/usr/foo", Follow::kAll, nullptr);
   ASSERT_TRUE(resolved.ok());
-  EXPECT_EQ(resolved->inode->data, "the file");
+  EXPECT_EQ(resolved->inode->contents(), "the file");
 }
 
 // Cost accounting: remote lookups charge NFS RPC waits; local ones do not.
