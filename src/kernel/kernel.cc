@@ -153,9 +153,11 @@ Result<int32_t> Kernel::SpawnProgram(const std::string& program, std::vector<std
 
 int32_t Kernel::SpawnNative(std::string command_name, NativeTask::Entry entry,
                             const SpawnOptions& opts) {
+  // The stack first: a host that cannot map one throws before any proc exists.
+  TaskStack stack = stacks_.Take();
   Proc& p = NewProc(std::move(command_name), ProcKind::kNative, opts);
-  p.native = std::make_unique<NativeTask>();
-  p.native->Start(std::move(entry), apis_[p.pid].get());
+  p.native = std::make_unique<NativeTask>(std::move(stack), std::move(entry),
+                                          apis_[p.pid].get());
   return p.pid;
 }
 

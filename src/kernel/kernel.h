@@ -208,6 +208,8 @@ class Kernel {
   Result<int32_t> SpawnProgram(const std::string& program, std::vector<std::string> args,
                                const SpawnOptions& opts);
   // Starts a native process from an arbitrary entry point (for tests/daemons).
+  // Throws std::system_error, and spawns nothing, if the host cannot map a stack
+  // for it.
   int32_t SpawnNative(std::string command_name, NativeTask::Entry entry,
                       const SpawnOptions& opts);
   // Loads an executable file and starts it as a VM process.
@@ -391,6 +393,10 @@ class Kernel {
   std::vector<std::unique_ptr<Tty>> ttys_;
   std::map<const Tty*, vfs::InodePtr> tty_nodes_;
 
+  // Stacks for the native tasks. Declared before procs_ so that it outlives
+  // every task: the destructor's UnwindNativeTasks gives each stack back, then
+  // the pool unmaps them all.
+  StackPool stacks_;
   // Every proc this kernel ever spawned, in pid order: pids are handed out
   // sequentially from first_pid_ and storage is never recycled, so the proc
   // with pid p is procs_[p - first_pid_].

@@ -2,13 +2,19 @@
 //
 // The migration tools (dumpproc, restart, migrate), shells, and daemons are native
 // programs: ordinary C++ functions that talk to the kernel through SyscallApi. Each
-// runs as a stackful coroutine on the simulator's one thread. Start() maps a
-// fixed-size stack (kStackBytes) with an inaccessible guard page below it, so an
-// overflow faults instead of overwriting memory. Control passes only by explicit
-// switch: the scheduler's Resume() swaps to the task, and the task's Yield() (called
-// from blocking syscalls) swaps back. No kernel data is ever touched by two contexts
-// at once. Under AddressSanitizer each switch is announced with the fiber
-// annotations, so ASan knows which stack is running.
+// runs as a stackful coroutine on the simulator's one thread, on a fixed-size stack
+// (kTaskStackBytes) with an inaccessible guard page below it, so an overflow faults
+// instead of overwriting memory. Control passes only by explicit switch: the
+// scheduler's Resume() switches to the task, and the task's Yield() (called from
+// blocking syscalls) switches back. No kernel data is ever touched by two contexts
+// at once. A switch is a few instructions of x86-64 code that save the callee-saved
+// registers and the floating-point control state; it never enters the host kernel.
+// Under AddressSanitizer each switch is announced with the fiber annotations, so
+// ASan knows which stack is running.
+//
+// Each Kernel owns a StackPool. A task takes its stack from the pool and gives it
+// back when it is destroyed, so spawning a task maps nothing once the pool holds
+// as many stacks as the host has ever run tasks at once.
 //
 // A native task ends in one of four ways, all by unwinding its stack:
 //   * its entry function returns an exit code;
@@ -23,14 +29,67 @@
 #ifndef PMIG_SRC_KERNEL_NATIVE_H_
 #define PMIG_SRC_KERNEL_NATIVE_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <functional>
+#include <utility>
+#include <vector>
 
 namespace pmig::kernel {
 
 class SyscallApi;
+class StackPool;
+
+// Usable stack per task (a guard page sits below it). The tools, shells and
+// daemons are shallow C++: no task in the test suite touches more than three
+// 4 KiB pages of stack in a RelWithDebInfo build, and a test runs an entry that
+// uses 64 KiB.
+inline constexpr size_t kTaskStackBytes = 256 * 1024;
+
+// One guard-paged stack, lent by a StackPool to one task. Destroying the handle
+// gives the stack back to the pool, which must still exist.
+class TaskStack {
+ public:
+  TaskStack(TaskStack&& other) noexcept
+      : pool_(other.pool_), bottom_(std::exchange(other.bottom_, nullptr)) {}
+  TaskStack& operator=(TaskStack&&) = delete;
+  ~TaskStack();
+
+  // [bottom, top) is the usable stack; the guard page lies just below bottom.
+  char* bottom() const { return bottom_; }
+  char* top() const { return bottom_ + kTaskStackBytes; }
+
+ private:
+  friend class StackPool;
+  TaskStack(StackPool* pool, char* bottom) : pool_(pool), bottom_(bottom) {}
+
+  StackPool* pool_;
+  char* bottom_;
+};
+
+// A kernel's task stacks. Each is one anonymous mapping: a PROT_NONE guard page,
+// then kTaskStackBytes of stack. The free list is last in, first out, and holds at
+// most as many stacks as were ever lent at once; the destructor unmaps them, so
+// every stack must have been given back by then.
+class StackPool {
+ public:
+  StackPool();
+  ~StackPool();
+
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+  // The most recently given-back stack, else a newly mapped one. Throws
+  // std::system_error if the host cannot map one.
+  TaskStack Take();
+
+ private:
+  friend class TaskStack;
+  void Give(char* bottom) noexcept;
+
+  size_t guard_bytes_;
+  size_t mapped_ = 0;  // stacks mapped so far; free_ has room for all of them
+  std::vector<char*> free_;
+};
 
 // Unwind tokens. These deliberately do not derive from std::exception: nothing may
 // catch them except the trampoline.
@@ -44,16 +103,14 @@ class NativeTask {
  public:
   using Entry = std::function<int(SyscallApi&)>;
 
-  NativeTask() = default;
+  // Prepares the coroutine on `stack`; the entry function does not run until the
+  // first Resume().
+  NativeTask(TaskStack stack, Entry entry, SyscallApi* api);
+  // Unwinds the task first if it has not finished.
   ~NativeTask();
 
   NativeTask(const NativeTask&) = delete;
   NativeTask& operator=(const NativeTask&) = delete;
-
-  // Maps the stack and prepares the coroutine; the entry function does not run
-  // until the first Resume(). Throws std::system_error if the stack cannot be
-  // mapped.
-  void Start(Entry entry, SyscallApi* api);
 
   // Scheduler side: hands the turn to the task; returns when the task yields or
   // finishes. Does nothing after finished().
@@ -72,26 +129,17 @@ class NativeTask {
   int exit_code() const { return exit_code_; }
 
  private:
-  // Usable stack per task (a guard page sits below it). The tools, shells and
-  // daemons are shallow C++: no task in the test suite touches more than three
-  // 4 KiB pages of stack in a RelWithDebInfo build, and a test runs an entry
-  // that uses 64 KiB.
-  static constexpr size_t kStackBytes = 256 * 1024;
-
-  // The coroutine's entry point; makecontext passes `this` as two 32-bit halves.
-  static void Trampoline(unsigned int self_high, unsigned int self_low);
+  // The coroutine's entry point, reached by the first switch onto the stack.
+  [[noreturn]] static void Trampoline(NativeTask* task);
   void Run() noexcept;
 
+  TaskStack stack_;
   Entry entry_;
-  SyscallApi* api_ = nullptr;
+  SyscallApi* api_;
 
-  // Guard page + stack, from one anonymous mapping.
-  void* mapping_ = nullptr;
-  size_t mapping_bytes_ = 0;
-  void* stack_ = nullptr;
-
-  ucontext_t task_context_{};
-  ucontext_t caller_context_{};
+  // The stack pointer each side last switched away at.
+  void* task_sp_ = nullptr;
+  void* caller_sp_ = nullptr;
   // The stack that last resumed the task, for the ASan fiber annotations.
   const void* caller_stack_ = nullptr;
   size_t caller_stack_bytes_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 namespace pmig::vm {
@@ -39,7 +40,7 @@ void VmContext::LoadImage(const AoutImage& image) {
   text_ = image.text;
   decoded_.assign(text_.size() / kInstrBytes, DecodedInstr{kUndecoded, 0, 0, 0, 0});
   data = image.data;
-  stack.assign(kStackMax, 0);
+  stack_.clear();
   cpu = CpuState{};
   cpu.pc = image.header.entry;
   cpu.sp = kStackTop;
@@ -102,48 +103,55 @@ void VmContext::NoteDataResize(size_t old_size, size_t new_size) {
   }
 }
 
+bool VmContext::BackStack(uint32_t addr, uint32_t len) {
+  if (addr < kStackBase || uint64_t{addr} + len > kStackTop) return false;
+  const uint32_t doubled = std::min(kStackMax, 2 * static_cast<uint32_t>(stack_.size()));
+  const uint32_t low = std::min(addr - addr % kDirtyPageBytes, kStackTop - doubled);
+  stack_.insert(stack_.begin(), stack_low() - low, 0);
+  return true;
+}
+
 std::vector<uint8_t> VmContext::StackContents() const {
-  const uint32_t size = StackSize();
-  std::vector<uint8_t> out(size);
-  if (size > 0) {
-    std::memcpy(out.data(), stack.data() + (cpu.sp - kStackBase), size);
-  }
+  std::vector<uint8_t> out(StackSize());
+  const bool in_region = ReadBytes(cpu.sp, StackSize(), out.data());
+  assert(in_region && "sp lies in [kStackBase, kStackTop]");
+  (void)in_region;
   return out;
 }
 
 bool VmContext::SetStackContents(const std::vector<uint8_t>& contents) {
   if (contents.size() > kStackMax) return false;
-  stack.assign(kStackMax, 0);
   cpu.sp = kStackTop - static_cast<uint32_t>(contents.size());
-  if (!contents.empty()) {
-    std::memcpy(stack.data() + (cpu.sp - kStackBase), contents.data(), contents.size());
-  }
+  stack_.assign(cpu.sp % kDirtyPageBytes + contents.size(), 0);  // backed from sp's page up
+  std::copy(contents.begin(), contents.end(), stack_.end() - contents.size());
   return true;
 }
 
-namespace {
-
 // The one map from a guest address range to host memory: the data segment,
-// then the stack region. Text is not mapped; it is execute-only, as on a real
-// split-I/D machine.
-struct Segments {
+// then the backed part of the stack region. Text is not mapped; it is
+// execute-only, as on a real split-I/D machine.
+struct VmContext::Segments {
   uint8_t* data;
   uint64_t data_end;  // kDataBase + data size
   uint8_t* stack;
+  uint32_t stack_low;
 
   explicit Segments(const VmContext& ctx)
       : data(const_cast<uint8_t*>(ctx.data.data())),
         data_end(kDataBase + uint64_t{ctx.data.size()}),
-        stack(const_cast<uint8_t*>(ctx.stack.data())) {}
+        stack(const_cast<uint8_t*>(ctx.stack_.data())),
+        stack_low(ctx.stack_low()) {}
 
-  // [addr, addr + len) inside one segment, or nullptr. Requires len > 0.
+  // [addr, addr + len) inside one segment's backing, or nullptr. Requires len > 0.
   uint8_t* Resolve(uint32_t addr, uint32_t len) const {
     const uint64_t end = uint64_t{addr} + len;
     if (addr >= kDataBase && end <= data_end) return data + (addr - kDataBase);
-    if (addr >= kStackBase && end <= kStackTop) return stack + (addr - kStackBase);
+    if (addr >= stack_low && end <= kStackTop) return stack + (addr - stack_low);
     return nullptr;
   }
 };
+
+namespace {
 
 // Guest words are little-endian; the 8-byte paths below copy them directly.
 static_assert(std::endian::native == std::endian::little);
@@ -152,15 +160,22 @@ static_assert(std::endian::native == std::endian::little);
 
 bool VmContext::ReadBytes(uint32_t addr, uint32_t len, uint8_t* out) const {
   if (len == 0) return true;
-  const uint8_t* p = Segments(*this).Resolve(addr, len);
-  if (p == nullptr) return false;
-  std::memcpy(out, p, len);
+  if (const uint8_t* p = Segments(*this).Resolve(addr, len); p != nullptr) {
+    std::memcpy(out, p, len);
+    return true;
+  }
+  if (addr < kStackBase || uint64_t{addr} + len > kStackTop) return false;
+  // The range starts below the backing, where the stack was never written.
+  const uint32_t unbacked = std::min(len, stack_low() - addr);
+  std::memset(out, 0, unbacked);
+  if (len > unbacked) std::memcpy(out + unbacked, stack_.data(), len - unbacked);
   return true;
 }
 
 bool VmContext::WriteBytes(uint32_t addr, uint32_t len, const uint8_t* in) {
   if (len == 0) return true;
   uint8_t* p = Segments(*this).Resolve(addr, len);
+  if (p == nullptr && BackStack(addr, len)) p = Segments(*this).Resolve(addr, len);
   if (p == nullptr) return false;
   std::memcpy(p, in, len);
   if (dirty.armed) MarkDirty(addr, len);
@@ -248,12 +263,13 @@ uint32_t EffectiveAddress(int64_t base, int32_t imm) {
 
 }  // namespace
 
-StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
+// Aligned to a cache line: the loop's speed otherwise moves by ~10% with where
+// the linker happens to place the function, i.e. with unrelated code changes.
+[[gnu::aligned(64)]] StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
   last_fault_ = Fault::kNone;
   const uint8_t* const text = ctx.text_.data();
   DecodedInstr* const slots = ctx.decoded_.data();
   const uint64_t num_slots = ctx.decoded_.size();
-  const Segments mem(ctx);
   const bool track_dirty = ctx.dirty.armed;
   const bool isa20 = IsaCompatible(IsaLevel::kIsa20, machine_level_);
   int64_t* const r = ctx.cpu.regs;
@@ -263,10 +279,12 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
   StopReason reason = StopReason::kSteps;
   Fault fault = Fault::kNone;
 
-  // Every fetch counts one step, a faulting one included. A slot fetched for
+  const VmContext::Segments mem(ctx);
+
+  // Every fetch counts one step, a faulting one included; the step is counted
+  // once the instruction has completed, trapped or faulted. A slot fetched for
   // the first time is decoded in place and dispatched again, still one step.
   while (steps < max_steps) {
-    ++steps;
     const uint32_t index = pc / kInstrBytes;
     if (pc % kInstrBytes != 0 || index >= num_slots) {
       fault = Fault::kBadAddress;
@@ -339,8 +357,10 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
         r[in.ra] = S(U(r[in.rb]) + U(in.imm));
         break;
       case Op(Opcode::kLd): {
-        const uint8_t* p = mem.Resolve(EffectiveAddress(r[in.rb], in.imm), 8);
+        const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
+        const uint8_t* p = mem.Resolve(addr, 8);
         if (p == nullptr) {
+          if (ctx.BackStack(addr, 8)) goto back;
           fault = Fault::kBadAddress;
         } else {
           std::memcpy(&r[in.ra], p, 8);
@@ -348,8 +368,10 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
         break;
       }
       case Op(Opcode::kLdB): {
-        const uint8_t* p = mem.Resolve(EffectiveAddress(r[in.rb], in.imm), 1);
+        const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
+        const uint8_t* p = mem.Resolve(addr, 1);
         if (p == nullptr) {
+          if (ctx.BackStack(addr, 1)) goto back;
           fault = Fault::kBadAddress;
         } else {
           r[in.ra] = *p;
@@ -360,6 +382,7 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
         const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
         uint8_t* p = mem.Resolve(addr, 8);
         if (p == nullptr) {
+          if (ctx.BackStack(addr, 8)) goto back;
           fault = Fault::kBadAddress;
           break;
         }
@@ -371,6 +394,7 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
         const uint32_t addr = EffectiveAddress(r[in.rb], in.imm);
         uint8_t* p = mem.Resolve(addr, 1);
         if (p == nullptr) {
+          if (ctx.BackStack(addr, 1)) goto back;
           fault = Fault::kBadAddress;
           break;
         }
@@ -387,6 +411,10 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
         sp -= 8;  // stays lowered if the store below faults
         uint8_t* p = mem.Resolve(sp, 8);
         if (p == nullptr) {
+          if (ctx.BackStack(sp, 8)) {
+            sp += 8;
+            goto back;
+          }
           fault = Fault::kBadAddress;
           break;
         }
@@ -404,6 +432,7 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
       case Op(Opcode::kRet): {
         const uint8_t* p = sp + 8 > kStackTop ? nullptr : mem.Resolve(sp, 8);
         if (p == nullptr) {
+          if (ctx.BackStack(sp, 8)) goto back;
           fault = Fault::kBadAddress;
           break;
         }
@@ -449,6 +478,7 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
       case Op(Opcode::kSys):
         last_syscall_ = in.imm;
         pc = next;
+        ++steps;
         reason = StopReason::kSyscall;
         goto stop;
       case Op(Opcode::kHalt):
@@ -458,8 +488,10 @@ StopReason Cpu::Run(VmContext& ctx, int64_t max_steps) {
     }
     if (fault != Fault::kNone) break;  // pc stays on the faulting instruction
     pc = next;
+    ++steps;
   }
   if (fault != Fault::kNone) {
+    ++steps;
     last_fault_ = fault;
     reason = StopReason::kFault;
   }
@@ -467,6 +499,19 @@ stop:
   ctx.cpu.pc = pc;
   ctx.cpu.sp = sp;
   steps_executed_ = steps;
+  return reason;
+
+back:
+  // A load or store below the stack's backing extended it, moving the stack's
+  // bytes out from under `mem`; a push has already undone its sp change, and
+  // the instruction's step is not counted yet. It and the rest of the budget
+  // run again on a remade map. Every extension at least doubles the backing,
+  // so this nests a few calls deep at most, and the loop above never has to
+  // reload the map.
+  ctx.cpu.pc = pc;
+  ctx.cpu.sp = sp;
+  reason = Run(ctx, max_steps - steps);
+  steps_executed_ += steps;
   return reason;
 }
 

@@ -83,11 +83,14 @@ struct DecodedInstr {
 };
 
 // The migratable machine context.
+//
+// The stack region [kStackBase, kStackTop) is backed in host memory only from
+// the lowest page an access has touched (or a little below: a growing backing at
+// least doubles) up to kStackTop. An access below the backing extends it with
+// zeros, so an address that was never written reads as zero, as if the whole
+// region were backed. Only [sp, kStackTop) is dumped.
 struct VmContext {
   std::vector<uint8_t> data;
-  // Backing store for the whole possible stack region [kStackBase, kStackTop).
-  // Only [sp, kStackTop) is meaningful and only that slice is dumped.
-  std::vector<uint8_t> stack = std::vector<uint8_t>(kStackMax, 0);
   CpuState cpu;
   DirtyTracking dirty;
 
@@ -114,7 +117,8 @@ struct VmContext {
   // The dumped stack: bytes from sp to kStackTop.
   uint32_t StackSize() const { return kStackTop - cpu.sp; }
   std::vector<uint8_t> StackContents() const;
-  // Restores a previously dumped stack: sp = kStackTop - contents.size().
+  // Restores a previously dumped stack: sp = kStackTop - contents.size(), and
+  // every stack byte below sp reads as zero.
   bool SetStackContents(const std::vector<uint8_t>& contents);
 
   // --- Memory access (data + stack are read/write; text is fetch-only) ---
@@ -130,11 +134,23 @@ struct VmContext {
 
  private:
   friend class Cpu;
+  // cpu.cc: the map from a guest address range to host memory.
+  struct Segments;
 
   // Flags the pages covered by a completed write. Every mutation of data/stack
   // goes through WriteBytes or Cpu::Run's stores, which both call this.
   void MarkDirty(uint32_t addr, uint32_t len);
 
+  // The lowest backed stack address.
+  uint32_t stack_low() const { return kStackTop - static_cast<uint32_t>(stack_.size()); }
+  // For an access to [addr, addr + len) that missed the backing: if the range
+  // lies in the stack region, extends the backing with zeros down to addr's
+  // page, and to at least twice its size, so a stack that deepens page by page
+  // is moved only a logarithmic number of times. Returns whether it did.
+  bool BackStack(uint32_t addr, uint32_t len);
+
+  // The bytes of [stack_low(), kStackTop).
+  std::vector<uint8_t> stack_;
   sim::Blob text_;
   // One slot per whole instruction of text_, each filled on its first fetch;
   // LoadImage resets them, and a copy (fork) carries them along.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -410,14 +411,25 @@ loop:   addi r1, r1, 1
   EXPECT_EQ(child.cpu, parent.cpu);
 }
 
+// The whole stack region as the program sees it, backed in host memory or not.
+std::vector<uint8_t> StackRegion(const VmContext& ctx) {
+  std::vector<uint8_t> bytes(kStackMax);
+  EXPECT_TRUE(ctx.ReadBytes(kStackBase, kStackMax, bytes.data()));
+  return bytes;
+}
+
 // Random texts, registers and stack pointers: whatever the bytes, a run stops
 // with a reason that honours the contract, and running in one-step slices
-// reaches exactly the state one long run does. The two contexts are reused, so
-// every LoadImage also replaces a previous image's decoded slots.
+// reaches exactly the state one long run does. So does a run on a context whose
+// stack is backed all the way down to kStackBase before it starts: how much of
+// the stack is backed is never observable. The contexts are reused, so every
+// LoadImage also replaces a previous image's decoded slots and stack backing.
 TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
   sim::Rng rng(0x5eed);
   VmContext ctx;
   VmContext sliced;
+  VmContext backed;
+  const uint8_t zero = 0;
   int runs = 0;
   for (int iter = 0; iter < 2000; ++iter) {
     const size_t slots = 1 + rng.Below(12);
@@ -461,7 +473,12 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
       reg = rng.Chance(0.5) ? static_cast<int64_t>(pick_target())
                             : static_cast<int64_t>(rng.Next());
     }
-    if (rng.Chance(0.5)) ctx.ArmDirtyTracking();
+    backed = ctx;
+    ASSERT_TRUE(backed.WriteBytes(kStackBase, 1, &zero));  // tracking is still disarmed
+    if (rng.Chance(0.5)) {
+      ctx.ArmDirtyTracking();
+      backed.ArmDirtyTracking();
+    }
     const IsaLevel machine = rng.Chance(0.5) ? IsaLevel::kIsa10 : IsaLevel::kIsa20;
     const int64_t budget = 1 + static_cast<int64_t>(rng.Below(64));
     sliced = ctx;
@@ -505,9 +522,23 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
     EXPECT_EQ(sliced.cpu, ctx.cpu) << where;
     EXPECT_EQ(stepper.last_fault(), cpu.last_fault()) << where;
     EXPECT_EQ(sliced.data, ctx.data) << where;
-    EXPECT_EQ(sliced.stack, ctx.stack) << where;
+    const std::vector<uint8_t> region = StackRegion(ctx);
+    EXPECT_EQ(StackRegion(sliced), region) << where;
     EXPECT_EQ(sliced.dirty.data_dirty, ctx.dirty.data_dirty) << where;
     EXPECT_EQ(sliced.dirty.stack_dirty, ctx.dirty.stack_dirty) << where;
+
+    Cpu backed_cpu(machine);
+    EXPECT_EQ(backed_cpu.Run(backed, budget), reason) << where;
+    EXPECT_EQ(backed_cpu.last_fault(), cpu.last_fault()) << where;
+    EXPECT_EQ(backed_cpu.steps_executed(), steps) << where;
+    EXPECT_EQ(backed.cpu, ctx.cpu) << where;
+    EXPECT_EQ(backed.data, ctx.data) << where;
+    EXPECT_EQ(StackRegion(backed), region) << where;
+    if (ctx.cpu.sp >= kStackBase && ctx.cpu.sp <= kStackTop) {
+      EXPECT_EQ(backed.StackContents(), ctx.StackContents()) << where;
+    }
+    EXPECT_EQ(backed.dirty.data_dirty, ctx.dirty.data_dirty) << where;
+    EXPECT_EQ(backed.dirty.stack_dirty, ctx.dirty.stack_dirty) << where;
     ++runs;
   }
   EXPECT_EQ(runs, 2000);
@@ -547,6 +578,80 @@ TEST(VmContext, StackContentsRoundTrip) {
   ASSERT_TRUE(fresh.ReadU64(fresh.cpu.sp + 8, &b));
   EXPECT_EQ(a, 0x1111);
   EXPECT_EQ(b, 0x2222);
+}
+
+// Only the touched part of the stack region is backed in host memory; the rest
+// must still read as zero, through the accessors and through the CPU.
+TEST(VmContext, UnbackedStackReadsAsZero) {
+  VmContext fresh;
+  int64_t v = -1;
+  ASSERT_TRUE(fresh.ReadU64(kStackBase, &v));
+  EXPECT_EQ(v, 0);
+
+  // A byte below the backing and one in it, read as one word.
+  VmContext ctx;
+  ctx.cpu.sp = kStackTop - 8;
+  ASSERT_TRUE(ctx.WriteU64(kStackTop - 8, -1));
+  ASSERT_TRUE(ctx.ReadU64(kStackTop - 8 - 4, &v));
+  EXPECT_EQ(v, int64_t{0xFFFFFFFF} << 32);
+
+  // A deep word written by one image is gone after the next LoadImage.
+  ASSERT_TRUE(ctx.WriteU64(kStackBase + 8, 77));
+  ctx.LoadImage(MustAssemble("movi r1, 0x7C0008\nld r2, r1, 0\nld r3, r1, -8\nsys 0\n"));
+  ctx.cpu.regs[2] = ctx.cpu.regs[3] = -1;
+  Cpu cpu(IsaLevel::kIsa20);
+  ASSERT_EQ(cpu.Run(ctx, 100), StopReason::kSyscall);
+  EXPECT_EQ(ctx.cpu.regs[2], 0);
+  EXPECT_EQ(ctx.cpu.regs[3], 0);
+  EXPECT_EQ(StackRegion(ctx), std::vector<uint8_t>(kStackMax, 0));
+}
+
+TEST(VmContext, ForkCopiesTheStack) {
+  VmContext parent;
+  parent.cpu.sp = kStackBase + 16;
+  ASSERT_TRUE(parent.WriteU64(kStackBase + 16, 11));
+  ASSERT_TRUE(parent.WriteU64(kStackTop - 8, 22));
+  VmContext child = parent;
+  EXPECT_EQ(child.StackContents(), parent.StackContents());
+  EXPECT_EQ(StackRegion(child), StackRegion(parent));
+
+  // The copies are independent.
+  ASSERT_TRUE(child.WriteU64(kStackBase + 16, 33));
+  ASSERT_TRUE(child.WriteU64(kStackBase, 44));
+  int64_t v = 0;
+  ASSERT_TRUE(parent.ReadU64(kStackBase + 16, &v));
+  EXPECT_EQ(v, 11);
+  ASSERT_TRUE(parent.ReadU64(kStackBase, &v));
+  EXPECT_EQ(v, 0);
+}
+
+TEST(VmContext, DeepPushesAfterSetStackContentsReadBack) {
+  const std::vector<uint8_t> dumped = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+  constexpr int kPushes = 20000;  // 160 KB: the backing grows many times
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble(R"(
+        movi r1, 0
+        movi r2, 20000
+loop:   push r1
+        addi r1, r1, 1
+        bne  r1, r2, loop
+        sys  0
+)"));
+  ASSERT_TRUE(ctx.SetStackContents(dumped));
+  Cpu cpu(IsaLevel::kIsa20);
+  ASSERT_EQ(cpu.Run(ctx, 4 * kPushes), StopReason::kSyscall);
+  ASSERT_EQ(ctx.cpu.sp, kStackTop - dumped.size() - 8 * kPushes);
+  for (int i = 0; i < kPushes; ++i) {
+    int64_t v = -1;
+    ASSERT_TRUE(ctx.ReadU64(ctx.cpu.sp + 8 * static_cast<uint32_t>(i), &v));
+    ASSERT_EQ(v, kPushes - 1 - i) << "push " << i;
+  }
+  const std::vector<uint8_t> contents = ctx.StackContents();
+  ASSERT_EQ(contents.size(), dumped.size() + 8 * kPushes);
+  EXPECT_TRUE(std::equal(dumped.begin(), dumped.end(), contents.end() - 16));
+  int64_t below = -1;
+  ASSERT_TRUE(ctx.ReadU64(kStackBase, &below));
+  EXPECT_EQ(below, 0);
 }
 
 TEST(VmContext, SetStackContentsRejectsOversize) {

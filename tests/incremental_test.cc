@@ -82,7 +82,13 @@ TEST(Incremental, DeltaRestoreIsBitIdenticalToFullRestore) {
   // The restored memory images and CPU state must match exactly.
   EXPECT_EQ(full->vm->text(), delta->vm->text());
   EXPECT_EQ(full->vm->data, delta->vm->data);
-  EXPECT_EQ(full->vm->stack, delta->vm->stack);
+  // The whole stack region as the process sees it, backed in host memory or not.
+  auto stack_region = [](const vm::VmContext& ctx) {
+    std::vector<uint8_t> bytes(vm::kStackMax);
+    EXPECT_TRUE(ctx.ReadBytes(vm::kStackBase, vm::kStackMax, bytes.data()));
+    return bytes;
+  };
+  EXPECT_EQ(stack_region(*full->vm), stack_region(*delta->vm));
   EXPECT_EQ(full->vm->cpu.pc, delta->vm->cpu.pc);
   for (int r = 0; r < vm::kNumRegs; ++r) {
     EXPECT_EQ(full->vm->cpu.regs[r], delta->vm->cpu.regs[r]) << "r" << r;

@@ -1,12 +1,20 @@
 // The native SyscallApi conveniences and process-level behaviours that the tools
 // rely on: ReadLine/ReadAll, Sleep accuracy, BlockUntil, preemption fairness, and
 // name-tracking under the fixed-size storage policy. Also the native-task
-// lifecycle: every way a task ends unwinds its own stack exactly once.
+// lifecycle: every way a task ends unwinds its own stack exactly once; a switch
+// keeps the state the ABI says a call preserves; stacks are reused and keep their
+// guard page; and a spawn that cannot get a stack leaves nothing behind.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <bit>
+#include <cfenv>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "src/sim/context.h"
 #include "src/sim/cost_model.h"
@@ -329,6 +337,176 @@ TEST(NativeTask, EntryUsing64KiBOfStackRunsToCompletion) {
     return SumStackBuffer(api) == 256 * (255 * 256 / 2) ? 0 : 1;
   });
   EXPECT_EQ(code, 0);
+}
+
+// The rounding mode both floating-point control registers hold, or -1 if they
+// disagree: fegetround() reads the x87 control word, and the last bit of an SSE
+// division shows MXCSR's mode.
+int RoundingMode() {
+  volatile float one = 1.0f;
+  volatile float three = 3.0f;
+  const auto bits = std::bit_cast<uint32_t>(one / three);
+  const int sse = bits == 0x3EAAAAABu ? FE_TONEAREST : bits == 0x3EAAAAAAu ? FE_TOWARDZERO : -1;
+  return sse == std::fegetround() ? sse : -1;
+}
+
+TEST(NativeTask, SwitchKeepsEachSidesRoundingMode) {
+  World world;
+  auto task_checks = std::make_shared<int>(0);
+  const int32_t pid = world.host("brick").SpawnNative(
+      "fp",
+      [task_checks](SyscallApi& api) {
+        std::fesetround(FE_TOWARDZERO);
+        for (int i = 0; i < 5; ++i) {
+          api.Sleep(sim::Millis(1));
+          if (RoundingMode() != FE_TOWARDZERO) return 1;
+          ++*task_checks;
+        }
+        return 0;
+      },
+      UserOpts(world));
+  ASSERT_EQ(RoundingMode(), FE_TONEAREST);
+  for (int i = 0; i < 100 && world.host("brick").FindProc(pid) != nullptr; ++i) {
+    world.cluster().RunFor(sim::Millis(1));
+    ASSERT_EQ(RoundingMode(), FE_TONEAREST) << "after step " << i;
+  }
+  EXPECT_EQ(world.ExitInfoOf("brick", pid).exit_code, 0);
+  EXPECT_EQ(*task_checks, 5);
+}
+
+// Twelve values loaded before a yield and checked after it: more than the six
+// callee-saved registers hold, so some live in the task's stack frame.
+[[gnu::noinline]] bool TwelveLocalsSurviveYield(SyscallApi& api, int64_t base) {
+  volatile int64_t source[12];
+  for (int i = 0; i < 12; ++i) source[i] = base * (i + 1);
+  const int64_t v0 = source[0], v1 = source[1], v2 = source[2], v3 = source[3];
+  const int64_t v4 = source[4], v5 = source[5], v6 = source[6], v7 = source[7];
+  const int64_t v8 = source[8], v9 = source[9], v10 = source[10], v11 = source[11];
+  api.Sleep(sim::Millis(1));
+  return v0 == base && v1 == 2 * base && v2 == 3 * base && v3 == 4 * base &&
+         v4 == 5 * base && v5 == 6 * base && v6 == 7 * base && v7 == 8 * base &&
+         v8 == 9 * base && v9 == 10 * base && v10 == 11 * base && v11 == 12 * base;
+}
+
+TEST(NativeTask, LiveLocalsSurviveYield) {
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  std::vector<int32_t> pids;
+  for (const int64_t base : {3, 1000003}) {
+    // Two tasks run the same code in turn, so each one's registers are
+    // clobbered while the other runs.
+    pids.push_back(k.SpawnNative(
+        "locals",
+        [base](SyscallApi& api) {
+          for (int i = 0; i < 4; ++i) {
+            if (!TwelveLocalsSurviveYield(api, base)) return 1;
+          }
+          return 0;
+        },
+        UserOpts(world)));
+  }
+  for (const int32_t pid : pids) {
+    ASSERT_TRUE(world.RunUntilExited("brick", pid));
+    EXPECT_EQ(world.ExitInfoOf("brick", pid).exit_code, 0);
+  }
+}
+
+TEST(NativeTask, FinishedTasksStackIsReused) {
+  World world;
+  std::vector<uintptr_t> frames;
+  auto record = [&frames](SyscallApi&) {
+    // The frame's address rather than a local's: under ASan's fake stacks a
+    // local may live off the task stack.
+    frames.push_back(reinterpret_cast<uintptr_t>(__builtin_frame_address(0)));
+    return 0;
+  };
+  RunUser(world, record);
+  RunUser(world, record);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], frames[1]);
+}
+
+// Recurses `depth` frames deep, each holding 1 KiB of the real stack (alloca,
+// unlike an array, never moves to ASan's fake stacks).
+[[gnu::noinline]] int64_t Recurse(int depth) {
+  auto* frame = static_cast<volatile char*>(__builtin_alloca(1024));
+  frame[0] = static_cast<char>(depth);
+  frame[1023] = 1;
+  if (depth == 0) return frame[0];
+  return Recurse(depth - 1) + frame[1023];
+}
+
+// Runs a task whose recursion overruns its stack by half again. The task sleeps
+// first, so a neighbour spawned after it, whose stack is mapped just below its
+// own, runs and blocks for good with live frames at the top of that stack. Only
+// the guard page stops the overrun: without it the frames would land in the
+// neighbour's stack, the task would return, and the process would exit 0.
+void OverflowNextToANeighbour(World& world) {
+  kernel::Kernel& k = world.host("brick");
+  const int32_t pid = k.SpawnNative(
+      "overflow",
+      [](SyscallApi& api) {
+        api.Sleep(sim::Millis(1));
+        return Recurse(3 * static_cast<int>(kernel::kTaskStackBytes / 2048)) > 0;
+      },
+      UserOpts(world));
+  k.SpawnNative(
+      "neighbour",
+      [](SyscallApi& api) {
+        api.BlockUntil([] { return false; });
+        return 0;
+      },
+      UserOpts(world));
+  world.RunUntilExited("brick", pid);
+  std::_Exit(0);  // skips unwinding a neighbour the overrun trampled
+}
+
+TEST(NativeTaskDeathTest, OverflowFaultsOnTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        World world;
+        OverflowNextToANeighbour(world);
+      },
+      "");
+  // The same on a stack a finished task gave back.
+  EXPECT_DEATH(
+      {
+        World world;
+        RunUser(world, [](SyscallApi&) { return 0; });
+        OverflowNextToANeighbour(world);
+      },
+      "");
+}
+
+// A host that cannot map a task stack gets an exception from SpawnNative and no
+// half-made process: the next quantum runs normally.
+TEST(NativeTaskDeathTest, SpawnWithoutStackLeavesNoProcess) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer cannot run under an address-space limit";
+#endif
+  EXPECT_EXIT(
+      {
+        test::WorldOptions options;
+        options.num_hosts = 1;
+        World world(options);
+        kernel::Kernel& k = world.host("brick");
+        const size_t procs = k.ListProcs().size();
+        rlimit saved{};
+        getrlimit(RLIMIT_AS, &saved);
+        rlimit none = saved;
+        none.rlim_cur = 0;
+        setrlimit(RLIMIT_AS, &none);
+        bool threw = false;
+        try {
+          k.SpawnNative("nostack", [](SyscallApi&) { return 0; }, UserOpts(world));
+        } catch (const std::system_error&) {
+          threw = true;
+        }
+        setrlimit(RLIMIT_AS, &saved);
+        world.cluster().RunFor(sim::Millis(100));
+        std::exit(threw && k.ListProcs().size() == procs ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
