@@ -1,7 +1,8 @@
 #!/bin/sh
-# The full verification pipeline, one command: the -Werror tier-1 build +
-# ctest, the ASan and UBSan builds + ctest, the bench gates, and the two-clock
-# benchmark's own unit tests. Run from the repository root.
+# The full verification pipeline, one command: the tier-1, ASan and UBSan
+# builds (all three with warnings as errors) and their ctest runs, the bench
+# gates, and the two-clock benchmark's own unit tests. Run from the repository
+# root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,8 +20,8 @@ cmake --build build -j "$jobs"
 echo "== tier-1 ctest =="
 (cd build && ctest --output-on-failure --timeout 300 -j "$jobs")
 
-echo "== ASan build =="
-cmake -B build-asan -S . -DPMIG_SANITIZE=address >/dev/null
+echo "== ASan build (warnings are errors) =="
+cmake -B build-asan -S . -DPMIG_SANITIZE=address -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$jobs"
 
 echo "== ASan ctest =="
@@ -30,8 +31,8 @@ echo "== ASan ctest =="
 (cd build-asan &&
   ASAN_OPTIONS=detect_stack_use_after_return=1 ctest --output-on-failure --timeout 300 -j "$jobs")
 
-echo "== UBSan build =="
-cmake -B build-ubsan -S . -DPMIG_SANITIZE=undefined >/dev/null
+echo "== UBSan build (warnings are errors) =="
+cmake -B build-ubsan -S . -DPMIG_SANITIZE=undefined -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-ubsan -j "$jobs"
 
 echo "== UBSan ctest =="

@@ -84,18 +84,21 @@ Result<SlotArray> LoadMeta(kernel::SyscallApi& api, const std::string& dir, int 
   return slots;
 }
 
-// Archives the content-addressed segment blobs an incremental dump references
-// (its text, and its delta base) from /var/segcache into <dir>/seg.<hex>, so the
-// checkpoint directory can be restored even after the cache is purged. Blobs are
-// immutable and shared across checkpoints, so an existing copy is kept as-is.
+// The digests of the content-addressed segment blobs an a.out references: an
+// incremental dump's text and its delta base. None for a full a.out.
+Result<std::vector<uint64_t>> ReferencedSegments(const std::string& aout_bytes) {
+  if (!core::IsIncrAout(aout_bytes)) return std::vector<uint64_t>{};
+  PMIG_TRY(core::IncrAout incr, core::IncrAout::Parse(aout_bytes));
+  return std::vector<uint64_t>{incr.text_digest, incr.base_digest};
+}
+
+// Archives the segment blobs an incremental dump references from
+// /var/segcache into <dir>/seg.<hex>, so the checkpoint directory can be
+// restored even after the cache is purged. Blobs are immutable and shared
+// across checkpoints, so an existing copy is kept as-is.
 Status ArchiveSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
                        const std::string& dir) {
-  if (!core::IsIncrAout(aout_bytes)) return Status::Ok();
-  PMIG_TRY(core::IncrAout incr, core::IncrAout::Parse(aout_bytes));
-  std::vector<uint64_t> digests = {incr.text_digest};
-  if (incr.encoding == core::IncrAout::DataEncoding::kDelta) {
-    digests.push_back(incr.base_digest);
-  }
+  PMIG_TRY(const std::vector<uint64_t> digests, ReferencedSegments(aout_bytes));
   for (uint64_t digest : digests) {
     const std::string dst = dir + "/seg." + sim::HexDigest(digest);
     if (api.Stat(dst).ok()) continue;
@@ -108,12 +111,7 @@ Status ArchiveSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
 // reconstruct the incremental dump. Blobs already cached locally are left alone.
 Status RestoreSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
                        const std::string& dir) {
-  if (!core::IsIncrAout(aout_bytes)) return Status::Ok();
-  PMIG_TRY(core::IncrAout incr, core::IncrAout::Parse(aout_bytes));
-  std::vector<uint64_t> digests = {incr.text_digest};
-  if (incr.encoding == core::IncrAout::DataEncoding::kDelta) {
-    digests.push_back(incr.base_digest);
-  }
+  PMIG_TRY(const std::vector<uint64_t> digests, ReferencedSegments(aout_bytes));
   for (uint64_t digest : digests) {
     const std::string cached = core::SegCachePath(digest);
     if (api.Stat(cached).ok()) continue;
@@ -171,9 +169,10 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
     SlotRecord& rec = slots[static_cast<size_t>(i)];
     const SlotRecord& was = prev[static_cast<size_t>(i)];
     if (was.state != 0 && was.hash == hash) {
-      // FNV-1a equality is a hint, not proof of identity (see hash.h), and the
-      // restore-time digest cannot catch a collision either (colliding contents
-      // hash alike by definition). Confirm against the prior copy's bytes.
+      // Digest equality is a hint, not proof of identity: the digest is not
+      // cryptographic (see hash.h), and the restore-time digest cannot catch a
+      // collision either (colliding contents hash alike by definition).
+      // Confirm against the prior copy's bytes.
       const Result<std::string> prior =
           ReadWholeFile(api, CkptName(dir, was.source, "open" + std::to_string(i)));
       if (prior.ok() && *prior == *bytes) {

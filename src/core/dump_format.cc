@@ -118,10 +118,12 @@ std::string SegCachePath(uint64_t digest, const std::string& nfs_prefix) {
   return nfs_prefix + kSegCacheDir + "/" + sim::HexDigest(digest);
 }
 
+// The data-encoding byte of an incremental a.out. Its one value means a delta
+// against a cached base; any other is rejected.
+constexpr uint8_t kDeltaEncoding = 1;
+
 int64_t IncrAout::FullEquivalentBytes() const {
-  const uint32_t data_size =
-      encoding == DataEncoding::kFull ? static_cast<uint32_t>(full_data.size()) : full_size;
-  return static_cast<int64_t>(vm::kAoutHeaderBytes) + text_size + data_size;
+  return static_cast<int64_t>(vm::kAoutHeaderBytes) + text_size + full_size;
 }
 
 std::string IncrAout::Serialize() const {
@@ -132,18 +134,14 @@ std::string IncrAout::Serialize() const {
   w.U32(entry);
   w.U64(text_digest);
   w.U32(text_size);
-  w.U8(static_cast<uint8_t>(encoding));
-  if (encoding == DataEncoding::kFull) {
-    w.Blob(full_data);
-  } else {
-    w.U64(base_digest);
-    w.U64(result_digest);
-    w.U32(full_size);
-    w.U32(static_cast<uint32_t>(pages.size()));
-    for (const DeltaPage& page : pages) {
-      w.U32(page.index);
-      w.Blob(page.bytes);
-    }
+  w.U8(kDeltaEncoding);
+  w.U64(base_digest);
+  w.U64(result_digest);
+  w.U32(full_size);
+  w.U32(static_cast<uint32_t>(pages.size()));
+  for (const DeltaPage& page : pages) {
+    w.U32(page.index);
+    w.Blob(page.bytes);
   }
   return w.Take();
 }
@@ -157,31 +155,25 @@ Result<IncrAout> IncrAout::Parse(std::string_view bytes) {
   a.entry = r.U32();
   a.text_digest = r.U64();
   a.text_size = r.U32();
-  const uint8_t enc = r.U8();
-  if (enc > static_cast<uint8_t>(DataEncoding::kDelta)) return Errno::kNoExec;
-  a.encoding = static_cast<DataEncoding>(enc);
-  if (a.encoding == DataEncoding::kFull) {
-    a.full_data = r.Blob();
-  } else {
-    a.base_digest = r.U64();
-    a.result_digest = r.U64();
-    a.full_size = r.U32();
-    const uint32_t npages = r.U32();
-    if (!r.ok()) return Errno::kNoExec;
-    // The count is untrusted: bound it before allocating. Every page takes at
-    // least 8 bytes (index + length), and a delta has at most one entry per
-    // page of the segment.
-    constexpr size_t kMinPageBytes = 2 * sizeof(uint32_t);
-    const uint64_t segment_pages =
-        (uint64_t{a.full_size} + vm::kDirtyPageBytes - 1) / vm::kDirtyPageBytes;
-    if (npages > r.remaining() / kMinPageBytes || npages > segment_pages) {
-      return Errno::kNoExec;
-    }
-    a.pages.resize(npages);
-    for (DeltaPage& page : a.pages) {
-      page.index = r.U32();
-      page.bytes = r.Blob();
-    }
+  if (r.U8() != kDeltaEncoding) return Errno::kNoExec;
+  a.base_digest = r.U64();
+  a.result_digest = r.U64();
+  a.full_size = r.U32();
+  const uint32_t npages = r.U32();
+  if (!r.ok()) return Errno::kNoExec;
+  // The count is untrusted: bound it before allocating. Every page takes at
+  // least 8 bytes (index + length), and a delta has at most one entry per page
+  // of the segment.
+  constexpr size_t kMinPageBytes = 2 * sizeof(uint32_t);
+  const uint64_t segment_pages =
+      (uint64_t{a.full_size} + vm::kDirtyPageBytes - 1) / vm::kDirtyPageBytes;
+  if (npages > r.remaining() / kMinPageBytes || npages > segment_pages) {
+    return Errno::kNoExec;
+  }
+  a.pages.resize(npages);
+  for (DeltaPage& page : a.pages) {
+    page.index = r.U32();
+    page.bytes = r.Blob();
   }
   if (!r.ok() || !r.AtEnd()) return Errno::kNoExec;
   return a;
@@ -199,7 +191,6 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype) {
   a.entry = 0;
   a.text_digest = ctx.text().Digest();
   a.text_size = static_cast<uint32_t>(ctx.text().size());
-  a.encoding = IncrAout::DataEncoding::kDelta;
   a.base_digest = dirty.base.Digest();
   a.result_digest = sim::HashBytes(ctx.data);
   a.full_size = static_cast<uint32_t>(ctx.data.size());
@@ -221,32 +212,28 @@ Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr, sim::Blob t
   if (text.size() != incr.text_size) return Errno::kNoExec;
   if (text.Digest() != incr.text_digest) return Errno::kNoExec;
 
+  if (base.size() != incr.full_size) return Errno::kNoExec;
+  if (base.Digest() != incr.base_digest) return Errno::kNoExec;
+
   ReconstructedImage out;
   out.image.text = std::move(text);
-  if (incr.encoding == IncrAout::DataEncoding::kFull) {
-    out.image.data = incr.full_data;
-  } else {
-    if (base.size() != incr.full_size) return Errno::kNoExec;
-    if (base.Digest() != incr.base_digest) return Errno::kNoExec;
-    std::vector<uint8_t> data(base.begin(), base.end());
-    std::vector<uint32_t> dirty_pages;
-    for (const IncrAout::DeltaPage& page : incr.pages) {
-      const uint64_t start = uint64_t{page.index} * vm::kDirtyPageBytes;
-      if (start + page.bytes.size() > data.size() ||
-          page.bytes.size() > vm::kDirtyPageBytes) {
-        return Errno::kNoExec;
-      }
-      std::copy(page.bytes.begin(), page.bytes.end(),
-                data.begin() + static_cast<ptrdiff_t>(start));
-      dirty_pages.push_back(page.index);
+  std::vector<uint8_t> data(base.begin(), base.end());
+  std::vector<uint32_t> dirty_pages;
+  for (const IncrAout::DeltaPage& page : incr.pages) {
+    const uint64_t start = uint64_t{page.index} * vm::kDirtyPageBytes;
+    if (start + page.bytes.size() > data.size() || page.bytes.size() > vm::kDirtyPageBytes) {
+      return Errno::kNoExec;
     }
-    // Final check: the patched segment must hash to what the dumper recorded, so
-    // a stale cache entry or a digest collision can never restore wrong bytes.
-    // These bytes are new, so this hash always runs.
-    if (sim::HashBytes(data) != incr.result_digest) return Errno::kNoExec;
-    out.image.data = std::move(data);
-    out.delta = vm::DeltaBase{std::move(base), std::move(dirty_pages)};
+    std::copy(page.bytes.begin(), page.bytes.end(),
+              data.begin() + static_cast<ptrdiff_t>(start));
+    dirty_pages.push_back(page.index);
   }
+  // Final check: the patched segment must hash to what the dumper recorded, so
+  // a stale cache entry or a digest collision can never restore wrong bytes.
+  // These bytes are new, so this hash always runs.
+  if (sim::HashBytes(data) != incr.result_digest) return Errno::kNoExec;
+  out.image.data = std::move(data);
+  out.delta = vm::DeltaBase{std::move(base), std::move(dirty_pages)};
   out.image.header.magic = vm::kAoutMagic;
   out.image.header.machtype = incr.machtype;
   out.image.header.text_size = static_cast<uint32_t>(out.image.text.size());
@@ -310,9 +297,8 @@ bool VerifyDumpBytes(const std::vector<std::pair<std::string, sim::Blob>>& files
     } else if (base.rfind("a.out", 0) == 0) {
       if (IsIncrAout(bytes)) {
         if (!IncrAout::Parse(bytes).ok()) return false;
-      } else {
-        const std::vector<uint8_t> raw(blob.begin(), blob.end());
-        if (!vm::AoutImage::Parse(raw).ok()) return false;
+      } else if (!vm::AoutImage::Parse(bytes).ok()) {
+        return false;
       }
     } else if (base.rfind("files", 0) == 0) {
       if (!FilesFile::Parse(bytes).ok()) return false;

@@ -109,10 +109,9 @@ DumpMarker ParseDumpMarker(const std::string& bytes);
 //
 // An incremental a.outXXXXX never carries text: text is immutable, so it is
 // referenced by content digest and resolved from a per-host segment cache
-// (/var/segcache/<16-hex-digest>). Data is either a full blob (first dump of a
-// process whose base is not worth referencing) or a delta: a base digest plus
-// the dirty 1 KB pages. Reconstruction is strictly validated — any digest or
-// size mismatch is an Errno, never a silently wrong restore.
+// (/var/segcache/<16-hex-digest>). Data is a delta: a base digest plus the
+// dirty 1 KB pages. Reconstruction is strictly validated — any digest or size
+// mismatch is an Errno, never a silently wrong restore.
 
 constexpr uint32_t kIncrAoutMagic = 0446;  // next octal after files' 0445
 constexpr uint32_t kIncrAoutVersion = 1;
@@ -130,12 +129,7 @@ struct IncrAout {
   uint64_t text_digest = 0;
   uint32_t text_size = 0;
 
-  // Data segment: full bytes, or a delta against a cached base.
-  enum class DataEncoding : uint8_t { kFull = 0, kDelta = 1 };
-  DataEncoding encoding = DataEncoding::kFull;
-  std::vector<uint8_t> full_data;  // kFull only
-
-  // kDelta only.
+  // Data segment: a delta against a cached base.
   uint64_t base_digest = 0;
   uint64_t result_digest = 0;  // digest of the reconstructed data segment
   uint32_t full_size = 0;      // size of base and of the result
@@ -163,14 +157,14 @@ IncrAout BuildIncrAout(const vm::VmContext& ctx, uint32_t machtype);
 // restored process (so its *next* dump stays a delta against the same base).
 struct ReconstructedImage {
   vm::AoutImage image;  // its text shares the fetched text blob
-  std::optional<vm::DeltaBase> delta;  // kDelta: the fetched base, dirty pages
+  std::optional<vm::DeltaBase> delta;  // the fetched base, dirty pages
 };
 
 // Reconstructs the full image from an incremental dump plus the cached
-// segments. `text` must hash to incr.text_digest; for kDelta dumps `base` must
-// hash to incr.base_digest. Those two read the blobs' kept digests; the
-// patched result is always hashed afresh and must match incr.result_digest.
-// Errno::kNoExec on any mismatch.
+// segments. `text` must hash to incr.text_digest and `base` to
+// incr.base_digest. Those two read the blobs' kept digests; the patched result
+// is always hashed afresh and must match incr.result_digest. Errno::kNoExec on
+// any mismatch.
 Result<ReconstructedImage> ReconstructIncrAout(const IncrAout& incr, sim::Blob text,
                                                sim::Blob base);
 

@@ -142,15 +142,11 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
     const std::string nfs_prefix = NfsPrefixOf(aout_path);
     PMIG_TRY(sim::Blob text,
              FetchSegment(k, p, incr.text_digest, incr.text_size, nfs_prefix, "text"));
-    sim::Blob base;
-    if (incr.encoding == IncrAout::DataEncoding::kDelta) {
-      PMIG_TRY(base,
-               FetchSegment(k, p, incr.base_digest, incr.full_size, nfs_prefix, "data"));
-    }
+    PMIG_TRY(sim::Blob base,
+             FetchSegment(k, p, incr.base_digest, incr.full_size, nfs_prefix, "data"));
     PMIG_TRY(recon, ReconstructIncrAout(incr, std::move(text), std::move(base)));
   } else {
-    PMIG_TRY(recon.image,
-             vm::AoutImage::Parse(std::vector<uint8_t>(aout_bytes.begin(), aout_bytes.end())));
+    PMIG_TRY(recon.image, vm::AoutImage::Parse(aout_bytes));
   }
 
   // 3. Set the global flag indicating process migration and the stack-size
@@ -165,7 +161,7 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // cache) with the restored pages pre-marked dirty, so the next dump is again
   // a cumulative delta and never has to ship a new full-size base blob.
   const Status exec_status =
-      k.OverlayVmImage(p, recon.image, {}, recon.delta ? &*recon.delta : nullptr);
+      k.OverlayVmImage(p, std::move(recon.image), {}, recon.delta ? &*recon.delta : nullptr);
   // 5. Reset the flag so that further calls to execve() work properly.
   k.ClearRestProcExec();
   if (!exec_status.ok()) {

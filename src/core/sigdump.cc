@@ -12,8 +12,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     return Errno::kInval;
   }
   const vm::VmContext& ctx = *p.vm;
-  const uint32_t machtype =
-      vm::RequiredLevel(ctx.text().data(), ctx.text().size()) == vm::IsaLevel::kIsa20 ? 20 : 10;
+  const uint32_t machtype = k.TextLevel(ctx.text()) == vm::IsaLevel::kIsa20 ? 20 : 10;
 
   // --- a.outXXXXX. Full dump: text + data behind an ordinary exec header
   // (running it from scratch is the `undump` behaviour: fresh start, dumped
@@ -56,8 +55,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     image.data = ctx.data;
     image.header.entry = 0;  // entry is only used when executed as a fresh program
     image.header.machtype = machtype;
-    const std::vector<uint8_t> raw = image.Serialize();
-    aout_bytes.assign(raw.begin(), raw.end());
+    aout_bytes = image.Serialize();
   }
 
   // --- filesXXXXX: user-level restart information.

@@ -455,15 +455,12 @@ std::string WithPadding(std::string_view source, int extra_text_instructions,
 
 namespace {
 
-std::vector<uint8_t> AssembleExecutable(std::string_view source) {
+std::string AssembleExecutable(std::string_view source) {
   return vm::MustAssemble(source).Serialize();
 }
 
-void WriteExecutable(kernel::Kernel& host, const std::string& path,
-                     const std::vector<uint8_t>& bytes) {
-  host.vfs().SetupCreateFile(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                                    bytes.size()),
-                             /*uid=*/0, /*mode=*/0755);
+void WriteExecutable(kernel::Kernel& host, const std::string& path, std::string_view bytes) {
+  host.vfs().SetupCreateFile(path, bytes, /*uid=*/0, /*mode=*/0755);
 }
 
 }  // namespace
@@ -475,7 +472,7 @@ void InstallProgram(kernel::Kernel& host, const std::string& path, std::string_v
 void InstallStandardPrograms(kernel::Kernel& host) {
   // The sources are constants, so each is assembled once per process and every
   // host gets a copy of the same bytes.
-  static const std::vector<std::pair<std::string, std::vector<uint8_t>>> kExecutables = [] {
+  static const std::vector<std::pair<std::string, std::string>> kExecutables = [] {
     const std::pair<const char*, std::string_view> programs[] = {
         {"/bin/counter", CounterProgramSource()},
         {"/bin/hog", CpuHogProgramSource()},
@@ -488,7 +485,7 @@ void InstallStandardPrograms(kernel::Kernel& host) {
         {"/bin/deepstack", DeepStackProgramSource()},
         {"/bin/dirtier", DirtierProgramSource()},
     };
-    std::vector<std::pair<std::string, std::vector<uint8_t>>> out;
+    std::vector<std::pair<std::string, std::string>> out;
     for (const auto& [path, source] : programs) out.emplace_back(path, AssembleExecutable(source));
     return out;
   }();

@@ -838,8 +838,7 @@ int Undump(kernel::SyscallApi& api, const std::string& aout_path,
     Complain(api, "undump: " + aout_path + " is an incremental dump; use restart");
     return 1;
   }
-  Result<vm::AoutImage> image =
-      vm::AoutImage::Parse(std::vector<uint8_t>(aout_bytes->begin(), aout_bytes->end()));
+  Result<vm::AoutImage> image = vm::AoutImage::Parse(*aout_bytes);
   if (!image.ok()) {
     Complain(api, "undump: " + aout_path + " is not an executable");
     return 1;
@@ -861,8 +860,7 @@ int Undump(kernel::SyscallApi& api, const std::string& aout_path,
   }
 
   image->data = core->data;  // statics take their values at the time of death
-  const std::vector<uint8_t> out = image->Serialize();
-  if (!WriteFileContents(api, output_path, std::string(out.begin(), out.end()), 0755).ok()) {
+  if (!WriteFileContents(api, output_path, image->Serialize(), 0755).ok()) {
     Complain(api, "undump: cannot write " + output_path);
     return 1;
   }

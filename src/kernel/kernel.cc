@@ -468,19 +468,20 @@ void Kernel::TerminateProc(Proc& p, ExitInfo info) {
   }
 }
 
-Status Kernel::OverlayVmImage(Proc& p, const vm::AoutImage& image,
+Status Kernel::OverlayVmImage(Proc& p, vm::AoutImage image,
                               const std::vector<std::string>& args,
                               const vm::DeltaBase* restored) {
   if (!vm::IsaCompatible(image.isa_level(), config_.isa)) {
     return Errno::kNoExec;  // 68020 binary on a 68010 machine
   }
+  // Counted before the image moves into the context.
+  const auto image_bytes = static_cast<sim::Nanos>(image.text.size() + image.data.size());
   if (p.vm == nullptr) p.vm = std::make_unique<vm::VmContext>();
-  p.vm->LoadImage(image);
+  p.vm->LoadImage(std::move(image));
   p.dump_incremental = false;  // a new image invalidates any pending delta mode
   if (config_.track_dirty_pages) p.vm->ArmDirtyTracking(restored);
   ChargeCpu(p, costs_->exec_overhead);
-  ChargeCpu(p, static_cast<sim::Nanos>(image.text.size() + image.data.size()) *
-                   costs_->buffer_copy_per_byte);
+  ChargeCpu(p, image_bytes * costs_->buffer_copy_per_byte);
 
   vm::VmContext& ctx = *p.vm;
   if (restproc_flag_) {
@@ -518,6 +519,14 @@ Status Kernel::OverlayVmImage(Proc& p, const vm::AoutImage& image,
   ctx.cpu.regs[0] = static_cast<int64_t>(args.size());
   ctx.cpu.regs[1] = argv_addr;
   return Status::Ok();
+}
+
+vm::IsaLevel Kernel::TextLevel(const sim::Blob& text) {
+  if (text.data() != level_text_.data() || text.size() != level_text_.size()) {
+    level_ = vm::RequiredLevel(text.data(), text.size());
+    level_text_ = text;
+  }
+  return level_;
 }
 
 void Kernel::Trace(sim::TraceCategory cat, int32_t pid, std::string text) {

@@ -316,9 +316,18 @@ class Kernel {
   // (file reads are charged by the caller). Fails on ISA mismatch. With
   // track_dirty_pages it arms tracking once: against `restored` (a restored
   // delta's original base) when given, else against the image's data.
-  Status OverlayVmImage(Proc& p, const vm::AoutImage& image,
-                        const std::vector<std::string>& args,
+  // The image is taken by value: callers move it in, and its data becomes the
+  // process's data segment without another copy.
+  Status OverlayVmImage(Proc& p, vm::AoutImage image, const std::vector<std::string>& args,
                         const vm::DeltaBase* restored = nullptr);
+
+  // vm::RequiredLevel of a program text, scanned once per text buffer: text is
+  // immutable, so the kernel keeps the last text it scanned with its level and
+  // answers from them while the same buffer comes back (a process dumped hop
+  // after hop shares one text blob). Holding the blob keeps its buffer alive,
+  // so an equal data() and size() mean the same bytes. A digest match would
+  // not do: equal digests do not prove equal bytes.
+  vm::IsaLevel TextLevel(const sim::Blob& text);
 
   // --- Fd plumbing for spawn-time stdio setup (boot, rsh, daemons) ---
   // An OpenFile on a terminal's device node (O_RDWR), for wiring fds 0/1/2.
@@ -414,6 +423,10 @@ class Kernel {
   // The Section 5.2 "global flag" protocol between rest_proc() and execve().
   bool restproc_flag_ = false;
   uint32_t restproc_stack_size_ = 0;
+
+  // TextLevel's memo: the last text scanned, and its level.
+  sim::Blob level_text_;
+  vm::IsaLevel level_ = vm::IsaLevel::kIsa10;
 };
 
 // RAII phase span opened in a process's distributed-trace context: the span

@@ -608,9 +608,8 @@ Status Kernel::SysExecve(Proc& p, std::string_view path, const std::vector<std::
     sink->ChargeWait(io.wait + (vfs_->InodeIsRemote(*r.inode) ? costs_->nfs_rpc
                                                               : costs_->inode_fetch));
   }
-  PMIG_TRY(vm::AoutImage image,
-           vm::AoutImage::Parse(std::vector<uint8_t>(bytes.begin(), bytes.end())));
-  PMIG_RETURN_IF_ERROR(OverlayVmImage(p, image, args));
+  PMIG_TRY(vm::AoutImage image, vm::AoutImage::Parse(bytes));
+  PMIG_RETURN_IF_ERROR(OverlayVmImage(p, std::move(image), args));
   p.command = vfs::Basename(path);
 
   timers_.execve.cpu = (p.stime + p.utime) - cpu0;

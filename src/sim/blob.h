@@ -3,8 +3,11 @@
 // travels — an a.out image, a VM context, a dump file, an inode.
 //
 // Copies share the bytes and the digest. The bytes never change after
-// construction, so the FNV-1a digest computed on the first Digest() call stays
-// the digest of the bytes for the blob's whole life (see sim/hash.h). Changed
+// construction, so the digest computed on the first Digest() call stays the
+// digest of the bytes for the blob's whole life. The digest is sim::HashBytes
+// (XXH64, word-parallel: see sim/hash.h), which is not cryptographic, so a
+// digest match vouches for bytes only together with the re-check of the
+// reconstructed data that restore always runs. Changed
 // bytes — a patched data segment, an injected or test-made corruption — are
 // always a new Blob, which hashes afresh. The simulator runs on one host
 // thread, so keeping the digest needs no synchronisation.
@@ -41,7 +44,7 @@ class Blob {
   const uint8_t* begin() const { return data(); }
   const uint8_t* end() const { return data() + size(); }
 
-  // FNV-1a of the bytes, computed on the first call and kept for every copy.
+  // HashBytes of the bytes, computed on the first call and kept for every copy.
   uint64_t Digest() const {
     if (rep_ == nullptr) return HashBytes(view());
     if (!rep_->hashed) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/blob.h"
@@ -45,11 +46,11 @@ struct AoutImage {
   }
 
   // Serialises header + text + data into the on-disk byte stream.
-  std::vector<uint8_t> Serialize() const;
+  std::string Serialize() const;
 
   // Parses and validates an executable file. Fails with kNoExec on a bad magic or
   // inconsistent sizes.
-  static Result<AoutImage> Parse(const std::vector<uint8_t>& bytes);
+  static Result<AoutImage> Parse(std::string_view bytes);
 };
 
 }  // namespace pmig::vm

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace pmig::vm {
 
@@ -36,10 +37,10 @@ constexpr uint8_t kUndecoded = kBadSlot + 1;
 
 }  // namespace
 
-void VmContext::LoadImage(const AoutImage& image) {
-  text_ = image.text;
+void VmContext::LoadImage(AoutImage image) {
+  text_ = std::move(image.text);
   decoded_.assign(text_.size() / kInstrBytes, DecodedInstr{kUndecoded, 0, 0, 0, 0});
-  data = image.data;
+  data = std::move(image.data);
   stack_.clear();
   cpu = CpuState{};
   cpu.pc = image.header.entry;

@@ -96,8 +96,9 @@ struct VmContext {
 
   // Loads an executable image: resets segments and registers, pc at entry, empty
   // stack. (The modified execve() of Section 5.2 instead pre-sizes the stack; that
-  // logic lives in the kernel.)
-  void LoadImage(const AoutImage& image);
+  // logic lives in the kernel.) A moved-in image's data becomes the data segment
+  // without a copy.
+  void LoadImage(AoutImage image);
 
   // The text segment, shared with the image it was loaded from. It is
   // execute-only and changes only through LoadImage, which is what lets

@@ -236,15 +236,15 @@ TEST(Aout, SerializeParseRoundTrip) {
 
 TEST(Aout, RejectsBadMagic) {
   AoutImage img;
-  std::vector<uint8_t> bytes = img.Serialize();
-  bytes[0] ^= 0xFF;
+  std::string bytes = img.Serialize();
+  bytes[0] = static_cast<char>(bytes[0] ^ 0xFF);
   EXPECT_EQ(AoutImage::Parse(bytes).error(), Errno::kNoExec);
 }
 
 TEST(Aout, RejectsTruncated) {
   AoutImage img;
   img.text = sim::Blob(std::vector<uint8_t>(kInstrBytes));
-  std::vector<uint8_t> bytes = img.Serialize();
+  std::string bytes = img.Serialize();
   bytes.resize(bytes.size() - 4);
   EXPECT_EQ(AoutImage::Parse(bytes).error(), Errno::kNoExec);
 }

@@ -4,7 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <new>
+
 #include "src/kernel/core_file.h"
+#include "src/sim/rng.h"
+
+namespace {
+// The largest single allocation since the mutation test last reset it.
+std::size_t g_largest_allocation = 0;
+}  // namespace
+
+// The default operator new and delete, plus a record of the largest request,
+// which the delta a.out mutation test below bounds by its input. Kept out of
+// line, like the library versions they replace.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_largest_allocation = std::max(g_largest_allocation, size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pmig::core {
 namespace {
@@ -145,7 +166,6 @@ IncrAout SampleDelta(uint32_t full_size) {
   a.machtype = 10;
   a.text_digest = 0x1111;
   a.text_size = 64;
-  a.encoding = IncrAout::DataEncoding::kDelta;
   a.base_digest = 0x2222;
   a.result_digest = 0x3333;
   a.full_size = full_size;
@@ -177,6 +197,171 @@ TEST(IncrAout, MorePagesThanTheSegmentHasIsRejected) {
   a.pages.push_back({0, {1}});
   a.pages.push_back({0, {2}});
   EXPECT_EQ(IncrAout::Parse(a.Serialize()).error(), Errno::kNoExec);
+}
+
+// --- A seeded mutation test of the delta a.out: parse, then reconstruct ---
+
+// One real delta a.out with the text and base blobs it was taken against, and
+// the live data it must restore: 5.5 pages of data (the last page is partial),
+// three of them written since the base was armed.
+struct RealDelta {
+  std::string bytes;
+  sim::Blob text;
+  sim::Blob base;
+  std::vector<uint8_t> live_data;
+};
+
+RealDelta MakeRealDelta() {
+  vm::AoutImage image;
+  std::vector<uint8_t> text(64 * vm::kInstrBytes);
+  for (size_t i = 0; i < text.size(); ++i) text[i] = static_cast<uint8_t>(i % 29);
+  image.text = sim::Blob(text);
+  image.data.resize(5 * vm::kDirtyPageBytes + 512);
+  for (size_t i = 0; i < image.data.size(); ++i) {
+    image.data[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  vm::VmContext ctx;
+  ctx.LoadImage(std::move(image));
+  ctx.ArmDirtyTracking();
+  const uint8_t word[] = {0xde, 0xad, 0xbe, 0xef};
+  for (const uint32_t offset : {0u, 2 * vm::kDirtyPageBytes + 100, 5 * vm::kDirtyPageBytes + 500}) {
+    EXPECT_TRUE(ctx.WriteBytes(vm::kDataBase + offset, sizeof(word), word));
+  }
+  return {BuildIncrAout(ctx, 10).Serialize(), ctx.text(), ctx.dirty.base, ctx.data};
+}
+
+uint32_t GetU32(const std::string& b, size_t at) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 4; ++i) v |= uint32_t{static_cast<uint8_t>(b[at + i])} << (8 * i);
+  return v;
+}
+
+void PutU32(std::string& b, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) b[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+// Byte offsets of the delta a.out's fixed fields (see IncrAout::Serialize).
+constexpr size_t kU32Fields[] = {8, 12, 24, 45, 49};  // machtype entry text_size full_size npages
+constexpr size_t kEncodingByte = 28;
+constexpr size_t kDigestFields[] = {16, 29, 37};  // text, base, result
+constexpr size_t kFirstPage = 53;
+
+TEST(IncrAoutFuzz, MutatedDeltasFailCleanlyOrRestoreExactData) {
+  const RealDelta real = MakeRealDelta();
+  {
+    const Result<IncrAout> parsed = IncrAout::Parse(real.bytes);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed->pages.size(), 3u);
+    const Result<ReconstructedImage> recon = ReconstructIncrAout(*parsed, real.text, real.base);
+    ASSERT_TRUE(recon.ok());
+    ASSERT_EQ(recon->image.data, real.live_data);
+  }
+  // Where each page record's index and length fields sit.
+  std::vector<size_t> page_at;
+  for (size_t at = kFirstPage; at < real.bytes.size(); at += 8 + GetU32(real.bytes, at + 4)) {
+    page_at.push_back(at);
+  }
+  ASSERT_EQ(page_at.size(), 3u);
+
+  sim::Rng rng(0xde17a);
+  // An edited 32-bit field: off by one, an extreme, a small number, or noise.
+  auto edit = [&rng](uint32_t was) -> uint32_t {
+    switch (rng.Below(6)) {
+      case 0: return was + 1;
+      case 1: return was - 1;
+      case 2: return 0;
+      case 3: return 0xFFFFFFFFu;
+      case 4: return static_cast<uint32_t>(rng.Below(8));
+      default: return static_cast<uint32_t>(rng.Next());
+    }
+  };
+  int restored = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = real.bytes;
+    sim::Blob text = real.text;
+    sim::Blob base = real.base;
+    const size_t page = page_at[rng.Below(page_at.size())];
+    switch (rng.Below(7)) {
+      case 0:  // bit flips anywhere
+        for (uint64_t n = 1 + rng.Below(4); n > 0; --n) {
+          bytes[rng.Below(bytes.size())] ^= static_cast<char>(1 << rng.Below(8));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(rng.Below(bytes.size()));
+        break;
+      case 2: {  // a splice of the file's own bytes, over or into it
+        const size_t from = rng.Below(bytes.size());
+        const std::string chunk = bytes.substr(from, 1 + rng.Below(1100));
+        const size_t to = rng.Below(bytes.size());
+        if (rng.Chance(0.5)) {
+          bytes.insert(to, chunk);
+        } else {
+          bytes.replace(to, chunk.size(), chunk);
+        }
+        break;
+      }
+      case 3:  // a page index
+        PutU32(bytes, page, edit(GetU32(bytes, page)));
+        break;
+      case 4: {  // a page length, alone or with the bytes it counts
+        const uint32_t len = GetU32(bytes, page + 4);
+        if (rng.Chance(0.5)) {
+          PutU32(bytes, page + 4, edit(len));
+        } else {
+          const uint32_t now = static_cast<uint32_t>(rng.Below(len + 64));
+          if (now < len) {
+            bytes.erase(page + 8 + now, len - now);
+          } else {
+            bytes.insert(page + 8 + len, now - len, '\x5a');
+          }
+          PutU32(bytes, page + 4, now);
+        }
+        break;
+      }
+      case 5:  // a header field
+        if (rng.Chance(0.6)) {
+          const size_t at = kU32Fields[rng.Below(std::size(kU32Fields))];
+          PutU32(bytes, at, edit(GetU32(bytes, at)));
+        } else if (rng.Chance(0.5)) {
+          bytes[kEncodingByte] = static_cast<char>(rng.Below(256));
+        } else {
+          bytes[kDigestFields[rng.Below(std::size(kDigestFields))] + rng.Below(8)] ^=
+              static_cast<char>(1 << rng.Below(8));
+        }
+        break;
+      default: {  // one byte of the base blob (or the text blob) flipped
+        sim::Blob& segment = rng.Chance(0.75) ? base : text;
+        std::string flipped(segment.view());
+        flipped[rng.Below(flipped.size())] ^= static_cast<char>(1 + rng.Below(255));
+        segment = sim::Blob(std::move(flipped));
+        break;
+      }
+    }
+
+    g_largest_allocation = 0;
+    const Result<IncrAout> parsed = IncrAout::Parse(bytes);
+    Result<ReconstructedImage> recon = Errno::kNoExec;
+    if (parsed.ok()) recon = ReconstructIncrAout(*parsed, text, base);
+    // Nothing is sized by a length field past what the input holds: the page
+    // array has at most one entry per 8 input bytes, and the patched data is
+    // the size of the base blob.
+    const size_t bound =
+        std::max(base.size(), sizeof(IncrAout::DeltaPage) * (bytes.size() / 8 + 1));
+    EXPECT_LE(g_largest_allocation, bound) << "case " << iter;
+    if (!recon.ok()) {
+      EXPECT_EQ(recon.error(), Errno::kNoExec) << "case " << iter;
+      ++rejected;
+      continue;
+    }
+    EXPECT_TRUE(recon->image.data == real.live_data) << "case " << iter;
+    ++restored;
+  }
+  // Both outcomes occur: mutations of unchecked fields (machtype, entry) still
+  // restore, and everything else is refused.
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(DumpPaths, NamesFollowThePaper) {

@@ -208,10 +208,15 @@ vfs::InodePtr CachedSegment(World& world, std::string_view host, uint64_t digest
   return r.ok() ? r->inode : nullptr;
 }
 
-void FlipFirstByte(vfs::Inode& inode) {
+// Which byte of a cached segment a corruption test flips: the first, or the
+// last (read only by the digest's tail, past the last whole stripe and word).
+enum class FlipAt { kFirstByte, kLastByte };
+
+void FlipByte(vfs::Inode& inode, FlipAt at) {
   std::string& bytes = inode.MutableContents();
   ASSERT_FALSE(bytes.empty());
-  bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
+  char& byte = at == FlipAt::kFirstByte ? bytes.front() : bytes.back();
+  byte = static_cast<char>(byte ^ 0xff);
 }
 
 TEST(Incremental, WarmHopSharesOneBufferPerSegment) {
@@ -241,13 +246,20 @@ TEST(Incremental, WarmHopSharesOneBufferPerSegment) {
   }
 }
 
-TEST(Incremental, KeptDigestNeverHidesLaterCorruption) {
+// Flips one byte of schooner's cached copy of a segment ("text" or "data", the
+// delta base) after a warm hop, when that copy's digest is already kept: the
+// next restore there must notice, drop it, fetch the blob again from the dump
+// host, and still restore exact bytes. With the dump host's copy flipped as
+// well, no good copy is left: the restart fails cleanly and leaves no VM
+// process behind.
+void ExpectCorruptCachedSegmentRefetched(const std::string& kind, FlipAt at) {
   WorldOptions options = TrackedOptions();
   options.metrics = true;
   World world(options);
   const int32_t pid = world.StartVm("brick", "/bin/counter");
   ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
-  const uint64_t base_digest = world.host("brick").FindProc(pid)->vm->dirty.base.Digest();
+  const vm::VmContext& live = *world.host("brick").FindProc(pid)->vm;
+  const uint64_t digest = kind == "text" ? live.text().Digest() : live.dirty.base.Digest();
 
   // brick -> schooner fills schooner's cache with the fetched blobs, their
   // digests kept; then back to brick.
@@ -255,41 +267,49 @@ TEST(Incremental, KeptDigestNeverHidesLaterCorruption) {
   ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
   int32_t at_brick = CachedHop(world, at_schooner, "schooner", "brick");
   ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
-  vfs::InodePtr cached_base = CachedSegment(world, "schooner", base_digest);
-  ASSERT_NE(cached_base, nullptr);
-  ASSERT_TRUE(cached_base->ContentsBlob().digest_kept());
+  vfs::InodePtr cached = CachedSegment(world, "schooner", digest);
+  ASSERT_NE(cached, nullptr);
+  ASSERT_TRUE(cached->ContentsBlob().digest_kept());
 
-  // Flip schooner's cached base: the next restore there must notice, drop it,
-  // fetch the blob again from the dump host, and still restore exact bytes.
-  FlipFirstByte(*cached_base);
+  FlipByte(*cached, at);
   const sim::MetricsRegistry& metrics = world.host("schooner").metrics();
   const int64_t corrupt_before = metrics.Counter("cache.seg.corrupt");
-  const int64_t misses_before = metrics.Counter("cache.data.misses");
+  const int64_t misses_before = metrics.Counter("cache." + kind + ".misses");
   const std::vector<uint8_t> expected = world.host("brick").FindProc(at_brick)->vm->data;
   at_schooner = CachedHop(world, at_brick, "brick", "schooner");
   ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
   EXPECT_EQ(metrics.Counter("cache.seg.corrupt"), corrupt_before + 1);
-  EXPECT_EQ(metrics.Counter("cache.data.misses"), misses_before + 1);
+  EXPECT_EQ(metrics.Counter("cache." + kind + ".misses"), misses_before + 1);
   kernel::Proc* restored = world.host("schooner").FindProc(at_schooner);
   ASSERT_NE(restored, nullptr);
   ASSERT_NE(restored->vm, nullptr);
   EXPECT_EQ(restored->vm->data, expected);
-  cached_base = CachedSegment(world, "schooner", base_digest);
-  ASSERT_NE(cached_base, nullptr);
-  EXPECT_EQ(sim::HashBytes(cached_base->contents()), base_digest);  // written through
+  cached = CachedSegment(world, "schooner", digest);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(sim::HashBytes(cached->contents()), digest);  // written through
 
-  // With the dump host's copy flipped as well, no good copy is left: the
-  // restart fails cleanly and leaves no VM process behind.
   at_brick = CachedHop(world, at_schooner, "schooner", "brick");
   ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
-  FlipFirstByte(*CachedSegment(world, "schooner", base_digest));
-  FlipFirstByte(*CachedSegment(world, "brick", base_digest));
+  FlipByte(*CachedSegment(world, "schooner", digest), at);
+  FlipByte(*CachedSegment(world, "brick", digest), at);
   const int32_t rs = CachedHop(world, at_brick, "brick", "schooner");
   ASSERT_TRUE(world.RunUntilExited("schooner", rs));
   EXPECT_NE(world.ExitInfoOf("schooner", rs).exit_code, 0);
   for (kernel::Proc* p : world.host("schooner").ListProcs()) {
     EXPECT_NE(p->kind, kernel::ProcKind::kVm);
   }
+}
+
+TEST(Incremental, KeptDigestNeverHidesLaterCorruption) {
+  ExpectCorruptCachedSegmentRefetched("data", FlipAt::kFirstByte);
+}
+
+TEST(Incremental, LastByteOfCachedBaseIsCheckedToo) {
+  ExpectCorruptCachedSegmentRefetched("data", FlipAt::kLastByte);
+}
+
+TEST(Incremental, LastByteOfCachedTextIsCheckedToo) {
+  ExpectCorruptCachedSegmentRefetched("text", FlipAt::kLastByte);
 }
 
 TEST(Incremental, DumpModeNeedsTrackingArmed) {
@@ -542,7 +562,7 @@ TEST(Incremental, CheckpointDedupDistrustsBareHashMatch) {
   ASSERT_TRUE(world.RunUntilBlocked("brick", *current));
 
   // Corrupt checkpoint 0's saved copy without touching its recorded hash. The
-  // live file still hashes to the manifest value — exactly what an FNV
+  // live file still hashes to the manifest value — exactly what a digest
   // collision would look like — but the stored bytes no longer match, so the
   // dedup must refuse the reuse and write a fresh copy.
   kernel::Kernel& brick = world.host("brick");

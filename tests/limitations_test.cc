@@ -119,9 +119,7 @@ TEST(Limitations, Isa20ProgramOnSun2DiesWithSigill) {
   // time based on its original host).
   auto img = vm::MustAssemble(std::string(core::Isa20ProgramSource()));
   img.header.machtype = 10;  // lies about its requirements
-  std::vector<uint8_t> bytes = img.Serialize();
-  world.host("brick").vfs().SetupCreateFile(
-      "/bin/liar", std::string(bytes.begin(), bytes.end()), 0, 0755);
+  world.host("brick").vfs().SetupCreateFile("/bin/liar", img.Serialize(), 0, 0755);
   const int32_t pid = world.StartVm("brick", "/bin/liar");
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(world.RunUntilExited("brick", pid));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/core/dump_format.h"
 #include "src/core/test_programs.h"
 #include "src/vm/aout.h"
@@ -43,8 +46,7 @@ TEST(Sigdump, ProducesThreeWellFormedFiles) {
 
   // a.outXXXXX parses as an ordinary executable.
   const std::string aout = world.FileContents("brick", paths.aout);
-  const Result<vm::AoutImage> image =
-      vm::AoutImage::Parse(std::vector<uint8_t>(aout.begin(), aout.end()));
+  const Result<vm::AoutImage> image = vm::AoutImage::Parse(aout);
   ASSERT_TRUE(image.ok());
   EXPECT_GT(image->text.size(), 0u);
   EXPECT_GT(image->data.size(), 0u);
@@ -77,8 +79,7 @@ TEST(Sigdump, AoutCapturesLiveTextAndData) {
 
   Sigdump(world, pid);
   const std::string aout = world.FileContents("brick", DumpPaths::For(pid).aout);
-  const Result<vm::AoutImage> image =
-      vm::AoutImage::Parse(std::vector<uint8_t>(aout.begin(), aout.end()));
+  const Result<vm::AoutImage> image = vm::AoutImage::Parse(aout);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->text, live_text);
   EXPECT_EQ(image->data, live_data);  // statics at their values when killed
@@ -215,6 +216,58 @@ TEST(Sigdump, StockKernelTreatsSigdumpAsPlainKill) {
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(p->exit_info.migration_dumped);
   EXPECT_EQ(p->exit_info.killed_by_signal, vm::abi::kSigDump);
+}
+
+// --- The machtype a dump records: the ISA level its text needs ---
+
+// Starts `path` on brick, waits until it blocks, dumps it, and returns the
+// machtype its a.outXXXXX records.
+uint32_t DumpedMachtype(World& world, const std::string& path) {
+  const int32_t pid = world.StartVm("brick", path);
+  EXPECT_GT(pid, 0);
+  EXPECT_TRUE(world.RunUntilBlocked("brick", pid));
+  Sigdump(world, pid);
+  const Result<vm::AoutImage> image =
+      vm::AoutImage::Parse(world.FileContents("brick", DumpPaths::For(pid).aout));
+  EXPECT_TRUE(image.ok()) << path;
+  return image.ok() ? image->header.machtype : 0;
+}
+
+// Declares `.isa 20` but uses only kIsa10 opcodes; blocks reading its terminal.
+constexpr std::string_view kDeclaresIsa20 = R"(
+        .isa 20
+        .text
+start:  movi r0, 0
+        movi r1, buf
+        movi r2, 8
+        sys  SYS_read
+        jmp  start
+        .data
+buf:    .space 8
+)";
+
+TEST(Sigdump, MachtypeOfAnIsa20Text) {
+  World world;
+  EXPECT_EQ(DumpedMachtype(world, "/bin/isa20"), 20u);
+}
+
+// The level comes from the opcodes in the text, not from what the program's
+// own header declared.
+TEST(Sigdump, MachtypeOfAnIsa10TextDeclaredIsa20) {
+  World world;
+  core::InstallProgram(world.host("brick"), "/bin/declares20", kDeclaresIsa20);
+  EXPECT_EQ(DumpedMachtype(world, "/bin/declares20"), 10u);
+}
+
+// The kernel remembers the level of the last text it scanned: each dump here
+// follows a different text's dump on the same host.
+TEST(Sigdump, MachtypeAfterTheHostDumpedAnotherText) {
+  World world;
+  core::InstallProgram(world.host("brick"), "/bin/declares20", kDeclaresIsa20);
+  EXPECT_EQ(DumpedMachtype(world, "/bin/isa20"), 20u);
+  EXPECT_EQ(DumpedMachtype(world, "/bin/counter"), 10u);
+  EXPECT_EQ(DumpedMachtype(world, "/bin/isa20"), 20u);
+  EXPECT_EQ(DumpedMachtype(world, "/bin/declares20"), 10u);
 }
 
 // --- Undump: executable + core -> new executable (Section 4.3 aside) ---

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/sim/blob.h"
 #include "src/sim/bytes.h"
 #include "src/sim/clock.h"
@@ -256,9 +260,81 @@ TEST(Bytes, OversizedStringLengthFailsGracefully) {
   EXPECT_FALSE(r.ok());
 }
 
+// --- HashBytes: the segment digest ---
+
+// Byte i is i * 131 + 7 (mod 256): a fixed input for the golden values below.
+std::vector<uint8_t> Pattern(size_t len) {
+  std::vector<uint8_t> out(len);
+  for (size_t i = 0; i < len; ++i) out[i] = static_cast<uint8_t>(i * 131 + 7);
+  return out;
+}
+
+// Segment-cache files are named by these digests (content addresses), so any
+// change to the function must fail here. The lengths cover each code path:
+// empty, one tail byte, a 4-byte step plus bytes, one word, the longest tail
+// (3 words, a 4-byte step, 3 bytes), one and two stripes with and without a
+// tail, and a data-segment-sized buffer.
+TEST(HashBytes, GoldenValues) {
+  const std::pair<size_t, uint64_t> golden[] = {
+      {0, 0xEF46DB3751D8E999ull},      {1, 0xA96C7F0CE858BBB7ull},
+      {7, 0x2744460DD675D2C0ull},      {8, 0x994B676B71CE94DDull},
+      {31, 0x6711D55E306B5D8Full},     {32, 0x07F7B8E3BC5D6E25ull},
+      {33, 0x09F85EEB4E1CBE9Full},     {63, 0xB7C9968C066CB6A5ull},
+      {64, 0x50D4159A0411632Eull},     {65, 0xD277176BFF863EFCull},
+      {100000, 0xC2BD8810328656CFull},
+  };
+  for (const auto& [len, digest] : golden) {
+    EXPECT_EQ(HashBytes(Pattern(len)), digest) << "length " << len;
+  }
+}
+
+// The function is XXH64 with seed 0: its published values.
+TEST(HashBytes, IsXxh64WithSeedZero) {
+  EXPECT_EQ(HashBytes(std::string_view()), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(HashBytes(std::string_view("abc")), 0x44BC2CF5AD770999ull);
+}
+
+// 4,099 bytes, a multiple of neither 8 nor 32: 128 stripes, then 3 tail bytes.
+std::vector<uint8_t> SeededBytes() {
+  Rng rng(0xd16e57);
+  std::vector<uint8_t> bytes(4099);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(HashBytes, EverySingleBitFlipChangesTheDigest) {
+  std::vector<uint8_t> bytes = SeededBytes();
+  const uint64_t digest = HashBytes(bytes);
+  int flips = 0;
+  int unchanged = 0;
+  for (uint8_t& byte : bytes) {
+    for (int bit = 0; bit < 8; ++bit) {
+      byte = static_cast<uint8_t>(byte ^ (1u << bit));
+      if (HashBytes(bytes) == digest) ++unchanged;
+      byte = static_cast<uint8_t>(byte ^ (1u << bit));
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, 32792);
+  EXPECT_EQ(unchanged, 0);
+}
+
+// The length is mixed in, and every byte is read: no two of the 4,100
+// prefixes (the empty one included) share a digest.
+TEST(HashBytes, AllPrefixesHashDistinctly) {
+  const std::vector<uint8_t> bytes = SeededBytes();
+  std::vector<uint64_t> digests;
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    digests.push_back(HashBytes(bytes.data(), len));
+  }
+  ASSERT_EQ(digests.size(), 4100u);
+  std::sort(digests.begin(), digests.end());
+  EXPECT_EQ(std::adjacent_find(digests.begin(), digests.end()), digests.end());
+}
+
 // --- Blob: hash once, copy never ---
 
-TEST(Blob, DigestIsFnvOfTheBytes) {
+TEST(Blob, DigestIsHashBytesOfTheBytes) {
   const Blob blob(std::string("segment bytes"));
   EXPECT_FALSE(blob.digest_kept());
   EXPECT_EQ(blob.Digest(), HashBytes(std::string_view("segment bytes")));
