@@ -110,14 +110,14 @@ int main(int argc, char** argv) {
   const Measurement execve = MeasureExecve();
   const Measurement rest_proc = MeasureRestProc();
   const RestartSplit restart = MeasureRestart();
-  PrintFigure("Figure 3: restarting the test program (normalised to execve)",
-              {
-                  {"execve() of a.outXXXXX", execve, "1.0"},
-                  {"rest_proc()", rest_proc, "slightly above 1"},
-                  {"restart application (total)", restart.total, "~5x cpu, ~6x real"},
-                  {"  of which rest_proc()", restart.rest_proc_part, "(dotted split)"},
-              },
-              0);
+  const std::vector<Row> rows = {
+      {"execve() of a.outXXXXX", execve, "1.0"},
+      {"rest_proc()", rest_proc, "slightly above 1"},
+      {"restart application (total)", restart.total, "~5x cpu, ~6x real"},
+      {"  of which rest_proc()", restart.rest_proc_part, "(dotted split)"},
+  };
+  PrintFigure("Figure 3: restarting the test program (normalised to execve)", rows, 0);
+  WriteBenchJson("fig3", rows);
 
   RegisterSim("fig3/execve", [] { return MeasureExecve(); });
   RegisterSim("fig3/rest_proc", [] { return MeasureRestProc(); });

@@ -16,7 +16,7 @@ namespace {
 // superuser able to restart a process.
 Result<std::string> ReadDumpFile(kernel::Kernel& k, kernel::Proc& p,
                                  const std::string& path) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
+  vfs::CostSink* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::Resolved r, k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, sink));
   if (!r.inode->IsRegular()) return Errno::kNoExec;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
@@ -29,20 +29,18 @@ Result<std::string> ReadDumpFile(kernel::Kernel& k, kernel::Proc& p,
 // header + first pages are charged synchronously.
 Result<std::string> ReadAoutDemandPaged(kernel::Kernel& k, kernel::Proc& p,
                                         const std::string& path) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::Resolved r, k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+  PMIG_TRY(vfs::Vfs::Resolved r,
+           k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsRegular()) return Errno::kNoExec;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   std::string bytes;
   k.vfs().ReadAt(*r.inode, 0, r.inode->size(), &bytes, nullptr);
-  if (sink != nullptr) {
-    const sim::CostModel& costs = k.costs();
-    const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs.exec_prefetch_bytes);
-    const bool remote = k.vfs().InodeIsRemote(*r.inode);
-    const auto io = remote ? costs.NetIo(prefetch) : costs.DiskIo(prefetch);
-    sink->ChargeCpu(io.cpu);
-    sink->ChargeWait(io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
-  }
+  const sim::CostModel& costs = k.costs();
+  const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs.exec_prefetch_bytes);
+  const bool remote = k.vfs().InodeIsRemote(*r.inode);
+  const auto io = remote ? costs.NetIo(prefetch) : costs.DiskIo(prefetch);
+  k.ChargeCpu(p, io.cpu);
+  k.ChargeWait(p, io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
   return bytes;
 }
 
@@ -62,7 +60,7 @@ std::string NfsPrefixOf(const std::string& path) {
 Result<sim::Blob> FetchSegment(kernel::Kernel& k, kernel::Proc& p, uint64_t digest,
                                uint32_t expected_size, const std::string& nfs_prefix,
                                const char* kind) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
+  vfs::CostSink* sink = p.api.get();
   const sim::CostModel& costs = k.costs();
   sim::MetricsRegistry& metrics = k.metrics();
   const std::string hit_name = std::string("cache.") + kind + ".hits";
@@ -76,13 +74,11 @@ Result<sim::Blob> FetchSegment(kernel::Kernel& k, kernel::Proc& p, uint64_t dige
   if (local.ok() && local->inode->IsRegular()) {
     sim::Blob bytes = k.vfs().ReadBlob(*local->inode, nullptr);
     if (bytes.size() == expected_size && bytes.Digest() == digest) {
-      if (sink != nullptr) {
-        const int64_t prefetch = std::min<int64_t>(
-            static_cast<int64_t>(bytes.size()), costs.exec_prefetch_bytes);
-        const auto io = costs.DiskIo(prefetch);
-        sink->ChargeCpu(io.cpu);
-        sink->ChargeWait(io.wait + costs.inode_fetch);
-      }
+      const int64_t prefetch =
+          std::min<int64_t>(static_cast<int64_t>(bytes.size()), costs.exec_prefetch_bytes);
+      const auto io = costs.DiskIo(prefetch);
+      k.ChargeCpu(p, io.cpu);
+      k.ChargeWait(p, io.wait + costs.inode_fetch);
       metrics.Inc(hit_name);
       return bytes;
     }
@@ -113,11 +109,9 @@ Result<sim::Blob> FetchSegment(kernel::Kernel& k, kernel::Proc& p, uint64_t dige
     metrics.Inc("cache.writethrough_failed");
   } else {
     k.vfs().SetupCreateFile(local_path, bytes, 0, 0644);
-    if (sink != nullptr) {
-      const auto io = costs.DiskIo(static_cast<int64_t>(bytes.size()));
-      sink->ChargeCpu(io.cpu);
-      sink->ChargeWait(io.wait);
-    }
+    const auto io = costs.DiskIo(static_cast<int64_t>(bytes.size()));
+    k.ChargeCpu(p, io.cpu);
+    k.ChargeWait(p, io.wait);
   }
   return bytes;
 }
@@ -176,11 +170,7 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // 7. Read in the contents of the stack and registers.
   p.vm->SetStackContents(stack.stack);
   p.vm->cpu = stack.cpu;
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(stack.stack.size()) *
-                    k.costs().buffer_copy_per_byte);
-  }
+  k.ChargeCpu(p, static_cast<sim::Nanos>(stack.stack.size()) * k.costs().buffer_copy_per_byte);
 
   // 8. Read in the information on the disposition of signals.
   p.sig_dispositions = stack.sig_dispositions;

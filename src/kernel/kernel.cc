@@ -94,7 +94,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
   InitProcCwd(p, opts.cwd);
   procs_.push_back(std::move(owned));
   live_.push_back(&p);
-  apis_[p.pid] = std::make_unique<SyscallApi>(this, p.pid);
+  p.api = std::make_unique<SyscallApi>(this, p.pid);
   ++stats_.procs_spawned;
   metrics_.Inc("kernel.procs_spawned");
   if (opts.tty != nullptr && opts.stdio_on_tty) {
@@ -156,8 +156,7 @@ int32_t Kernel::SpawnNative(std::string command_name, NativeTask::Entry entry,
   // The stack first: a host that cannot map one throws before any proc exists.
   TaskStack stack = stacks_.Take();
   Proc& p = NewProc(std::move(command_name), ProcKind::kNative, opts);
-  p.native = std::make_unique<NativeTask>(std::move(stack), std::move(entry),
-                                          apis_[p.pid].get());
+  p.native = std::make_unique<NativeTask>(std::move(stack), std::move(entry), p.api.get());
   return p.pid;
 }
 
@@ -204,15 +203,15 @@ int Kernel::RunnableCount() const {
   return n;
 }
 
-SyscallApi* Kernel::ApiFor(int32_t pid) {
-  auto it = apis_.find(pid);
-  return it == apis_.end() ? nullptr : it->second.get();
-}
-
 sim::Nanos Kernel::TotalCpu() const {
   sim::Nanos total = 0;
   for (const auto& p : procs_) total += p->utime + p->stime;
   return total;
+}
+
+Kernel::Identity Kernel::ReportedIdentity(const Proc& p) const {
+  if (config_.virtualize_identity && p.migrated) return {p.old_pid, p.old_host};
+  return {p.pid, hostname_};
 }
 
 // --- Fd plumbing ----------------------------------------------------------------

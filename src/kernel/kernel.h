@@ -348,7 +348,15 @@ class Kernel {
   // Total CPU (user+system) consumed by all processes ever run on this machine.
   sim::Nanos TotalCpu() const;
 
-  SyscallApi* ApiFor(int32_t pid);
+  // What getpid() and gethostname() report to `p`, in both ABIs. Under the
+  // Section 7 proposal (virtualize_identity) a migrated process keeps seeing
+  // the pid and host it was dumped from; getpid_real()/gethostname_real() and
+  // everything outside the process always see the truth.
+  struct Identity {
+    int32_t pid;
+    std::string_view host;
+  };
+  Identity ReportedIdentity(const Proc& p) const;
 
  private:
   friend class SyscallApi;
@@ -367,8 +375,8 @@ class Kernel {
   void StartMigrationDump(Proc& p);
   void StartCoreDump(Proc& p, int signo);
 
-  // VM syscall dispatch; returns false if the proc blocked/terminated and the run
-  // loop must stop.
+  // Runs the trap table's entry for syscall `number`; returns false if the proc
+  // blocked/slept/terminated and the run loop must stop.
   bool DispatchVmSyscall(Proc& p, int32_t number);
   void VmFault(Proc& p, vm::Fault fault);
 
@@ -393,6 +401,10 @@ class Kernel {
   sim::CounterHandle native_syscall_metric_;
   sim::CounterHandle context_switch_metric_;
   sim::CounterHandle runnable_vm_metric_;
+  // kernel.syscall.<n>, one per vm::abi::kSyscalls entry in its order. Made on
+  // the first trap with metrics on, so a run that records nothing builds no
+  // names at boot.
+  std::vector<sim::CounterHandle> syscall_metrics_;
   MigrationHooks hooks_;
   const ProgramRegistry* programs_ = nullptr;
 
@@ -414,7 +426,6 @@ class Kernel {
   // The unreaped procs, in pid order. Spawns append; RunQuantum drops the reaped
   // ones before each quantum, so loops over it still skip kDead entries.
   std::vector<Proc*> live_;
-  std::map<int32_t, std::unique_ptr<SyscallApi>> apis_;
   // Round-robin position: the procs_ index PickNext scans from.
   size_t rr_cursor_ = 0;
   int32_t last_run_pid_ = -1;
@@ -451,8 +462,8 @@ class TraceSpan {
   uint64_t saved_parent_ = 0;
 };
 
-// The system-call interface used by native programs. One per native process; also
-// the CostSink the kernel passes to the VFS on that process's behalf.
+// The system-call interface used by native programs. One per process (Proc::api);
+// also the CostSink the kernel passes to the VFS on that process's behalf.
 class SyscallApi : public vfs::CostSink {
  public:
   SyscallApi(Kernel* kernel, int32_t pid) : kernel_(kernel), pid_(pid) {}
@@ -531,6 +542,9 @@ class SyscallApi : public vfs::CostSink {
   void EnterSyscall();
   void FinishSyscall();
   void YieldIfPreempted();
+  // EnterSyscall, then `sys` on this process, then FinishSyscall.
+  template <typename R, typename... Params, typename... Args>
+  R Call(R (Kernel::*sys)(Proc&, Params...), Args&&... args);
 
   Kernel* kernel_;
   int32_t pid_;

@@ -32,6 +32,7 @@
 namespace pmig::kernel {
 
 class NativeTask;
+class SyscallApi;
 
 struct Credentials {
   int32_t uid = 0;   // real uid
@@ -102,6 +103,11 @@ struct Proc {
 
   // kNative state.
   std::unique_ptr<NativeTask> native;
+
+  // The process's system-call interface (the native program's handle on the
+  // kernel), and the vfs::CostSink the kernel charges VFS work to for either
+  // kind. Made at spawn, kept as long as the Proc.
+  std::unique_ptr<SyscallApi> api;
 
   // Blocking: when kBlocked, the scheduler re-runs this predicate each quantum and
   // wakes the process when it yields true. Cleared on wake.

@@ -1,14 +1,18 @@
-// System-call implementations, the VM trap dispatcher, and the native SyscallApi.
+// System-call implementations, the VM trap table, and the native SyscallApi.
 //
 // Layout: Kernel::Sys*() hold the semantics and cost charging, shared by both
-// process kinds. DispatchVmSyscall() decodes the trap register convention for VM
-// processes (including the rewind-and-block protocol for interrupted reads — the
-// 4.2BSD restartable-syscall behaviour that lets SIGDUMP hit a process blocked at
-// its input prompt and still produce a restartable image). SyscallApi wraps the
-// same calls for native (tool) processes, adding the yield/block handshake.
+// process kinds. The trap table (kVmSyscalls, one entry per vm::abi::kSyscalls
+// entry) decodes the register convention for VM processes, and
+// DispatchVmSyscall() does what every trap shares: the number check, the path
+// copy-in, r0 and the epilogue. Blocking calls rewind and block — the 4.2BSD
+// restartable-syscall behaviour that lets SIGDUMP hit a process blocked at its
+// input prompt and still produce a restartable image. SyscallApi wraps the same
+// calls for native (tool) processes, adding the yield/block handshake.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <limits>
 
 #include "src/kernel/kernel.h"
 #include "src/vfs/path.h"
@@ -18,7 +22,9 @@ namespace pmig::kernel {
 namespace {
 
 using vm::abi::OpenFlags;
-using vm::abi::Sys;
+
+// Sun UNIX 3.0's off_t is 32 bits: no file grows past 2^31 - 1 bytes.
+constexpr int64_t kMaxFileSize = std::numeric_limits<int32_t>::max();
 
 Tty* AsTty(const vfs::Inode& inode) {
   if (!inode.IsDevice()) return nullptr;
@@ -35,7 +41,6 @@ bool IsNullDevice(const vfs::Inode& inode) {
 
 void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) {
   if (!config_.track_names || file.kind != FileKind::kInode) return;
-  SyscallApi* sink = ApiFor(p.pid);
   std::string abs;
   if (vfs::IsAbsolute(user_path)) {
     abs = vfs::NormalizeAbsolute(user_path);
@@ -44,12 +49,10 @@ void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) 
     // name of the current working directory in the user structure."
     const std::string& cwd = p.u_cwd_path.empty() ? "/" : p.u_cwd_path;
     abs = vfs::Combine(cwd, user_path);
-    if (sink != nullptr) sink->ChargeCpu(costs_->name_combine);
+    ChargeCpu(p, costs_->name_combine);
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->kmem_alloc);
-    sink->ChargeCpu(static_cast<sim::Nanos>(abs.size() + 1) * costs_->name_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->kmem_alloc);
+  ChargeCpu(p, static_cast<sim::Nanos>(abs.size() + 1) * costs_->name_copy_per_byte);
   metrics_.Inc("kernel.kmem_allocs");
   metrics_.Inc("vfs.name_bytes_copied", static_cast<int64_t>(abs.size()) + 1);
   const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
@@ -67,8 +70,7 @@ void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) 
 
 void Kernel::ReleaseOpenName(Proc& p, OpenFile& file) {
   if (!file.name.has_value()) return;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr && config_.track_names) sink->ChargeCpu(costs_->kmem_free);
+  if (config_.track_names) ChargeCpu(p, costs_->kmem_free);
   const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
                            ? config_.fixed_name_bytes
                            : static_cast<int64_t>(file.name->size()) + 1;
@@ -78,33 +80,26 @@ void Kernel::ReleaseOpenName(Proc& p, OpenFile& file) {
 
 void Kernel::TrackChdirName(Proc& p, std::string_view user_path) {
   if (!config_.track_names) return;
-  SyscallApi* sink = ApiFor(p.pid);
   if (vfs::IsAbsolute(user_path)) {
     // "if the argument ... is an absolute path name, it is simply copied" (with
     // "." / ".." references resolved when path names are constructed).
     p.u_cwd_path = vfs::NormalizeAbsolute(user_path);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(user_path.size() + 1) *
-                      costs_->name_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(user_path.size() + 1) * costs_->name_copy_per_byte);
     return;
   }
   // "the updating procedure being skipped if the field has not been yet
   // initialised" — initialisation happens via the first absolute chdir() at boot.
   if (p.u_cwd_path.empty()) return;
   p.u_cwd_path = vfs::Combine(p.u_cwd_path, user_path);
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->name_combine);
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) *
-                    costs_->name_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->name_combine);
+  ChargeCpu(p, static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) * costs_->name_copy_per_byte);
   metrics_.Inc("vfs.name_bytes_copied", static_cast<int64_t>(p.u_cwd_path.size()) + 1);
 }
 
 // --- File syscalls ----------------------------------------------------------------
 
 Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint16_t mode) {
-  SyscallApi* sink = ApiFor(p.pid);
+  vfs::CostSink* sink = p.api.get();
   const int fd = p.FreeFdSlot();
   if (fd < 0) return Errno::kMFile;
 
@@ -115,7 +110,7 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
     file->kind = FileKind::kInode;
     file->inode = tty_nodes_.at(p.controlling_tty);
     file->flags = flags;
-    if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+    ChargeCpu(p, costs_->file_table_slot);
     TrackOpenName(p, *file, path);
     InstallFd(p, fd, file);
     return fd;
@@ -138,7 +133,7 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
       vfs::Filesystem* owner = rp.dir->fs;
       inode = owner->NewRegular(p.creds.euid, mode);
       PMIG_RETURN_IF_ERROR(owner->Link(rp.dir, rp.name, inode));
-      if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+      ChargeCpu(p, costs_->file_table_slot);
     }
   } else {
     PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
@@ -160,12 +155,10 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
   if ((flags & OpenFlags::kOTrunc) != 0 && inode->IsRegular() && file->writable()) {
     PMIG_RETURN_IF_ERROR(vfs_->Truncate(*inode, 0, sink));
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->file_table_slot);
-    // Cold in-core inode fetch: a disk read locally, an NFS RPC remotely. (No
-    // inode cache is modelled; every successful open pays.)
-    sink->ChargeWait(vfs_->InodeIsRemote(*inode) ? costs_->nfs_rpc : costs_->inode_fetch);
-  }
+  ChargeCpu(p, costs_->file_table_slot);
+  // Cold in-core inode fetch: a disk read locally, an NFS RPC remotely. (No inode
+  // cache is modelled; every successful open pays.)
+  ChargeWait(p, vfs_->InodeIsRemote(*inode) ? costs_->nfs_rpc : costs_->inode_fetch);
   TrackOpenName(p, *file, path);
   InstallFd(p, fd, std::move(file));
   return fd;
@@ -196,7 +189,6 @@ Status Kernel::SysClose(Proc& p, int fd) {
 Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   if (!file->readable()) return Errno::kBadF;
-  SyscallApi* sink = ApiFor(p.pid);
 
   if (file->kind == FileKind::kPipe || file->kind == FileKind::kSocket) {
     Channel& ch = *file->channel;
@@ -204,10 +196,11 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
       if (ch.write_open) return Errno::kAgain;  // caller blocks
       return std::string();                     // EOF
     }
-    const int64_t n = std::min<int64_t>(max, static_cast<int64_t>(ch.buffer.size()));
+    // A count <= 0 takes nothing, like the file and tty branches.
+    const int64_t n = std::clamp<int64_t>(max, 0, static_cast<int64_t>(ch.buffer.size()));
     std::string out = ch.buffer.substr(0, static_cast<size_t>(n));
     ch.buffer.erase(0, static_cast<size_t>(n));
-    if (sink != nullptr) sink->ChargeCpu(n * costs_->buffer_copy_per_byte);
+    ChargeCpu(p, n * costs_->buffer_copy_per_byte);
     return out;
   }
 
@@ -216,7 +209,7 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   if (inode.IsRegular()) {
     PMIG_RETURN_IF_ERROR(vfs_->InjectedIoFault(inode, /*write=*/false));
     std::string out;
-    const int64_t n = vfs_->ReadAt(inode, file->offset, max, &out, sink);
+    const int64_t n = vfs_->ReadAt(inode, file->offset, max, &out, p.api.get());
     file->offset += n;
     return out;
   }
@@ -224,9 +217,7 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   if (Tty* tty = AsTty(inode); tty != nullptr) {
     if (!tty->InputReady()) return Errno::kAgain;  // caller blocks
     std::string out = tty->ConsumeInput(max);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(out.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(out.size()) * costs_->buffer_copy_per_byte);
     return out;
   }
   return Errno::kIo;
@@ -235,7 +226,6 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
 Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   if (!file->writable()) return Errno::kBadF;
-  SyscallApi* sink = ApiFor(p.pid);
 
   if (file->kind == FileKind::kPipe || file->kind == FileKind::kSocket) {
     Channel& ch = *file->channel;
@@ -245,9 +235,7 @@ Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
       return Errno::kPipe;
     }
     ch.buffer.append(data);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
     return static_cast<int64_t>(data.size());
   }
 
@@ -256,16 +244,15 @@ Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
   if (inode.IsRegular()) {
     PMIG_RETURN_IF_ERROR(vfs_->InjectedIoFault(inode, /*write=*/true));
     if ((file->flags & OpenFlags::kOAppend) != 0) file->offset = inode.size();
-    const int64_t n = vfs_->WriteAt(inode, file->offset, data, sink);
+    if (file->offset > kMaxFileSize - static_cast<int64_t>(data.size())) return Errno::kFBig;
+    const int64_t n = vfs_->WriteAt(inode, file->offset, data, p.api.get());
     file->offset += n;
     return n;
   }
   if (IsNullDevice(inode)) return static_cast<int64_t>(data.size());
   if (Tty* tty = AsTty(inode); tty != nullptr) {
     tty->AppendOutput(data);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
     return static_cast<int64_t>(data.size());
   }
   return Errno::kIo;
@@ -288,6 +275,8 @@ Result<int64_t> Kernel::SysLseek(Proc& p, int fd, int64_t offset, int whence) {
     default:
       return Errno::kInval;
   }
+  // base >= 0, so only a positive offset can overflow.
+  if (offset > std::numeric_limits<int64_t>::max() - base) return Errno::kInval;
   const int64_t pos = base + offset;
   if (pos < 0) return Errno::kInval;
   file->offset = pos;
@@ -298,8 +287,7 @@ Result<int> Kernel::SysDup(Proc& p, int fd) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   const int nfd = p.FreeFdSlot();
   if (nfd < 0) return Errno::kMFile;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   InstallFd(p, nfd, std::move(file));
   return nfd;
 }
@@ -316,8 +304,7 @@ Result<std::pair<int, int>> Kernel::SysPipe(Proc& p) {
     return Errno::kMFile;
   }
   InstallFd(p, wfd, MakeChannelFile(channel, /*write_end=*/true, FileKind::kPipe));
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
+  ChargeCpu(p, 2 * costs_->file_table_slot);
   return std::make_pair(rfd, wfd);
 }
 
@@ -335,16 +322,14 @@ Result<std::pair<int, int>> Kernel::SysSocket(Proc& p) {
     return Errno::kMFile;
   }
   InstallFd(p, bfd, MakeChannelFile(channel, /*write_end=*/true, FileKind::kSocket));
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
+  ChargeCpu(p, 2 * costs_->file_table_slot);
   return std::make_pair(afd, bfd);
 }
 
 // --- Directory / name syscalls ---------------------------------------------------
 
 Status Kernel::SysChdir(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsDir()) return Errno::kNotDir;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantExec)) return Errno::kAcces;
   p.cwd = r.state;
@@ -356,22 +341,18 @@ Result<std::string> Kernel::SysGetCwd(Proc& p) {
   // Only the modified kernel can answer this directly (Section 5.1); the stock
   // kernel's getwd() was a user-level library crawl we do not model.
   if (!config_.track_names) return Errno::kInval;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) *
-                    costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) * costs_->buffer_copy_per_byte);
   return p.u_cwd_path.empty() ? std::string("/") : p.u_cwd_path;
 }
 
 Result<std::string> Kernel::SysReadlink(Proc& p, std::string_view path) {
-  return vfs_->Readlink(p.cwd, path, ApiFor(p.pid));
+  return vfs_->Readlink(p.cwd, path, p.api.get());
 }
 
 Result<StatInfo> Kernel::SysStat(Proc& p, std::string_view path, bool follow) {
   PMIG_TRY(vfs::Vfs::Resolved r,
            vfs_->Resolve(p.cwd, path, follow ? vfs::Follow::kAll : vfs::Follow::kNotLast,
-                         ApiFor(p.pid)));
+                         p.api.get()));
   StatInfo info;
   info.type = r.inode->type;
   info.ino = r.inode->ino;
@@ -385,9 +366,8 @@ Result<StatInfo> Kernel::SysStat(Proc& p, std::string_view path, bool follow) {
 
 Result<std::vector<std::string>> Kernel::SysReadDir(Proc& p,
                                                     std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
   PMIG_TRY(vfs::Vfs::Resolved r,
-           vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+           vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsDir()) return Errno::kNotDir;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) {
     return Errno::kAcces;
@@ -399,48 +379,43 @@ Result<std::vector<std::string>> Kernel::SysReadDir(Proc& p,
     names.push_back(name);
     bytes += name.size() + 1;
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(bytes) * costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, static_cast<sim::Nanos>(bytes) * costs_->buffer_copy_per_byte);
   return names;
 }
 
 Status Kernel::SysUnlink(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing == nullptr) return Errno::kNoEnt;
   if (rp.existing->IsDir()) return Errno::kIsDir;  // directories go through rmdir()
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Unlink(rp.dir, rp.name);
 }
 
 Status Kernel::SysLink(Proc& p, std::string_view oldpath, std::string_view newpath) {
-  SyscallApi* sink = ApiFor(p.pid);
+  vfs::CostSink* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::Resolved old, vfs_->Resolve(p.cwd, oldpath, vfs::Follow::kAll, sink));
   if (old.inode->IsDir()) return Errno::kIsDir;
   PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, newpath, sink));
   if (rp.existing != nullptr) return Errno::kExist;
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
   if (old.inode->fs != rp.dir->fs) return Errno::kXDev;  // NFS: no cross-machine links
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Link(rp.dir, rp.name, old.inode);
 }
 
 Status Kernel::SysMkdir(Proc& p, std::string_view path, uint16_t mode) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing != nullptr) return Errno::kExist;
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
   vfs::Filesystem* owner = rp.dir->fs;
   vfs::InodePtr dir = owner->NewDirectory(p.creds.euid, mode);
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return owner->Link(rp.dir, rp.name, dir);
 }
 
 Status Kernel::SysRmdir(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing == nullptr) return Errno::kNoEnt;
   // Mount points must be tested on the covering (local) inode — `existing` has
   // already been substituted with the mounted-on root.
@@ -451,12 +426,12 @@ Status Kernel::SysRmdir(Proc& p, std::string_view path) {
   if (!rp.existing->IsDir()) return Errno::kNotDir;
   if (!rp.existing->entries.empty()) return Errno::kExist;  // 4.3BSD: ENOTEMPTY≈EEXIST
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Unlink(rp.dir, rp.name);
 }
 
 Status Kernel::SysRename(Proc& p, std::string_view oldpath, std::string_view newpath) {
-  SyscallApi* sink = ApiFor(p.pid);
+  vfs::CostSink* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::ResolvedParent from, vfs_->ResolveParent(p.cwd, oldpath, sink));
   if (from.existing == nullptr) return Errno::kNoEnt;
   PMIG_TRY(vfs::Vfs::ResolvedParent to, vfs_->ResolveParent(p.cwd, newpath, sink));
@@ -472,7 +447,7 @@ Status Kernel::SysRename(Proc& p, std::string_view oldpath, std::string_view new
     PMIG_RETURN_IF_ERROR(to.dir->fs->Unlink(to.dir, to.name));
   }
   PMIG_RETURN_IF_ERROR(to.dir->fs->Link(to.dir, to.name, from.existing));
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
+  ChargeCpu(p, 2 * costs_->file_table_slot);
   return from.dir->fs->Unlink(from.dir, from.name);
 }
 
@@ -486,8 +461,7 @@ Status Kernel::SysKill(Proc& p, int32_t pid, int signo) {
       p.creds.euid != target->creds.uid) {
     return Errno::kPerm;
   }
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->signal_post);
+  ChargeCpu(p, costs_->signal_post);
   return PostSignal(pid, signo, &p);
 }
 
@@ -544,8 +518,7 @@ Result<uint16_t> Kernel::SysTtyGet(Proc& p, int fd) {
   if (file->kind != FileKind::kInode) return Errno::kNoTty;
   Tty* tty = AsTty(*file->inode);
   if (tty == nullptr) return Errno::kNoTty;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->tty_ioctl);
+  ChargeCpu(p, costs_->tty_ioctl);
   return tty->flags();
 }
 
@@ -554,8 +527,7 @@ Status Kernel::SysTtySet(Proc& p, int fd, uint16_t flags) {
   if (file->kind != FileKind::kInode) return Errno::kNoTty;
   Tty* tty = AsTty(*file->inode);
   if (tty == nullptr) return Errno::kNoTty;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->tty_ioctl);
+  ChargeCpu(p, costs_->tty_ioctl);
   tty->set_flags(flags);
   return Status::Ok();
 }
@@ -578,36 +550,29 @@ Result<int32_t> Kernel::SysFork(Proc& p) {
   child.vm = std::make_unique<vm::VmContext>(*p.vm);
   child.vm->cpu.regs[0] = 0;  // fork() returns 0 in the child
 
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->fork_overhead);
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.vm->data.size() + p.vm->StackSize()) *
-                    costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->fork_overhead);
+  ChargeCpu(p, static_cast<sim::Nanos>(p.vm->data.size() + p.vm->StackSize()) *
+                   costs_->buffer_copy_per_byte);
   return child.pid;
 }
 
 Status Kernel::SysExecve(Proc& p, std::string_view path, const std::vector<std::string>& args) {
   if (p.kind != ProcKind::kVm) return Errno::kInval;
-  SyscallApi* sink = ApiFor(p.pid);
   const sim::Nanos cpu0 = p.stime + p.utime;
   const sim::Nanos wait0 = p.pending_wait;
 
-  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsRegular()) return Errno::kAcces;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   // exec() demand-pages the image: only the header + first pages are read
   // synchronously; the rest faults in as the program runs (not modelled as cost).
   std::string bytes;
   vfs_->ReadAt(*r.inode, 0, r.inode->size(), &bytes, nullptr);
-  if (sink != nullptr) {
-    const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs_->exec_prefetch_bytes);
-    const auto io = vfs_->InodeIsRemote(*r.inode) ? costs_->NetIo(prefetch)
-                                                  : costs_->DiskIo(prefetch);
-    sink->ChargeCpu(io.cpu);
-    sink->ChargeWait(io.wait + (vfs_->InodeIsRemote(*r.inode) ? costs_->nfs_rpc
-                                                              : costs_->inode_fetch));
-  }
+  const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs_->exec_prefetch_bytes);
+  const bool remote = vfs_->InodeIsRemote(*r.inode);
+  const auto io = remote ? costs_->NetIo(prefetch) : costs_->DiskIo(prefetch);
+  ChargeCpu(p, io.cpu);
+  ChargeWait(p, io.wait + (remote ? costs_->nfs_rpc : costs_->inode_fetch));
   PMIG_TRY(vm::AoutImage image, vm::AoutImage::Parse(bytes));
   PMIG_RETURN_IF_ERROR(OverlayVmImage(p, std::move(image), args));
   p.command = vfs::Basename(path);
@@ -724,9 +689,6 @@ void Kernel::RunVmProc(Proc& p) {
     instructions_metric_.Inc(cpu.steps_executed());
     if (reason == vm::StopReason::kSyscall) {
       ++stats_.syscalls;
-      if (metrics_.enabled()) {
-        metrics_.Inc("kernel.syscall." + std::to_string(cpu.last_syscall()));
-      }
       ChargeCpu(p, costs_->syscall_entry);
       if (!DispatchVmSyscall(p, cpu.last_syscall())) break;
     } else if (reason == vm::StopReason::kFault) {
@@ -736,400 +698,276 @@ void Kernel::RunVmProc(Proc& p) {
   }
 }
 
-bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
-  vm::VmContext& ctx = *p.vm;
-  int64_t* r = ctx.cpu.regs;
-  SyscallApi* sink = ApiFor(p.pid);
+namespace {
 
-  auto ret = [&](int64_t v) { r[0] = v; };
-  auto fail = [&](Errno e) { r[0] = -static_cast<int64_t>(e); };
-  auto ret_or_fail = [&](const auto& result) {
-    if (result.ok()) {
-      ret(static_cast<int64_t>(*result));
-    } else {
-      fail(result.error());
-    }
-  };
-  // Reads a NUL-terminated path argument; charges the copyin.
-  auto read_str = [&](int64_t addr, std::string* out) {
-    if (!ctx.ReadCString(static_cast<uint32_t>(addr), 1024, out)) return false;
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(out->size() + 1) * costs_->buffer_copy_per_byte);
-    }
-    return true;
-  };
-  // Rewinds the pc onto the SYS instruction and blocks (restartable syscall).
-  auto block_on = [&](std::function<bool()> check) {
-    ctx.cpu.pc -= vm::kInstrBytes;
-    BlockProc(p, std::move(check));
-  };
-  // Epilogue: convert accumulated I/O waits to sleep; tell the run loop whether to
-  // keep executing this process.
-  auto epilogue = [&]() {
-    if (SettlePendingWait(p)) return false;
-    return p.state == ProcState::kRunnable;
-  };
+// A trap as its handler sees it: the caller, its registers, and the path
+// arguments the dispatcher copied in.
+struct Trap {
+  Proc& p;
+  vm::VmContext& ctx;
+  int64_t* r;  // r0..r3: the arguments; the dispatcher sets r0 from the handler
+  std::string path[2];
 
-  switch (number) {
-    case Sys::kSysExit: {
-      ExitInfo info;
-      info.exit_code = static_cast<int>(r[0]);
-      TerminateProc(p, info);
-      return false;
-    }
-    case Sys::kSysFork:
-      ret_or_fail(SysFork(p));
-      return epilogue();
-    case Sys::kSysRead: {
-      const int fd = static_cast<int>(r[0]);
-      const Result<std::string> out = SysRead(p, fd, r[2]);
-      if (out.error() == Errno::kAgain) {
-        block_on(MakeReadCheck(p, fd));
-        return false;
-      }
-      if (!out.ok()) {
-        fail(out.error());
-        return epilogue();
-      }
-      if (!ctx.WriteBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(out->size()),
-                          reinterpret_cast<const uint8_t*>(out->data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(static_cast<int64_t>(out->size()));
-      return epilogue();
-    }
-    case Sys::kSysWrite: {
-      std::string data;
-      data.resize(static_cast<size_t>(std::max<int64_t>(r[2], 0)));
-      if (!ctx.ReadBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(data.size()),
-                         reinterpret_cast<uint8_t*>(data.data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysWrite(p, static_cast<int>(r[0]), data));
-      return epilogue();
-    }
-    case Sys::kSysOpen: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysOpen(p, path, static_cast<int32_t>(r[1]), static_cast<uint16_t>(r[2])));
-      return epilogue();
-    }
-    case Sys::kSysCreat: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysCreat(p, path, static_cast<uint16_t>(r[1])));
-      return epilogue();
-    }
-    case Sys::kSysClose: {
-      const Status st = SysClose(p, static_cast<int>(r[0]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysWait: {
-      const Result<WaitResult> wr = TryWait(p);
-      if (wr.error() == Errno::kAgain) {
-        const int32_t pid = p.pid;
-        block_on([this, pid] { return WaitReady(pid); });
-        return false;
-      }
-      if (!wr.ok()) {
-        fail(wr.error());
-        return epilogue();
-      }
-      ret(wr->pid);
-      r[1] = wr->overlaid ? 0
-                          : (wr->info.exit_code | (wr->info.killed_by_signal << 8) |
-                             (wr->info.core_dumped ? 1 << 16 : 0));
-      return epilogue();
-    }
-    case Sys::kSysLink: {
-      std::string oldp, newp;
-      if (!read_str(r[0], &oldp) || !read_str(r[1], &newp)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysLink(p, oldp, newp);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysUnlink: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysUnlink(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysMkdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysMkdir(p, path, static_cast<uint16_t>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysRmdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRmdir(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysRename: {
-      std::string from, to;
-      if (!read_str(r[0], &from) || !read_str(r[1], &to)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRename(p, from, to);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysStat: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Result<StatInfo> info = SysStat(p, path, /*follow=*/true);
-      if (!info.ok()) {
-        fail(info.error());
-        return epilogue();
-      }
-      const uint32_t buf = static_cast<uint32_t>(r[1]);
-      if (!ctx.WriteU64(buf, static_cast<int64_t>(info->type)) ||
-          !ctx.WriteU64(buf + 8, info->size) || !ctx.WriteU64(buf + 16, info->uid) ||
-          !ctx.WriteU64(buf + 24, info->mode)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(0);
-      return epilogue();
-    }
-    case Sys::kSysChdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysChdir(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysTime:
-      ret(ctx_.clock.now() / sim::kSecond);
-      return epilogue();
-    case Sys::kSysBrk: {
-      // sbrk(): grow or shrink the data segment. The dump formats carry the whole
-      // (possibly grown) segment, so heap state migrates like everything else.
-      constexpr int64_t kMaxData = 1 << 20;  // the segment's 1 MB window
-      const int64_t old_size = static_cast<int64_t>(ctx.data.size());
-      const int64_t new_size = old_size + r[0];
-      if (new_size < 0 || new_size > kMaxData) {
-        fail(Errno::kNoMem);
-        return epilogue();
-      }
-      ctx.data.resize(static_cast<size_t>(new_size), 0);
-      ctx.NoteDataResize(static_cast<size_t>(old_size), static_cast<size_t>(new_size));
-      if (sink != nullptr && r[0] > 0) {
-        sink->ChargeCpu(r[0] * 50);  // page zeroing
-      }
-      ret(vm::kDataBase + old_size);
-      return epilogue();
-    }
-    case Sys::kSysLseek:
-      ret_or_fail(SysLseek(p, static_cast<int>(r[0]), r[1], static_cast<int>(r[2])));
-      return epilogue();
-    case Sys::kSysGetPid:
-      if (config_.virtualize_identity && p.migrated) {
-        ret(p.old_pid);
-      } else {
-        ret(p.pid);
-      }
-      return epilogue();
-    case Sys::kSysGetPidReal:
-      ret(p.pid);
-      return epilogue();
-    case Sys::kSysGetPpid:
-      ret(p.ppid);
-      return epilogue();
-    case Sys::kSysGetUid:
-      ret(p.creds.uid);
-      return epilogue();
-    case Sys::kSysKill: {
-      const Status st = SysKill(p, static_cast<int32_t>(r[0]), static_cast<int>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysDup:
-      ret_or_fail(SysDup(p, static_cast<int>(r[0])));
-      return epilogue();
-    case Sys::kSysPipe: {
-      const auto fds = SysPipe(p);
-      if (!fds.ok()) {
-        fail(fds.error());
-      } else {
-        r[0] = fds->first;
-        r[1] = fds->second;
-      }
-      return epilogue();
-    }
-    case Sys::kSysSocket: {
-      const auto fds = SysSocket(p);
-      if (!fds.ok()) {
-        fail(fds.error());
-      } else {
-        r[0] = fds->first;
-        r[1] = fds->second;
-      }
-      return epilogue();
-    }
-    case Sys::kSysSignal: {
-      SignalDisposition d;
-      if (r[1] == vm::abi::kSigDfl) {
-        d.action = SignalDisposition::Action::kDefault;
-      } else if (r[1] == vm::abi::kSigIgn) {
-        d.action = SignalDisposition::Action::kIgnore;
-      } else {
-        d.action = SignalDisposition::Action::kCatch;
-        d.handler = static_cast<uint32_t>(r[1]);
-      }
-      const Status st = SysSignal(p, static_cast<int>(r[0]), d);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysIoctl: {
-      const int fd = static_cast<int>(r[0]);
-      if (r[1] == vm::abi::kTiocGetP) {
-        const Result<uint16_t> flags = SysTtyGet(p, fd);
-        if (!flags.ok()) {
-          fail(flags.error());
-        } else if (!ctx.WriteU16(static_cast<uint32_t>(r[2]), *flags)) {
-          fail(Errno::kFault);
-        } else {
-          ret(0);
-        }
-      } else if (r[1] == vm::abi::kTiocSetP) {
-        uint16_t flags;
-        if (!ctx.ReadU16(static_cast<uint32_t>(r[2]), &flags)) {
-          fail(Errno::kFault);
-        } else {
-          const Status st = SysTtySet(p, fd, flags);
-          st.ok() ? ret(0) : fail(st.error());
-        }
-      } else {
-        fail(Errno::kInval);
-      }
-      return epilogue();
-    }
-    case Sys::kSysReadlink: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Result<std::string> target = SysReadlink(p, path);
-      if (!target.ok()) {
-        fail(target.error());
-        return epilogue();
-      }
-      const int64_t n = std::min<int64_t>(static_cast<int64_t>(target->size()), r[2]);
-      if (!ctx.WriteBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(n),
-                          reinterpret_cast<const uint8_t*>(target->data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(n);
-      return epilogue();
-    }
-    case Sys::kSysExecve: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysExecve(p, path, {});
-      if (!st.ok()) {
-        fail(st.error());
-        return epilogue();
-      }
-      // Registers belong to the new image now; do not touch r0.
-      return epilogue();
-    }
-    case Sys::kSysGetHostname:
-    case Sys::kSysGetHostnameReal: {
-      const std::string& name = (number == Sys::kSysGetHostname &&
-                                 config_.virtualize_identity && p.migrated)
-                                    ? p.old_host
-                                    : hostname_;
-      const int64_t cap = r[1];
-      if (static_cast<int64_t>(name.size()) + 1 > cap ||
-          !ctx.WriteCString(static_cast<uint32_t>(r[0]), name)) {
-        fail(Errno::kFault);
-      } else {
-        ret(0);
-      }
-      return epilogue();
-    }
-    case Sys::kSysSetReUid: {
-      const Status st =
-          SysSetReUid(p, static_cast<int32_t>(r[0]), static_cast<int32_t>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysGetCwd: {
-      const Result<std::string> cwd = SysGetCwd(p);
-      if (!cwd.ok()) {
-        fail(cwd.error());
-        return epilogue();
-      }
-      if (static_cast<int64_t>(cwd->size()) + 1 > r[1] ||
-          !ctx.WriteCString(static_cast<uint32_t>(r[0]), *cwd)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(0);
-      return epilogue();
-    }
-    case Sys::kSysSleep: {
-      ret(0);
-      SleepProc(p, r[0] * sim::kSecond);
-      return false;
-    }
-    case Sys::kSysRestProc: {
-      std::string aout, stack;
-      if (!read_str(r[0], &aout) || !read_str(r[1], &stack)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRestProc(p, aout, stack);
-      if (!st.ok()) {
-        fail(st.error());
-        return epilogue();
-      }
-      // The process is now the restored program; its registers are the dumped
-      // ones. It may have been put to sleep to cover the dump-file I/O.
-      return p.state == ProcState::kRunnable;
-    }
-    default:
-      fail(Errno::kInval);
-      return epilogue();
+  int Int(int i) const { return static_cast<int>(r[i]); }
+  uint32_t Addr(int i) const { return static_cast<uint32_t>(r[i]); }
+};
+
+// A handler returns r0 (a value, or -errno) or one of these.
+// The call loaded a new image, whose registers r0 belongs to.
+constexpr int64_t kNewImage = std::numeric_limits<int64_t>::min();
+// The process exited, blocked or went to sleep: stop running it, settle nothing.
+constexpr int64_t kOffCpu = kNewImage + 1;
+
+int64_t R0(Errno e) { return -static_cast<int64_t>(e); }
+int64_t R0(const Status& st) { return st.ok() ? 0 : R0(st.error()); }
+template <typename T>
+int64_t R0(const Result<T>& result) {
+  return result.ok() ? static_cast<int64_t>(*result) : R0(result.error());
+}
+
+// Rewinds the pc onto the SYS instruction and blocks until `ready`: the call
+// runs again from the start when the process wakes (a restartable syscall).
+int64_t Block(Kernel& k, Trap& t, std::function<bool()> ready) {
+  t.ctx.cpu.pc -= vm::kInstrBytes;
+  k.BlockProc(t.p, std::move(ready));
+  return kOffCpu;
+}
+
+// pipe() and socket() return their two fds in r0 and r1.
+int64_t FdPair(Trap& t, const Result<std::pair<int, int>>& fds) {
+  if (!fds.ok()) return R0(fds.error());
+  t.r[1] = fds->second;
+  return fds->first;
+}
+
+// Copies `s` and a NUL into the buffer of r1 bytes at r0.
+int64_t CopyOutCString(Trap& t, std::string_view s) {
+  const bool fits = static_cast<int64_t>(s.size()) + 1 <= t.r[1];
+  return fits && t.ctx.WriteCString(t.Addr(0), s) ? 0 : R0(Errno::kFault);
+}
+
+struct VmSyscall {
+  std::string_view name;  // its vm::abi::kSyscalls entry
+  int paths;              // r0 .. r(paths-1) are path strings, copied in first
+  int64_t (*fn)(Kernel&, Trap&);
+};
+
+constexpr VmSyscall kVmSyscalls[] = {
+    {"exit", 0,
+     [](Kernel& k, Trap& t) {
+       k.TerminateProc(t.p, ExitInfo{.exit_code = t.Int(0)});
+       return kOffCpu;
+     }},
+    {"fork", 0, [](Kernel& k, Trap& t) { return R0(k.SysFork(t.p)); }},
+    {"read", 0,
+     [](Kernel& k, Trap& t) {
+       const Result<std::string> out = k.SysRead(t.p, t.Int(0), t.r[2]);
+       if (out.error() == Errno::kAgain) return Block(k, t, k.MakeReadCheck(t.p, t.Int(0)));
+       if (!out.ok()) return R0(out.error());
+       const auto n = static_cast<uint32_t>(out->size());
+       if (!t.ctx.WriteBytes(t.Addr(1), n, reinterpret_cast<const uint8_t*>(out->data()))) {
+         return R0(Errno::kFault);
+       }
+       return int64_t{n};
+     }},
+    {"write", 0,
+     [](Kernel& k, Trap& t) {
+       // The range is checked before a buffer is sized by the guest's count.
+       const int64_t count = std::max<int64_t>(t.r[2], 0);
+       if (!t.ctx.Readable(t.Addr(1), static_cast<uint64_t>(count))) return R0(Errno::kFault);
+       std::string data(static_cast<size_t>(count), '\0');
+       t.ctx.ReadBytes(t.Addr(1), static_cast<uint32_t>(count),
+                       reinterpret_cast<uint8_t*>(data.data()));
+       return R0(k.SysWrite(t.p, t.Int(0), data));
+     }},
+    {"open", 1,
+     [](Kernel& k, Trap& t) {
+       return R0(k.SysOpen(t.p, t.path[0], static_cast<int32_t>(t.r[1]),
+                           static_cast<uint16_t>(t.r[2])));
+     }},
+    {"close", 0, [](Kernel& k, Trap& t) { return R0(k.SysClose(t.p, t.Int(0))); }},
+    {"wait", 0,
+     [](Kernel& k, Trap& t) {
+       const Result<WaitResult> wr = k.TryWait(t.p);
+       if (wr.error() == Errno::kAgain) {
+         return Block(k, t, [kernel = &k, pid = t.p.pid] { return kernel->WaitReady(pid); });
+       }
+       if (!wr.ok()) return R0(wr.error());
+       t.r[1] = wr->overlaid ? 0
+                             : (wr->info.exit_code | (wr->info.killed_by_signal << 8) |
+                                (wr->info.core_dumped ? 1 << 16 : 0));
+       return int64_t{wr->pid};
+     }},
+    {"creat", 1,
+     [](Kernel& k, Trap& t) {
+       return R0(k.SysCreat(t.p, t.path[0], static_cast<uint16_t>(t.r[1])));
+     }},
+    {"link", 2, [](Kernel& k, Trap& t) { return R0(k.SysLink(t.p, t.path[0], t.path[1])); }},
+    {"unlink", 1, [](Kernel& k, Trap& t) { return R0(k.SysUnlink(t.p, t.path[0])); }},
+    {"chdir", 1, [](Kernel& k, Trap& t) { return R0(k.SysChdir(t.p, t.path[0])); }},
+    {"time", 0, [](Kernel& k, Trap&) { return k.clock().now() / sim::kSecond; }},
+    {"brk", 0,
+     [](Kernel& k, Trap& t) {
+       // sbrk(): grow or shrink the data segment. The dump formats carry the whole
+       // (possibly grown) segment, so heap state migrates like everything else.
+       constexpr int64_t kMaxData = 1 << 20;  // the segment's 1 MB window
+       const int64_t old_size = static_cast<int64_t>(t.ctx.data.size());
+       const int64_t increment = t.r[0];
+       if (increment < -old_size || increment > kMaxData - old_size) return R0(Errno::kNoMem);
+       const int64_t new_size = old_size + increment;
+       t.ctx.data.resize(static_cast<size_t>(new_size), 0);
+       t.ctx.NoteDataResize(static_cast<size_t>(old_size), static_cast<size_t>(new_size));
+       if (increment > 0) k.ChargeCpu(t.p, increment * 50);  // page zeroing
+       return vm::kDataBase + old_size;
+     }},
+    {"lseek", 0,
+     [](Kernel& k, Trap& t) { return R0(k.SysLseek(t.p, t.Int(0), t.r[1], t.Int(2))); }},
+    {"getpid", 0, [](Kernel& k, Trap& t) { return int64_t{k.ReportedIdentity(t.p).pid}; }},
+    {"kill", 0,
+     [](Kernel& k, Trap& t) {
+       return R0(k.SysKill(t.p, static_cast<int32_t>(t.r[0]), t.Int(1)));
+     }},
+    {"stat", 1,
+     [](Kernel& k, Trap& t) {
+       const Result<StatInfo> info = k.SysStat(t.p, t.path[0], /*follow=*/true);
+       if (!info.ok()) return R0(info.error());
+       const uint32_t buf = t.Addr(1);
+       const bool copied = t.ctx.WriteU64(buf, static_cast<int64_t>(info->type)) &&
+                           t.ctx.WriteU64(buf + 8, info->size) &&
+                           t.ctx.WriteU64(buf + 16, info->uid) &&
+                           t.ctx.WriteU64(buf + 24, info->mode);
+       return copied ? 0 : R0(Errno::kFault);
+     }},
+    {"dup", 0, [](Kernel& k, Trap& t) { return R0(k.SysDup(t.p, t.Int(0))); }},
+    {"pipe", 0, [](Kernel& k, Trap& t) { return FdPair(t, k.SysPipe(t.p)); }},
+    {"signal", 0,
+     [](Kernel& k, Trap& t) {
+       SignalDisposition d;  // SIG_DFL
+       if (t.r[1] == vm::abi::kSigIgn) {
+         d.action = SignalDisposition::Action::kIgnore;
+       } else if (t.r[1] != vm::abi::kSigDfl) {
+         d = {SignalDisposition::Action::kCatch, t.Addr(1)};
+       }
+       return R0(k.SysSignal(t.p, t.Int(0), d));
+     }},
+    {"ioctl", 0,
+     [](Kernel& k, Trap& t) {
+       if (t.r[1] == vm::abi::kTiocGetP) {
+         const Result<uint16_t> flags = k.SysTtyGet(t.p, t.Int(0));
+         if (!flags.ok()) return R0(flags.error());
+         return t.ctx.WriteU16(t.Addr(2), *flags) ? 0 : R0(Errno::kFault);
+       }
+       if (t.r[1] != vm::abi::kTiocSetP) return R0(Errno::kInval);
+       uint16_t flags = 0;
+       if (!t.ctx.ReadU16(t.Addr(2), &flags)) return R0(Errno::kFault);
+       return R0(k.SysTtySet(t.p, t.Int(0), flags));
+     }},
+    {"readlink", 1,
+     [](Kernel& k, Trap& t) {
+       const Result<std::string> target = k.SysReadlink(t.p, t.path[0]);
+       if (!target.ok()) return R0(target.error());
+       const int64_t n = std::min<int64_t>(static_cast<int64_t>(target->size()), t.r[2]);
+       const bool copied = t.ctx.WriteBytes(t.Addr(1), static_cast<uint32_t>(n),
+                                            reinterpret_cast<const uint8_t*>(target->data()));
+       return copied ? n : R0(Errno::kFault);
+     }},
+    {"execve", 1,
+     [](Kernel& k, Trap& t) {
+       const Status st = k.SysExecve(t.p, t.path[0], {});
+       return st.ok() ? kNewImage : R0(st.error());
+     }},
+    {"gethostname", 0,
+     [](Kernel& k, Trap& t) { return CopyOutCString(t, k.ReportedIdentity(t.p).host); }},
+    {"setreuid", 0,
+     [](Kernel& k, Trap& t) {
+       return R0(k.SysSetReUid(t.p, static_cast<int32_t>(t.r[0]), static_cast<int32_t>(t.r[1])));
+     }},
+    {"getuid", 0, [](Kernel&, Trap& t) { return int64_t{t.p.creds.uid}; }},
+    {"getppid", 0, [](Kernel&, Trap& t) { return int64_t{t.p.ppid}; }},
+    {"sleep", 0,
+     [](Kernel& k, Trap& t) {
+       const int64_t seconds = t.r[0];
+       if (seconds < 0 || seconds > std::numeric_limits<int32_t>::max()) {
+         return R0(Errno::kInval);
+       }
+       t.r[0] = 0;
+       k.SleepProc(t.p, seconds * sim::kSecond);
+       return kOffCpu;
+     }},
+    {"socket", 0, [](Kernel& k, Trap& t) { return FdPair(t, k.SysSocket(t.p)); }},
+    {"getcwd", 0,
+     [](Kernel& k, Trap& t) {
+       const Result<std::string> cwd = k.SysGetCwd(t.p);
+       return cwd.ok() ? CopyOutCString(t, *cwd) : R0(cwd.error());
+     }},
+    {"rest_proc", 2,
+     [](Kernel& k, Trap& t) {
+       // On success the process is the restored program, with its dumped registers.
+       const Status st = k.SysRestProc(t.p, t.path[0], t.path[1]);
+       return st.ok() ? kNewImage : R0(st.error());
+     }},
+    {"getpid_real", 0, [](Kernel&, Trap& t) { return int64_t{t.p.pid}; }},
+    {"gethostname_real", 0,
+     [](Kernel& k, Trap& t) { return CopyOutCString(t, k.hostname()); }},
+    {"rename", 2,
+     [](Kernel& k, Trap& t) { return R0(k.SysRename(t.p, t.path[0], t.path[1])); }},
+    {"mkdir", 1,
+     [](Kernel& k, Trap& t) {
+       return R0(k.SysMkdir(t.p, t.path[0], static_cast<uint16_t>(t.r[1])));
+     }},
+    {"rmdir", 1, [](Kernel& k, Trap& t) { return R0(k.SysRmdir(t.p, t.path[0])); }},
+};
+
+// The trap table: kTraps[n] handles syscall n, or is null where the ABI has no
+// call n. The build fails unless kVmSyscalls handles the ABI's calls one to one
+// and in its order, and the ABI's numbers are positive and increasing.
+constexpr auto kTraps = [] {
+  static_assert(std::size(kVmSyscalls) == std::size(vm::abi::kSyscalls));
+  std::array<const VmSyscall*, vm::abi::kMaxSyscall + 1> traps{};
+  int32_t last = 0;
+  for (size_t i = 0; i < std::size(kVmSyscalls); ++i) {
+    const vm::abi::Syscall& call = vm::abi::kSyscalls[i];
+    if (kVmSyscalls[i].name != call.name) throw "handler out of step with the ABI list";
+    if (call.number <= last) throw "ABI numbers must increase";
+    traps[static_cast<size_t>(call.number)] = &kVmSyscalls[i];
+    last = call.number;
   }
+  return traps;
+}();
+
+}  // namespace
+
+bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
+  const VmSyscall* call = number >= 0 && number <= vm::abi::kMaxSyscall
+                              ? kTraps[static_cast<size_t>(number)]
+                              : nullptr;
+  Trap t{p, *p.vm, p.vm->cpu.regs, {}};
+  int64_t r0 = R0(Errno::kInval);
+  if (call == nullptr) {
+    // Counted under kernel.syscall.<n> too; only this rare path builds a name.
+    if (metrics_.enabled()) metrics_.Inc("kernel.syscall." + std::to_string(number));
+  } else {
+    if (metrics_.enabled()) {
+      if (syscall_metrics_.empty()) {
+        for (const vm::abi::Syscall& abi : vm::abi::kSyscalls) {
+          syscall_metrics_.push_back(
+              metrics_.MakeCounter("kernel.syscall." + std::to_string(abi.number)));
+        }
+      }
+      syscall_metrics_[static_cast<size_t>(call - kVmSyscalls)].Inc();
+    }
+    int copied = 0;
+    for (; copied < call->paths; ++copied) {
+      std::string& path = t.path[copied];
+      if (!t.ctx.ReadCString(t.Addr(copied), 1024, &path)) break;
+      ChargeCpu(p, static_cast<sim::Nanos>(path.size() + 1) * costs_->buffer_copy_per_byte);
+    }
+    r0 = copied == call->paths ? call->fn(*this, t) : R0(Errno::kFault);
+  }
+  if (r0 == kOffCpu) return false;
+  if (r0 != kNewImage) t.r[0] = r0;
+  // Accumulated I/O waits become a sleep; keep running only a still-runnable proc.
+  return !SettlePendingWait(p) && p.state == ProcState::kRunnable;
 }
 
 // --- SyscallApi (native processes) -------------------------------------------------
@@ -1166,6 +1004,14 @@ void SyscallApi::FinishSyscall() {
   if (kernel_->SettlePendingWait(p) && p.native != nullptr) {
     p.native->Yield();
   }
+}
+
+template <typename R, typename... Params, typename... Args>
+R SyscallApi::Call(R (Kernel::*sys)(Proc&, Params...), Args&&... args) {
+  EnterSyscall();
+  R result = (kernel_->*sys)(proc(), std::forward<Args>(args)...);
+  FinishSyscall();
+  return result;
 }
 
 void SyscallApi::BlockUntil(std::function<bool()> check) {
@@ -1210,24 +1056,15 @@ bool SyscallApi::BlockUntilFor(std::function<bool()> check, sim::Nanos timeout) 
 }
 
 Result<int> SyscallApi::Open(std::string_view path, int32_t flags, uint16_t mode) {
-  EnterSyscall();
-  const Result<int> fd = kernel_->SysOpen(proc(), path, flags, mode);
-  FinishSyscall();
-  return fd;
+  return Call(&Kernel::SysOpen, path, flags, mode);
 }
 
 Result<int> SyscallApi::Creat(std::string_view path, uint16_t mode) {
-  EnterSyscall();
-  const Result<int> fd = kernel_->SysCreat(proc(), path, mode);
-  FinishSyscall();
-  return fd;
+  return Call(&Kernel::SysCreat, path, mode);
 }
 
 Status SyscallApi::Close(int fd) {
-  EnterSyscall();
-  const Status st = kernel_->SysClose(proc(), fd);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysClose, fd);
 }
 
 Result<std::string> SyscallApi::Read(int fd, int64_t max) {
@@ -1272,159 +1109,93 @@ Result<std::string> SyscallApi::ReadAll(int fd) {
 }
 
 Result<int64_t> SyscallApi::Write(int fd, std::string_view data) {
-  EnterSyscall();
-  const Result<int64_t> n = kernel_->SysWrite(proc(), fd, data);
-  FinishSyscall();
-  return n;
+  return Call(&Kernel::SysWrite, fd, data);
 }
 
 Result<int64_t> SyscallApi::Lseek(int fd, int64_t offset, int whence) {
-  EnterSyscall();
-  const Result<int64_t> n = kernel_->SysLseek(proc(), fd, offset, whence);
-  FinishSyscall();
-  return n;
+  return Call(&Kernel::SysLseek, fd, offset, whence);
 }
 
 Result<int> SyscallApi::Dup(int fd) {
-  EnterSyscall();
-  const Result<int> n = kernel_->SysDup(proc(), fd);
-  FinishSyscall();
-  return n;
+  return Call(&Kernel::SysDup, fd);
 }
 
 Status SyscallApi::Chdir(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysChdir(proc(), path);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysChdir, path);
 }
 
 Result<std::string> SyscallApi::GetCwd() {
-  EnterSyscall();
-  const Result<std::string> cwd = kernel_->SysGetCwd(proc());
-  FinishSyscall();
-  return cwd;
+  return Call(&Kernel::SysGetCwd);
 }
 
 Result<std::string> SyscallApi::Readlink(std::string_view path) {
-  EnterSyscall();
-  const Result<std::string> target = kernel_->SysReadlink(proc(), path);
-  FinishSyscall();
-  return target;
+  return Call(&Kernel::SysReadlink, path);
 }
 
 Result<StatInfo> SyscallApi::Stat(std::string_view path) {
-  EnterSyscall();
-  const Result<StatInfo> info = kernel_->SysStat(proc(), path, /*follow=*/true);
-  FinishSyscall();
-  return info;
+  return Call(&Kernel::SysStat, path, true);
 }
 
 Result<StatInfo> SyscallApi::LStat(std::string_view path) {
-  EnterSyscall();
-  const Result<StatInfo> info = kernel_->SysStat(proc(), path, /*follow=*/false);
-  FinishSyscall();
-  return info;
+  return Call(&Kernel::SysStat, path, false);
 }
 
 Result<std::vector<std::string>> SyscallApi::ReadDir(std::string_view path) {
-  EnterSyscall();
-  Result<std::vector<std::string>> names = kernel_->SysReadDir(proc(), path);
-  FinishSyscall();
-  return names;
+  return Call(&Kernel::SysReadDir, path);
 }
 
 Status SyscallApi::Unlink(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysUnlink(proc(), path);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysUnlink, path);
 }
 
 Status SyscallApi::Link(std::string_view oldpath, std::string_view newpath) {
-  EnterSyscall();
-  const Status st = kernel_->SysLink(proc(), oldpath, newpath);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysLink, oldpath, newpath);
 }
 
 Status SyscallApi::Mkdir(std::string_view path, uint16_t mode) {
-  EnterSyscall();
-  const Status st = kernel_->SysMkdir(proc(), path, mode);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysMkdir, path, mode);
 }
 
 Status SyscallApi::Rmdir(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysRmdir(proc(), path);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysRmdir, path);
 }
 
 Status SyscallApi::Rename(std::string_view oldpath, std::string_view newpath) {
-  EnterSyscall();
-  const Status st = kernel_->SysRename(proc(), oldpath, newpath);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysRename, oldpath, newpath);
 }
 
 Status SyscallApi::Kill(int32_t target_pid, int signo) {
-  EnterSyscall();
-  const Status st = kernel_->SysKill(proc(), target_pid, signo);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysKill, target_pid, signo);
 }
 
 Status SyscallApi::SetDumpMode(int32_t target_pid, bool incremental) {
-  EnterSyscall();
-  const Status st = kernel_->SysSetDumpMode(proc(), target_pid, incremental);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysSetDumpMode, target_pid, incremental);
 }
 
 Result<bool> SyscallApi::DumpFailed(int32_t target_pid) {
-  EnterSyscall();
-  const Result<bool> r = kernel_->SysDumpFailed(proc(), target_pid);
-  FinishSyscall();
-  return r;
+  return Call(&Kernel::SysDumpFailed, target_pid);
 }
 
 Status SyscallApi::SetReUid(int32_t ruid, int32_t euid) {
-  EnterSyscall();
-  const Status st = kernel_->SysSetReUid(proc(), ruid, euid);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysSetReUid, ruid, euid);
 }
 
-int32_t SyscallApi::GetPid() {
-  Proc& p = proc();
-  if (kernel_->config_.virtualize_identity && p.migrated) return p.old_pid;
-  return p.pid;
-}
+int32_t SyscallApi::GetPid() { return kernel_->ReportedIdentity(proc()).pid; }
 
 int32_t SyscallApi::GetPpid() { return proc().ppid; }
 int32_t SyscallApi::GetUid() { return proc().creds.uid; }
 int32_t SyscallApi::GetEuid() { return proc().creds.euid; }
 
 std::string SyscallApi::GetHostname() {
-  Proc& p = proc();
-  if (kernel_->config_.virtualize_identity && p.migrated) return p.old_host;
-  return kernel_->hostname_;
+  return std::string(kernel_->ReportedIdentity(proc()).host);
 }
 
 Result<uint16_t> SyscallApi::TtyGetFlags(int fd) {
-  EnterSyscall();
-  const Result<uint16_t> flags = kernel_->SysTtyGet(proc(), fd);
-  FinishSyscall();
-  return flags;
+  return Call(&Kernel::SysTtyGet, fd);
 }
 
 Status SyscallApi::TtySetFlags(int fd, uint16_t flags) {
-  EnterSyscall();
-  const Status st = kernel_->SysTtySet(proc(), fd, flags);
-  FinishSyscall();
-  return st;
+  return Call(&Kernel::SysTtySet, fd, flags);
 }
 
 void SyscallApi::Sleep(sim::Nanos duration) {
@@ -1450,17 +1221,26 @@ Result<WaitResult> SyscallApi::Wait() {
   }
 }
 
-Result<int32_t> SyscallApi::SpawnProgram(const std::string& program,
-                                         std::vector<std::string> args) {
-  EnterSyscall();
-  Proc& p = proc();
+namespace {
+
+// A child of `p` inherits its credentials, terminal and textual cwd.
+SpawnOptions ChildOf(const Proc& p) {
   SpawnOptions opts;
   opts.creds = p.creds;
   opts.tty = p.controlling_tty;
   opts.cwd = p.u_cwd_path.empty() ? "/" : p.u_cwd_path;
   opts.ppid = p.pid;
+  return opts;
+}
+
+}  // namespace
+
+Result<int32_t> SyscallApi::SpawnProgram(const std::string& program,
+                                         std::vector<std::string> args) {
+  EnterSyscall();
+  Proc& p = proc();
   kernel_->ChargeCpu(p, kernel_->costs_->fork_overhead + kernel_->costs_->exec_overhead);
-  const Result<int32_t> pid = kernel_->SpawnProgram(program, std::move(args), opts);
+  const Result<int32_t> pid = kernel_->SpawnProgram(program, std::move(args), ChildOf(p));
   FinishSyscall();
   return pid;
 }
@@ -1469,13 +1249,8 @@ Result<int32_t> SyscallApi::SpawnVm(const std::string& aout_path,
                                     std::vector<std::string> args) {
   EnterSyscall();
   Proc& p = proc();
-  SpawnOptions opts;
-  opts.creds = p.creds;
-  opts.tty = p.controlling_tty;
-  opts.cwd = p.u_cwd_path.empty() ? "/" : p.u_cwd_path;
-  opts.ppid = p.pid;
   kernel_->ChargeCpu(p, kernel_->costs_->fork_overhead);
-  const Result<int32_t> pid = kernel_->SpawnVm(aout_path, std::move(args), opts);
+  const Result<int32_t> pid = kernel_->SpawnVm(aout_path, std::move(args), ChildOf(p));
   FinishSyscall();
   return pid;
 }

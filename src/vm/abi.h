@@ -10,51 +10,75 @@
 #define PMIG_SRC_VM_ABI_H_
 
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace pmig::vm::abi {
 
-// System-call numbers (trap immediate).
-enum Sys : int32_t {
-  kSysExit = 1,
-  kSysFork = 2,
-  kSysRead = 3,
-  kSysWrite = 4,
-  kSysOpen = 5,
-  kSysClose = 6,
-  kSysWait = 7,
-  kSysCreat = 8,
-  kSysLink = 9,
-  kSysUnlink = 10,
-  kSysChdir = 12,
-  kSysTime = 13,       // seconds of virtual time since cluster boot
-  kSysBrk = 17,        // sbrk: r0 = signed increment in bytes; returns the OLD
-                       // break address (end of data), or -ENOMEM
-  kSysLseek = 19,
-  kSysGetPid = 20,
-  kSysKill = 37,
-  kSysDup = 41,
-  kSysPipe = 42,
-  kSysSignal = 48,     // set signal disposition: r0 = signo, r1 = handler addr / 0 / 1
-  kSysIoctl = 54,
-  kSysReadlink = 58,
-  kSysExecve = 59,
-  kSysGetHostname = 60,  // r0 = buf, r1 = len
-  kSysSetReUid = 61,     // r0 = ruid, r1 = euid
-  kSysGetUid = 62,
-  kSysGetPpid = 64,
-  kSysSleep = 70,        // r0 = seconds (real Unix uses alarm()+pause(); one call here)
-  kSysSocket = 71,       // degenerate local socket, enough to exercise the limitation
-  kSysGetCwd = 72,       // r0 = buf, r1 = len (the 4.3BSD getwd() goes via /bin/pwd;
-                         // our kernel can answer directly thanks to the 5.1 tracking)
-  kSysRename = 128,      // r0 = from path, r1 = to path (4.3BSD number)
-  kSysMkdir = 136,       // r0 = path, r1 = mode
-  kSysRmdir = 137,       // r0 = path
-  kSysStat = 38,         // r0 = path, r1 = buf (writes {type,size,uid,mode} as 4 quads)
-  // --- the paper's additions ---
-  kSysRestProc = 100,    // r0 = a.out path, r1 = stack-file path
-  kSysGetPidReal = 101,      // Section 7 proposal: true pid regardless of migration
-  kSysGetHostnameReal = 102, // Section 7 proposal: true hostname
+// One system call: its trap immediate and its name. The assembler predefines
+// SYS_<name> = number.
+struct Syscall {
+  int32_t number;
+  std::string_view name;
 };
+
+// Every system call, in trap-number order. This list is the ABI: the assembler
+// takes its SYS_* symbols from it, and the kernel's trap table has one handler
+// per entry, in this order (a mismatch fails the kernel's build).
+inline constexpr Syscall kSyscalls[] = {
+    {1, "exit"},
+    {2, "fork"},
+    {3, "read"},
+    {4, "write"},
+    {5, "open"},
+    {6, "close"},
+    {7, "wait"},
+    {8, "creat"},
+    {9, "link"},
+    {10, "unlink"},
+    {12, "chdir"},
+    {13, "time"},               // seconds of virtual time since cluster boot
+    {17, "brk"},                // sbrk: r0 = signed increment in bytes; returns the OLD
+                                // break address (end of data), or -ENOMEM
+    {19, "lseek"},
+    {20, "getpid"},
+    {37, "kill"},
+    {38, "stat"},               // r0 = path, r1 = buf (writes {type,size,uid,mode} as 4 quads)
+    {41, "dup"},
+    {42, "pipe"},
+    {48, "signal"},             // set signal disposition: r0 = signo, r1 = handler addr / 0 / 1
+    {54, "ioctl"},
+    {58, "readlink"},
+    {59, "execve"},
+    {60, "gethostname"},        // r0 = buf, r1 = len
+    {61, "setreuid"},           // r0 = ruid, r1 = euid
+    {62, "getuid"},
+    {64, "getppid"},
+    {70, "sleep"},              // r0 = seconds (real Unix uses alarm()+pause(); one call here)
+    {71, "socket"},             // degenerate local socket, enough to exercise the limitation
+    {72, "getcwd"},             // r0 = buf, r1 = len (the 4.3BSD getwd() goes via /bin/pwd;
+                                // our kernel can answer directly thanks to the 5.1 tracking)
+    // --- the paper's additions ---
+    {100, "rest_proc"},         // r0 = a.out path, r1 = stack-file path
+    {101, "getpid_real"},       // Section 7 proposal: true pid regardless of migration
+    {102, "gethostname_real"},  // Section 7 proposal: true hostname
+    // --- 4.3BSD's directory calls ---
+    {128, "rename"},            // r0 = from path, r1 = to path (4.3BSD number)
+    {136, "mkdir"},             // r0 = path, r1 = mode
+    {137, "rmdir"},             // r0 = path
+};
+
+// The largest trap number in the ABI.
+inline constexpr int32_t kMaxSyscall = std::end(kSyscalls)[-1].number;
+
+// The trap number of the call named `name`. A name not in kSyscalls does not
+// compile.
+consteval int32_t SyscallNumber(std::string_view name) {
+  for (const Syscall& call : kSyscalls) {
+    if (call.name == name) return call.number;
+  }
+  throw "no such system call";
+}
 
 // open() flags (4.2BSD values, octal).
 enum OpenFlags : int32_t {
@@ -105,7 +129,7 @@ enum Sig : int32_t {
 };
 constexpr int32_t kNSig = 33;
 
-// Signal dispositions passed to kSysSignal as the handler argument.
+// Signal dispositions passed to signal() as the handler argument.
 constexpr int64_t kSigDfl = 0;
 constexpr int64_t kSigIgn = 1;
 

@@ -13,48 +13,10 @@ namespace pmig::vm {
 
 namespace {
 
-using abi::Sys;
-
 // Symbolic names every program can use without declaring them.
 std::map<std::string, int64_t, std::less<>> PredefinedSymbols() {
   using namespace abi;
-  return {
-      {"SYS_exit", kSysExit},
-      {"SYS_fork", kSysFork},
-      {"SYS_read", kSysRead},
-      {"SYS_write", kSysWrite},
-      {"SYS_open", kSysOpen},
-      {"SYS_close", kSysClose},
-      {"SYS_wait", kSysWait},
-      {"SYS_creat", kSysCreat},
-      {"SYS_link", kSysLink},
-      {"SYS_unlink", kSysUnlink},
-      {"SYS_chdir", kSysChdir},
-      {"SYS_time", kSysTime},
-      {"SYS_brk", kSysBrk},
-      {"SYS_lseek", kSysLseek},
-      {"SYS_getpid", kSysGetPid},
-      {"SYS_kill", kSysKill},
-      {"SYS_dup", kSysDup},
-      {"SYS_pipe", kSysPipe},
-      {"SYS_signal", kSysSignal},
-      {"SYS_ioctl", kSysIoctl},
-      {"SYS_readlink", kSysReadlink},
-      {"SYS_execve", kSysExecve},
-      {"SYS_gethostname", kSysGetHostname},
-      {"SYS_setreuid", kSysSetReUid},
-      {"SYS_getuid", kSysGetUid},
-      {"SYS_getppid", kSysGetPpid},
-      {"SYS_sleep", kSysSleep},
-      {"SYS_socket", kSysSocket},
-      {"SYS_getcwd", kSysGetCwd},
-      {"SYS_rename", kSysRename},
-      {"SYS_mkdir", kSysMkdir},
-      {"SYS_rmdir", kSysRmdir},
-      {"SYS_stat", kSysStat},
-      {"SYS_rest_proc", kSysRestProc},
-      {"SYS_getpid_real", kSysGetPidReal},
-      {"SYS_gethostname_real", kSysGetHostnameReal},
+  std::map<std::string, int64_t, std::less<>> symbols = {
       {"O_RDONLY", kORdOnly},
       {"O_WRONLY", kOWrOnly},
       {"O_RDWR", kORdWr},
@@ -90,6 +52,10 @@ std::map<std::string, int64_t, std::less<>> PredefinedSymbols() {
       {"DATA_BASE", kDataBase},
       {"STACK_TOP", kStackTop},
   };
+  for (const Syscall& call : kSyscalls) {
+    symbols.emplace("SYS_" + std::string(call.name), call.number);
+  }
+  return symbols;
 }
 
 struct Line {

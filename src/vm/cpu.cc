@@ -183,6 +183,12 @@ bool VmContext::WriteBytes(uint32_t addr, uint32_t len, const uint8_t* in) {
   return true;
 }
 
+bool VmContext::Readable(uint32_t addr, uint64_t len) const {
+  const uint64_t end = uint64_t{addr} + len;
+  return len == 0 || (addr >= kDataBase && end <= kDataBase + uint64_t{data.size()}) ||
+         (addr >= kStackBase && end <= kStackTop);
+}
+
 bool VmContext::ReadU64(uint32_t addr, int64_t* out) const {
   return ReadBytes(addr, 8, reinterpret_cast<uint8_t*>(out));
 }
@@ -214,7 +220,7 @@ bool VmContext::ReadCString(uint32_t addr, uint32_t max_len, std::string* out) c
   return false;  // unterminated within max_len
 }
 
-bool VmContext::WriteCString(uint32_t addr, const std::string& s) {
+bool VmContext::WriteCString(uint32_t addr, std::string_view s) {
   if (!WriteBytes(addr, static_cast<uint32_t>(s.size()),
                   reinterpret_cast<const uint8_t*>(s.data()))) {
     return false;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/blob.h"
@@ -131,7 +132,11 @@ struct VmContext {
   bool WriteU16(uint32_t addr, uint16_t value);
   // Reads a NUL-terminated string of at most `max_len` bytes (excluding NUL).
   bool ReadCString(uint32_t addr, uint32_t max_len, std::string* out) const;
-  bool WriteCString(uint32_t addr, const std::string& s);  // writes s + NUL
+  bool WriteCString(uint32_t addr, std::string_view s);  // writes s + NUL
+  // True when ReadBytes(addr, len) would succeed: the range lies in the data
+  // segment or the stack region. Checks a guest's length before anything is
+  // sized by it.
+  bool Readable(uint32_t addr, uint64_t len) const;
 
  private:
   friend class Cpu;

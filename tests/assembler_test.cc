@@ -100,9 +100,15 @@ TEST(Assembler, EquConstants) {
 TEST(Assembler, PredefinedAbiSymbols) {
   const AsmOutput out = Assemble("sys SYS_write\nmovi r1, O_CREAT+O_WRONLY\n");
   ASSERT_TRUE(out.ok);
-  EXPECT_EQ(Instruction::Decode(out.image.text.data()).imm, abi::kSysWrite);
+  EXPECT_EQ(Instruction::Decode(out.image.text.data()).imm, abi::SyscallNumber("write"));
   EXPECT_EQ(Instruction::Decode(out.image.text.data() + kInstrBytes).imm,
             abi::kOCreat | abi::kOWrOnly);
+  // Every call in the ABI list is predefined as SYS_<name>.
+  for (const abi::Syscall& call : abi::kSyscalls) {
+    const AsmOutput sys = Assemble("sys SYS_" + std::string(call.name) + "\n");
+    ASSERT_TRUE(sys.ok) << call.name;
+    EXPECT_EQ(Instruction::Decode(sys.image.text.data()).imm, call.number);
+  }
 }
 
 TEST(Assembler, CharacterLiterals) {

@@ -165,9 +165,7 @@ TEST(Limitations, VirtualizedIdentityReportsOldValues) {
   kernel::Proc* p = world.host("schooner").FindProc(new_pid);
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(p->migrated);
-  kernel::SyscallApi* api = world.host("schooner").ApiFor(new_pid);
-  ASSERT_NE(api, nullptr);
-  EXPECT_EQ(api->GetPid(), pid);  // virtualised view
+  EXPECT_EQ(p->api->GetPid(), pid);  // virtualised view
 }
 
 TEST(Limitations, TemporaryFileProblem) {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/test_programs.h"
 #include "tests/test_util.h"
 
@@ -12,10 +17,12 @@ namespace {
 using test::kUserUid;
 using test::World;
 
-// Runs an assembly program on brick to completion; returns its exit code.
-// The program is installed at /bin/t and started with no tty (batch).
-int RunAsm(World& world, const std::string& source, bool with_tty = false,
-           const std::string& cwd = "/u/user") {
+// Runs an assembly program on brick to completion; returns its exit code and
+// the system CPU it was charged. The program is installed at /bin/t and
+// started with no tty (batch).
+std::pair<int, sim::Nanos> RunAsmCharged(World& world, const std::string& source,
+                                         bool with_tty = false,
+                                         const std::string& cwd = "/u/user") {
   core::InstallProgram(world.host("brick"), "/bin/t", source);
   kernel::Kernel& k = world.host("brick");
   kernel::SpawnOptions opts;
@@ -24,9 +31,16 @@ int RunAsm(World& world, const std::string& source, bool with_tty = false,
   opts.cwd = cwd;
   const Result<int32_t> pid = k.SpawnVm("/bin/t", {}, opts);
   EXPECT_TRUE(pid.ok());
-  if (!pid.ok()) return -1;
+  if (!pid.ok()) return {-1, 0};
   EXPECT_TRUE(world.RunUntilExited("brick", *pid, sim::Seconds(120)));
-  return world.ExitInfoOf("brick", *pid).exit_code;
+  const kernel::Proc* p = k.FindAnyProc(*pid);
+  return {p->exit_info.exit_code, p->stime};
+}
+
+// The exit code alone.
+int RunAsm(World& world, const std::string& source, bool with_tty = false,
+           const std::string& cwd = "/u/user") {
+  return RunAsmCharged(world, source, with_tty, cwd).first;
 }
 
 // Convention in these programs: exit(0) = success, exit(N) = step N failed.
@@ -417,9 +431,14 @@ nope:   .asciiz "/no/such/file"
 }
 
 TEST(VmSyscall, UnknownSyscallIsEinval) {
+  // Numbers the ABI does not define: past its end, gaps inside the trap table,
+  // both of the table's ends, and the extremes of the 32-bit immediate.
   World world;
-  const int code = RunAsm(world, R"(
-start:  sys  999
+  for (const int64_t number : {int64_t{999}, int64_t{0}, int64_t{11}, int64_t{103},
+                               int64_t{138}, int64_t{-1}, int64_t{INT32_MIN},
+                               int64_t{INT32_MAX}}) {
+    SCOPED_TRACE(number);
+    const int code = RunAsm(world, "start:  sys  " + std::to_string(number) + R"(
         movi r1, -22            ; -EINVAL
         bne  r0, r1, bad
         movi r0, 0
@@ -427,24 +446,63 @@ start:  sys  999
 bad:    movi r0, 1
         sys  SYS_exit
 )");
-  EXPECT_EQ(code, 0);
+    EXPECT_EQ(code, 0);
+  }
 }
 
 TEST(VmSyscall, BadPointerIsEfault) {
+  // Every call that takes paths, trapped once per path argument with that
+  // pointer outside every segment and any other path valid, returns -EFAULT and
+  // changes nothing: the cwd, the files and the running image stay as they were.
   World world;
-  const int code = RunAsm(world, R"(
-start:  movi r0, 1              ; pointer into text: not readable as a string
+  world.host("brick").vfs().SetupCreateFile("/u/user/f", "x", kUserUid, 0644);
+  const struct {
+    const char* name;
+    int paths;
+  } calls[] = {{"open", 1}, {"creat", 1}, {"link", 2}, {"unlink", 1},
+               {"chdir", 1}, {"stat", 1}, {"readlink", 1}, {"execve", 1},
+               {"rest_proc", 2}, {"rename", 2}, {"mkdir", 1}, {"rmdir", 1}};
+  // 1 lies in the execute-only text; 0x400000 between the data segment and the
+  // stack.
+  std::string program = "start:\n";
+  int step = 0;
+  for (const auto& call : calls) {
+    for (int bad = 0; bad < call.paths; ++bad) {
+      for (const char* pointer : {"1", "0x400000"}) {
+        ++step;
+        program += "        movi r0, fpath\n        movi r1, gpath\n";
+        program += "        movi r" + std::to_string(bad) + ", " + pointer + "\n";
+        program += "        movi r2, 420\n        sys  SYS_" + std::string(call.name) + "\n";
+        program += "        movi r5, -14            ; -EFAULT\n";
+        program += "        movi r4, " + std::to_string(step) + "\n        bne  r0, r5, bad\n";
+      }
+    }
+  }
+  program += R"(        movi r0, fpath          ; still here, in the same cwd
         movi r1, O_RDONLY
         movi r2, 0
         sys  SYS_open
-        movi r1, -14            ; -EFAULT
-        bne  r0, r1, bad
+        movi r4, 0
+        blt  r0, r4, gone
         movi r0, 0
         sys  SYS_exit
-bad:    movi r0, 1
+gone:   movi r4, 999
+bad:    mov  r0, r4
         sys  SYS_exit
-)");
-  EXPECT_EQ(code, 0);
+        .data
+fpath:  .asciiz "f"
+gpath:  .asciiz "g"
+)";
+  const auto entries = [&world] {
+    kernel::Kernel& k = world.host("brick");
+    auto dir = k.vfs().Resolve(k.vfs().RootState(), "/u/user", vfs::Follow::kAll, nullptr);
+    std::vector<std::string> names;
+    for (const auto& [name, inode] : dir->inode->entries) names.push_back(name);
+    return names;
+  };
+  const std::vector<std::string> before = entries();
+  EXPECT_EQ(RunAsm(world, program), 0);
+  EXPECT_EQ(entries(), before);
 }
 
 TEST(VmSyscall, KillSelfWithSigTerm) {
@@ -490,6 +548,12 @@ fill:   add  r3, r6, r2
         movi r0, -1000000
         sys  SYS_brk
         movi r1, -12            ; -ENOMEM
+        bne  r0, r1, bad3
+        ; so is an increment the break cannot reach without overflowing
+        movi r0, -1
+        movi r2, 1
+        shr  r0, r0, r2         ; INT64_MAX
+        sys  SYS_brk
         bne  r0, r1, bad3
         ; shrink legitimately; access past the new break faults... so just exit
         movi r0, -4096
@@ -570,6 +634,192 @@ buf:    .space 16
   ASSERT_TRUE(world.RunUntilExited("schooner", moved, sim::Seconds(60)));
   EXPECT_EQ(world.ExitInfoOf("schooner", moved).exit_code, 0);
   EXPECT_NE(world.console("schooner")->PlainOutput().find("heap ok"), std::string::npos);
+}
+
+TEST(VmSyscall, SleepWaitsItsSeconds) {
+  World world;
+  const sim::Nanos t0 = world.cluster().clock().now();
+  const int code = RunAsm(world, R"(
+start:  movi r0, -1
+        sys  SYS_sleep
+        movi r1, -22            ; -EINVAL: negative seconds
+        bne  r0, r1, bad1
+        movi r0, 1
+        movi r1, 31
+        shl  r0, r0, r1         ; 2^31 seconds: past 2^31 - 1
+        sys  SYS_sleep
+        movi r1, -22
+        bne  r0, r1, bad2
+        movi r0, 2
+        sys  SYS_sleep
+        movi r1, 0
+        bne  r0, r1, bad3
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+bad3:   movi r0, 3
+        sys  SYS_exit
+)");
+  EXPECT_EQ(code, 0);
+  const sim::Nanos elapsed = world.cluster().clock().now() - t0;
+  EXPECT_GE(elapsed, sim::Seconds(2));
+  EXPECT_LT(elapsed, sim::Seconds(3));
+}
+
+TEST(VmSyscall, WriteRangeOutsideEverySegmentIsEfault) {
+  // The count is the guest's: a range no segment holds fails before a buffer
+  // is sized by it, including a count whose low 32 bits look small.
+  World world;
+  const int code = RunAsm(world, R"(
+start:  movi r0, fname
+        movi r1, 420
+        sys  SYS_creat
+        mov  r6, r0
+        mov  r0, r6
+        movi r1, msg
+        movi r2, 1
+        movi r3, 61
+        shl  r2, r2, r3         ; 2^61 bytes
+        sys  SYS_write
+        movi r5, -14            ; -EFAULT
+        bne  r0, r5, bad1
+        mov  r0, r6
+        movi r1, msg
+        movi r2, 1
+        movi r3, 32
+        shl  r2, r2, r3
+        addi r2, r2, 5          ; 2^32 + 5 bytes
+        sys  SYS_write
+        bne  r0, r5, bad2
+        mov  r0, r6
+        movi r1, msg
+        movi r2, 5
+        sys  SYS_write
+        movi r5, 5
+        bne  r0, r5, bad3
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+bad3:   movi r0, 3
+        sys  SYS_exit
+        .data
+fname:  .asciiz "w.dat"
+msg:    .ascii "hello"
+)");
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(world.FileContents("brick", "/u/user/w.dat"), "hello");
+}
+
+TEST(VmSyscall, NonPositiveChannelReadTakesNothing) {
+  // A read count <= 0 on a pipe or socket returns 0 bytes, leaves the buffer
+  // whole and charges nothing, as on a file or a terminal.
+  for (const char* channel : {"SYS_pipe", "SYS_socket"}) {
+    SCOPED_TRACE(channel);
+    sim::Nanos stime[2] = {0, 0};
+    for (const int count : {-1, 0}) {
+      World world;
+      const auto [code, charged] = RunAsmCharged(world, R"(
+start:  sys  )" + std::string(channel) + R"(
+        mov  r6, r0             ; read end
+        mov  r0, r1
+        movi r1, msg
+        movi r2, 5
+        sys  SYS_write
+        mov  r0, r6
+        movi r1, buf
+        movi r2, )" + std::to_string(count) + R"(
+        sys  SYS_read
+        movi r5, 0
+        bne  r0, r5, bad1
+        mov  r0, r6
+        movi r1, buf
+        movi r2, 16
+        sys  SYS_read
+        movi r5, 5              ; all five bytes still there
+        bne  r0, r5, bad2
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+        .data
+msg:    .ascii "hello"
+buf:    .space 16
+)");
+      EXPECT_EQ(code, 0) << "count " << count;
+      stime[count + 1] = charged;
+    }
+    EXPECT_EQ(stime[0], stime[1]);  // count -1 is charged what count 0 is
+  }
+}
+
+TEST(VmSyscall, SeekAndWritePastTheOffsetLimit) {
+  // lseek() refuses a position that overflows; write() refuses to grow a file
+  // past 2^31 - 1 bytes (Sun UNIX 3.0's 32-bit off_t) with EFBIG.
+  World world;
+  const int code = RunAsm(world, R"(
+start:  movi r0, fname
+        movi r1, 420
+        sys  SYS_creat
+        mov  r6, r0
+        movi r7, 1
+        movi r3, 61
+        shl  r7, r7, r3         ; 2^61
+        mov  r0, r6
+        mov  r1, r7
+        movi r2, SEEK_SET
+        sys  SYS_lseek
+        bne  r0, r7, bad1
+        mov  r0, r6
+        movi r1, msg
+        movi r2, 1
+        sys  SYS_write
+        movi r5, -27            ; -EFBIG
+        bne  r0, r5, bad2
+        movi r1, 1
+        movi r3, 31
+        shl  r1, r1, r3
+        addi r1, r1, -1         ; 2^31 - 1: one byte more is too many
+        mov  r0, r6
+        movi r2, SEEK_SET
+        sys  SYS_lseek
+        mov  r0, r6
+        movi r1, msg
+        movi r2, 1
+        sys  SYS_write
+        bne  r0, r5, bad3
+        movi r7, -1
+        movi r3, 1
+        shr  r7, r7, r3         ; INT64_MAX
+        mov  r0, r6
+        mov  r1, r7
+        movi r2, SEEK_CUR       ; (2^31 - 1) + INT64_MAX overflows
+        sys  SYS_lseek
+        movi r5, -22            ; -EINVAL
+        bne  r0, r5, bad4
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+bad3:   movi r0, 3
+        sys  SYS_exit
+bad4:   movi r0, 4
+        sys  SYS_exit
+        .data
+fname:  .asciiz "big.dat"
+msg:    .ascii "x"
+)");
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(world.FileContents("brick", "/u/user/big.dat"), "");
 }
 
 }  // namespace
