@@ -13,7 +13,12 @@ namespace {
 // A hog big enough to run for ~40 virtual seconds.
 constexpr const char* kJobIterations = "10000000";
 
-sim::Nanos RunJob(int checkpoint_every_s, int* checkpoints_taken) {
+struct JobRun {
+  sim::Nanos time = 0;  // to job completion
+  int checkpoints = 0;
+};
+
+JobRun RunJob(int checkpoint_every_s) {
   TestbedOptions options;
   options.num_hosts = 1;
   Testbed world(options);
@@ -57,12 +62,10 @@ sim::Nanos RunJob(int checkpoint_every_s, int* checkpoints_taken) {
         sim::Seconds(3000));
     const sim::Nanos done = world.cluster().clock().now();
     world.cluster().RunUntilIdle(sim::Seconds(3000));  // drain the daemon
-    if (checkpoints_taken != nullptr) *checkpoints_taken = *taken;
-    return done - t0;
+    return {done - t0, *taken};
   }
   world.cluster().RunUntilIdle(sim::Seconds(3000));
-  if (checkpoints_taken != nullptr) *checkpoints_taken = 0;
-  return world.cluster().clock().now() - t0;
+  return {world.cluster().clock().now() - t0, 0};
 }
 
 }  // namespace
@@ -70,29 +73,25 @@ sim::Nanos RunJob(int checkpoint_every_s, int* checkpoints_taken) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
-  using pmig::sim::Nanos;
   namespace sim = pmig::sim;
+  ParseBenchFlags(argc, argv);
   std::printf("\n=== Ablation D: checkpoint interval vs job slowdown (Section 8) ===\n");
-  int base_ckpts = 0;
-  const sim::Nanos baseline = RunJob(0, &base_ckpts);
+  const sim::Nanos baseline = RunJob(0).time;
   std::printf("%14s %12s %14s %10s\n", "interval (s)", "checkpoints", "job time (s)",
               "overhead");
   std::printf("%14s %12d %14.2f %9.1f%%\n", "none", 0, sim::ToSeconds(baseline), 0.0);
+  std::vector<Row> rows = {{"no_checkpoints", Measurement{0, sim::ToMillis(baseline)}, ""}};
   for (const int interval : {20, 10, 5}) {
-    int ckpts = 0;
-    const sim::Nanos t = RunJob(interval, &ckpts);
-    std::printf("%14d %12d %14.2f %9.1f%%\n", interval, ckpts, sim::ToSeconds(t),
-                100.0 * static_cast<double>(t - baseline) / static_cast<double>(baseline));
+    const JobRun run = RunJob(interval);
+    std::printf("%14d %12d %14.2f %9.1f%%\n", interval, run.checkpoints,
+                sim::ToSeconds(run.time),
+                100.0 * static_cast<double>(run.time - baseline) /
+                    static_cast<double>(baseline));
+    rows.push_back({"every_" + std::to_string(interval) + "s",
+                    Measurement{0, sim::ToMillis(run.time)}, ""});
   }
   std::printf("\n(each snapshot costs a SIGDUMP + file copies + a local restart; the paper\n"
               " proposes exactly this application but does not measure it)\n");
-
-  RegisterSim("ablationD/no_checkpoints", [] {
-    return Measurement{0, sim::ToMillis(RunJob(0, nullptr))};
-  });
-  RegisterSim("ablationD/every_10s", [] {
-    return Measurement{0, sim::ToMillis(RunJob(10, nullptr))};
-  });
-  return RunBenchmarks(argc, argv);
+  WriteBenchJson("ablation_checkpoint", rows);
+  return 0;
 }

@@ -47,7 +47,7 @@ Measurement MeasureMigrate(const Placement& placement, bool use_daemon) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
+  ParseBenchFlags(argc, argv);
   std::vector<Row> rows;
   for (const Placement& placement : kPlacements) {
     const Measurement rsh = MeasureMigrate(placement, false);
@@ -58,12 +58,6 @@ int main(int argc, char** argv) {
                 rsh.real_ms / daemon.real_ms);
   }
   PrintFigure("Ablation A: migrate via rsh vs via migration daemon (real time)", rows, 0);
-
-  for (const Placement& placement : kPlacements) {
-    RegisterSim("ablationA/rsh/" + placement.from + "_to_" + placement.to,
-                [placement] { return MeasureMigrate(placement, false); });
-    RegisterSim("ablationA/daemon/" + placement.from + "_to_" + placement.to,
-                [placement] { return MeasureMigrate(placement, true); });
-  }
-  return RunBenchmarks(argc, argv);
+  WriteBenchJson("ablation_daemon_vs_rsh", rows);
+  return 0;
 }

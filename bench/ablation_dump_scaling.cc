@@ -25,11 +25,9 @@ struct DumpCosts {
 DumpCosts Measure(const Sizes& sizes) {
   TestbedOptions options;
   options.num_hosts = 1;
-  Testbed world(options);
   const std::string padded =
       core::WithPadding(core::CounterProgramSource(), sizes.text_instructions,
                         sizes.data_bytes);
-  core::InstallProgram(world.host("brick"), "/bin/sized", padded);
 
   DumpCosts costs;
   auto measure_kill = [&](int signo) {
@@ -78,9 +76,7 @@ DumpCosts Measure(const Sizes& sizes) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
-  using pmig::sim::Nanos;
-  namespace sim = pmig::sim;
+  ParseBenchFlags(argc, argv);
   std::printf("\n=== Ablation C: dump/restart cost vs process size ===\n");
   std::printf("%10s %10s | %12s %12s %8s | %12s\n", "text (KB)", "data (KB)",
               "SIGQUIT (ms)", "SIGDUMP (ms)", "ratio", "restart (ms)");
@@ -91,8 +87,14 @@ int main(int argc, char** argv) {
       {1400, 16384}, // data-heavy (narrows the SIGDUMP/SIGQUIT gap)
       {4000, 5600},  // text-heavy (widens it)
   };
+  std::vector<Row> rows;
   for (const Sizes& sizes : sweep) {
     const DumpCosts costs = Measure(sizes);
+    const std::string point = "text=" + std::to_string(sizes.text_instructions) +
+                              "/data=" + std::to_string(sizes.data_bytes);
+    rows.push_back({point + "/sigquit", costs.sigquit, ""});
+    rows.push_back({point + "/sigdump", costs.sigdump, ""});
+    rows.push_back({point + "/restart", costs.restart, ""});
     std::printf("%10.1f %10.1f | %12.1f %12.1f %7.2fx | %12.1f\n",
                 sizes.text_instructions * 8 / 1024.0, sizes.data_bytes / 1024.0,
                 costs.sigquit.real_ms, costs.sigdump.real_ms,
@@ -101,12 +103,6 @@ int main(int argc, char** argv) {
   std::printf("\n(text grows only the SIGDUMP side — the a.out carries text+data while the\n"
               " core carries data+stack; the paper's ~3x comes from a typical C program's\n"
               " text:data proportions)\n");
-
-  RegisterSim("ablationC/fig2_size/sigdump",
-              [] { return Measure({1400, 5600}).sigdump; });
-  RegisterSim("ablationC/text_heavy/sigdump",
-              [] { return Measure({4000, 5600}).sigdump; });
-  RegisterSim("ablationC/data_heavy/sigdump",
-              [] { return Measure({1400, 16384}).sigdump; });
-  return RunBenchmarks(argc, argv);
+  WriteBenchJson("ablation_dump_scaling", rows);
+  return 0;
 }

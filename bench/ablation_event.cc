@@ -240,8 +240,7 @@ HeartbeatOutcome RunHeartbeat() {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  const bool check = ParseBoolFlag(&argc, argv, "--check");
-  ParseBenchFlags(&argc, argv);
+  const bool check = ParseBenchFlags(argc, argv, kCheckFlag).check;
 
   std::printf("\n=== Ablation: event-driven vs polling on %d hosts (S1) ===\n",
               kHosts);
@@ -280,9 +279,6 @@ int main(int argc, char** argv) {
   rows.push_back({"flagoff3/polling", off_a.m, "bit-identical with flag off"});
   rows.push_back({"balanced4/heartbeat", hb.m, "max_idle safety net only"});
   WriteBenchJson("ablation_event", rows);
-  for (const Row& row : rows) {
-    WriteBenchRow("ablation_event", row.name, row.m, 0, 0, row.paper_note);
-  }
 
   if (check) {
     bool ok = true;
@@ -344,9 +340,5 @@ int main(int argc, char** argv) {
     std::printf("check: %s\n", ok ? "ok" : "REGRESSION");
     return ok ? 0 : 1;
   }
-
-  RegisterSim("event/polling_200", [] { return RunScale(false).m; });
-  RegisterSim("event/event_200", [] { return RunScale(true).m; });
-  RegisterSim("event/heartbeat_4", [] { return RunHeartbeat().m; });
-  return RunBenchmarks(argc, argv);
+  return 0;
 }

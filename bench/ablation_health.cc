@@ -236,19 +236,7 @@ double ToSecs(sim::Nanos ns) { return ns < 0 ? -1.0 : static_cast<double>(ns) / 
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  bool check = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--check") == 0) {
-        check = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-  }
-  ParseBenchFlags(&argc, argv);
+  const bool check = ParseBenchFlags(argc, argv, kCheckFlag).check;
 
   std::printf("\n=== Ablation: degrading host, monitor vs nobody watching ===\n");
   const HealthOutcome monitored =
@@ -282,9 +270,6 @@ int main(int argc, char** argv) {
   rows.push_back({"passive/armed", passive_armed.m, "bit-identical to off"});
   rows.push_back({"passive/off", passive_off.m, "reference"});
   WriteBenchJson("ablation_health", rows);
-  for (const Row& row : rows) {
-    WriteBenchRow("ablation_health", row.name, row.m, 0, 0, row.paper_note);
-  }
 
   if (check) {
     bool ok = true;
@@ -312,10 +297,5 @@ int main(int argc, char** argv) {
     std::printf("check: %s\n", ok ? "ok" : "REGRESSION");
     return ok ? 0 : 1;
   }
-
-  RegisterSim("health/degrading_monitor",
-              [] { return RunDegradingHost(true, true, true).m; });
-  RegisterSim("health/degrading_baseline",
-              [] { return RunDegradingHost(false, false, true).m; });
-  return RunBenchmarks(argc, argv);
+  return 0;
 }

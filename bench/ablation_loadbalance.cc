@@ -16,7 +16,12 @@ constexpr const char* kJobIterations = "2000000";  // ~8 virtual seconds each
 
 enum class Mode { kNone, kRsh, kDaemon };
 
-sim::Nanos Makespan(int jobs, int hosts, Mode mode, int* migrations) {
+struct BatchRun {
+  sim::Nanos makespan = 0;
+  int migrations = 0;
+};
+
+BatchRun RunBatch(int jobs, int hosts, Mode mode) {
   TestbedOptions options;
   options.num_hosts = hosts;
   options.daemons = true;
@@ -57,8 +62,7 @@ sim::Nanos Makespan(int jobs, int hosts, Mode mode, int* migrations) {
       sim::Seconds(3000));
   const sim::Nanos makespan = world.cluster().clock().now() - t0;
   world.cluster().RunUntilIdle(sim::Seconds(600));  // let the balancer exit
-  if (migrations != nullptr) *migrations = stats->migrations;
-  return makespan;
+  return {makespan, stats->migrations};
 }
 
 }  // namespace
@@ -66,39 +70,34 @@ sim::Nanos Makespan(int jobs, int hosts, Mode mode, int* migrations) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
-  using pmig::sim::Nanos;
   namespace sim = pmig::sim;
+  ParseBenchFlags(argc, argv);
   std::printf("\n=== Ablation E: load balancing by migration (Section 8) ===\n");
   std::printf("%6s %6s %10s | %13s %11s %9s\n", "jobs", "hosts", "balancer",
               "makespan (s)", "migrations", "speedup");
+  std::vector<Row> rows;
   for (const int hosts : {2, 3}) {
     const int jobs = 2 * hosts;
-    int m0 = 0, m1 = 0, m2 = 0;
-    const sim::Nanos none = Makespan(jobs, hosts, Mode::kNone, &m0);
-    const sim::Nanos rsh = Makespan(jobs, hosts, Mode::kRsh, &m1);
-    const sim::Nanos daemon = Makespan(jobs, hosts, Mode::kDaemon, &m2);
+    const BatchRun none = RunBatch(jobs, hosts, Mode::kNone);
+    const BatchRun rsh = RunBatch(jobs, hosts, Mode::kRsh);
+    const BatchRun daemon = RunBatch(jobs, hosts, Mode::kDaemon);
     std::printf("%6d %6d %10s | %13.1f %11d %9s\n", jobs, hosts, "none",
-                sim::ToSeconds(none), m0, "1.00x");
+                sim::ToSeconds(none.makespan), none.migrations, "1.00x");
     std::printf("%6d %6d %10s | %13.1f %11d %8.2fx\n", jobs, hosts, "rsh",
-                sim::ToSeconds(rsh), m1,
-                static_cast<double>(none) / static_cast<double>(rsh));
+                sim::ToSeconds(rsh.makespan), rsh.migrations,
+                static_cast<double>(none.makespan) / static_cast<double>(rsh.makespan));
     std::printf("%6d %6d %10s | %13.1f %11d %8.2fx\n", jobs, hosts, "daemon",
-                sim::ToSeconds(daemon), m2,
-                static_cast<double>(none) / static_cast<double>(daemon));
+                sim::ToSeconds(daemon.makespan), daemon.migrations,
+                static_cast<double>(none.makespan) / static_cast<double>(daemon.makespan));
+    const std::string point = "jobs=" + std::to_string(jobs) + "/hosts=" + std::to_string(hosts);
+    const auto row = [&point](const char* balancer, const BatchRun& run) {
+      return Row{point + balancer, Measurement{0, sim::ToMillis(run.makespan)}, ""};
+    };
+    rows.insert(rows.end(), {row("/none", none), row("/rsh", rsh), row("/daemon", daemon)});
   }
   std::printf("\n(the daemon balancer approaches the ideal hosts-fold speedup; rsh's\n"
               " per-migration connection cost eats into it — the paper's point that a\n"
               " 'more efficient [application] would have to be written' for this use)\n");
-
-  RegisterSim("ablationE/none", [] {
-    return Measurement{0, sim::ToMillis(Makespan(4, 2, Mode::kNone, nullptr))};
-  });
-  RegisterSim("ablationE/rsh", [] {
-    return Measurement{0, sim::ToMillis(Makespan(4, 2, Mode::kRsh, nullptr))};
-  });
-  RegisterSim("ablationE/daemon", [] {
-    return Measurement{0, sim::ToMillis(Makespan(4, 2, Mode::kDaemon, nullptr))};
-  });
-  return RunBenchmarks(argc, argv);
+  WriteBenchJson("ablation_loadbalance", rows);
+  return 0;
 }

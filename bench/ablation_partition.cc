@@ -348,19 +348,7 @@ Outcome RunFlapWithReaperDaemon() {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  bool check = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--check") == 0) {
-        check = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-  }
-  ParseBenchFlags(&argc, argv);
+  const bool check = ParseBenchFlags(argc, argv, kCheckFlag).check;
 
   std::printf("\n=== Ablation: migrations and coordinators under partition ===\n");
   const Outcome cut = RunCutMigrations(PartitionMode::kActive);
@@ -401,9 +389,6 @@ int main(int argc, char** argv) {
   rows.push_back({"inert/armed", inert_armed.m, "bit-identical to off"});
   rows.push_back({"inert/off", inert_off.m, "reference"});
   WriteBenchJson("ablation_partition", rows);
-  for (const Row& row : rows) {
-    WriteBenchRow("ablation_partition", row.name, row.m, 0, 0, row.paper_note);
-  }
 
   if (check) {
     bool ok = true;
@@ -431,10 +416,5 @@ int main(int argc, char** argv) {
     std::printf("check: %s\n", ok ? "ok" : "REGRESSION");
     return ok ? 0 : 1;
   }
-
-  RegisterSim("partition/cut_migrations",
-              [] { return RunCutMigrations(PartitionMode::kActive).m; });
-  RegisterSim("partition/splitbrain_leased", [] { return RunSplitBrain(true).m; });
-  RegisterSim("partition/flap_reaper", [] { return RunFlapWithReaperDaemon().m; });
-  return RunBenchmarks(argc, argv);
+  return 0;
 }

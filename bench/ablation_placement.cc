@@ -109,8 +109,13 @@ FlakyOutcome RunFlakyHost(PlacementPolicy policy) {
 
 // S2: warm brador's segment cache with a --cached round trip of a big
 // dirty-tracked job, then migrate it off brick to wherever `policy` points.
-// Returns the bytes the measured migration moved, and the chosen target.
-Measurement WarmCacheMigration(PlacementPolicy policy, std::string* chosen) {
+// Returns the measured migration (with the bytes it moved) and the chosen target.
+struct WarmOutcome {
+  Measurement m;
+  std::string target;
+};
+
+WarmOutcome WarmCacheMigration(PlacementPolicy policy) {
   TestbedOptions options;
   options.num_hosts = 3;
   options.daemons = true;
@@ -153,15 +158,15 @@ Measurement WarmCacheMigration(PlacementPolicy policy, std::string* chosen) {
   query.from_host = "brick";
   query.pid = home;
   const std::string target = engine.PickTarget(query);
-  if (chosen != nullptr) *chosen = target;
 
   const sim::Nanos cpu0 = world.cluster().TotalCpu();
   const sim::Nanos t0 = world.cluster().clock().now();
   const int64_t bytes0 = TotalBytesMoved(world);
   migrate(home, "brick", target);
-  return Measurement{sim::ToMillis(world.cluster().TotalCpu() - cpu0),
-                     sim::ToMillis(world.cluster().clock().now() - t0),
-                     TotalBytesMoved(world) - bytes0};
+  return {Measurement{sim::ToMillis(world.cluster().TotalCpu() - cpu0),
+                      sim::ToMillis(world.cluster().clock().now() - t0),
+                      TotalBytesMoved(world) - bytes0},
+          target};
 }
 
 }  // namespace
@@ -171,19 +176,7 @@ int main(int argc, char** argv) {
   using namespace pmig::bench;
   namespace apps = pmig::apps;
   using apps::PlacementPolicy;
-  bool check = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--check") == 0) {
-        check = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-  }
-  ParseBenchFlags(&argc, argv);
+  const bool check = ParseBenchFlags(argc, argv, kCheckFlag).check;
 
   constexpr PlacementPolicy kPolicies[] = {
       PlacementPolicy::kLoadOnly, PlacementPolicy::kCostAware,
@@ -207,19 +200,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n=== Ablation: warm-cache placement (S2) ===\n");
-  std::string load_target, cost_target;
-  const Measurement warm_load = WarmCacheMigration(PlacementPolicy::kLoadOnly, &load_target);
-  const Measurement warm_cost = WarmCacheMigration(PlacementPolicy::kCostAware, &cost_target);
-  std::printf("%-12s -> %-9s %12lld bytes %10.1f ms\n", "load-only", load_target.c_str(),
+  const WarmOutcome load = WarmCacheMigration(PlacementPolicy::kLoadOnly);
+  const WarmOutcome cost = WarmCacheMigration(PlacementPolicy::kCostAware);
+  const Measurement& warm_load = load.m;
+  const Measurement& warm_cost = cost.m;
+  std::printf("%-12s -> %-9s %12lld bytes %10.1f ms\n", "load-only", load.target.c_str(),
               static_cast<long long>(warm_load.bytes_moved), warm_load.real_ms);
-  std::printf("%-12s -> %-9s %12lld bytes %10.1f ms\n", "cost-aware", cost_target.c_str(),
+  std::printf("%-12s -> %-9s %12lld bytes %10.1f ms\n", "cost-aware", cost.target.c_str(),
               static_cast<long long>(warm_cost.bytes_moved), warm_cost.real_ms);
-  rows.push_back({"warm/load-only->" + load_target, warm_load, "cold target"});
-  rows.push_back({"warm/cost-aware->" + cost_target, warm_cost, "warm target"});
+  rows.push_back({"warm/load-only->" + load.target, warm_load, "cold target"});
+  rows.push_back({"warm/cost-aware->" + cost.target, warm_cost, "warm target"});
   WriteBenchJson("ablation_placement", rows);
-  for (const Row& row : rows) {
-    WriteBenchRow("ablation_placement", row.name, row.m, 0, 0, row.paper_note);
-  }
 
   const auto failures = [](const FlakyOutcome& f) {
     return f.stats.failed_migrations + f.stats.fallback_restarts;
@@ -260,14 +251,5 @@ int main(int argc, char** argv) {
     std::printf("check: %s\n", ok ? "ok" : "REGRESSION");
     return ok ? 0 : 1;
   }
-
-  RegisterSim("placement/flaky_load_only",
-              [] { return RunFlakyHost(PlacementPolicy::kLoadOnly).m; });
-  RegisterSim("placement/flaky_fault_aware",
-              [] { return RunFlakyHost(PlacementPolicy::kFaultAware).m; });
-  RegisterSim("placement/warm_load_only",
-              [] { return WarmCacheMigration(PlacementPolicy::kLoadOnly, nullptr); });
-  RegisterSim("placement/warm_cost_aware",
-              [] { return WarmCacheMigration(PlacementPolicy::kCostAware, nullptr); });
-  return RunBenchmarks(argc, argv);
+  return 0;
 }

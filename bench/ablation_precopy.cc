@@ -22,7 +22,7 @@ struct FreezeResult {
 
 // The paper's transport: SIGDUMP on brick, restart on schooner. Freeze spans the
 // whole thing.
-FreezeResult MeasureFreezeEverything(int dirty_stride, int net_slowdown = 1) {
+FreezeResult MeasureFreezeEverything(int dirty_stride, int net_slowdown) {
   TestbedOptions options;
   options.costs.net_per_byte *= net_slowdown;
   Testbed world(options);
@@ -60,7 +60,7 @@ FreezeResult MeasureFreezeEverything(int dirty_stride, int net_slowdown = 1) {
   return r;
 }
 
-FreezeResult MeasurePrecopy(int dirty_stride, int net_slowdown = 1) {
+FreezeResult MeasurePrecopy(int dirty_stride, int net_slowdown) {
   TestbedOptions options;
   options.costs.net_per_byte *= net_slowdown;
   Testbed world(options);
@@ -97,40 +97,34 @@ FreezeResult MeasurePrecopy(int dirty_stride, int net_slowdown = 1) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
+  ParseBenchFlags(argc, argv);
   std::printf("\n=== Ablation F: freeze-everything (the paper) vs pre-copy (V-System) ===\n");
   std::printf("%12s | %12s %10s | %12s %10s %8s %7s | %10s\n", "dirty B/cyc",
               "paper frz ms", "bytes", "precopy frz", "total ms", "bytes", "rounds",
               "frz speedup");
-  for (const int stride : {0, 64, 512, 4096}) {
-    const FreezeResult paper = MeasureFreezeEverything(stride);
-    const FreezeResult pre = MeasurePrecopy(stride);
-    std::printf("%12d | %12.1f %10lld | %12.1f %10.1f %8lld %7d | %9.1fx\n", stride,
-                paper.freeze_ms, static_cast<long long>(paper.bytes), pre.freeze_ms,
-                pre.total_ms, static_cast<long long>(pre.bytes), pre.rounds,
-                paper.freeze_ms / pre.freeze_ms);
-  }
+  std::vector<Row> rows;
+  const auto sweep = [&rows](int net_slowdown) {
+    for (const int stride : {0, 64, 512, 4096}) {
+      const FreezeResult paper = MeasureFreezeEverything(stride, net_slowdown);
+      const FreezeResult pre = MeasurePrecopy(stride, net_slowdown);
+      std::printf("%12d | %12.1f %10lld | %12.1f %10.1f %8lld %7d | %9.1fx\n", stride,
+                  paper.freeze_ms, static_cast<long long>(paper.bytes), pre.freeze_ms,
+                  pre.total_ms, static_cast<long long>(pre.bytes), pre.rounds,
+                  paper.freeze_ms / pre.freeze_ms);
+      const std::string point =
+          "net=" + std::to_string(net_slowdown) + "x/stride=" + std::to_string(stride);
+      rows.push_back({point + "/paper", Measurement{0, paper.freeze_ms, paper.bytes}, ""});
+      rows.push_back({point + "/precopy_freeze", Measurement{0, pre.freeze_ms}, ""});
+      rows.push_back({point + "/precopy_total", Measurement{0, pre.total_ms, pre.bytes}, ""});
+    }
+  };
+  sweep(1);
   std::printf("\nSame sweep on a 20x slower network (transfer windows long enough for the\n"
               "dirtier to matter):\n");
-  for (const int stride : {0, 64, 512, 4096}) {
-    const FreezeResult paper = MeasureFreezeEverything(stride, 20);
-    const FreezeResult pre = MeasurePrecopy(stride, 20);
-    std::printf("%12d | %12.1f %10lld | %12.1f %10.1f %8lld %7d | %9.1fx\n", stride,
-                paper.freeze_ms, static_cast<long long>(paper.bytes), pre.freeze_ms,
-                pre.total_ms, static_cast<long long>(pre.bytes), pre.rounds,
-                paper.freeze_ms / pre.freeze_ms);
-  }
+  sweep(20);
   std::printf("\n(pre-copying trades total bytes for a much shorter freeze; the advantage\n"
               " narrows as the dirty rate rises — the V-System's design point, versus the\n"
               " paper's simpler freeze-everything approach)\n");
-
-  RegisterSim("ablationF/paper_freeze", [] {
-    const FreezeResult r = MeasureFreezeEverything(64);
-    return Measurement{0, r.freeze_ms};
-  });
-  RegisterSim("ablationF/precopy_freeze", [] {
-    const FreezeResult r = MeasurePrecopy(64);
-    return Measurement{0, r.freeze_ms};
-  });
-  return RunBenchmarks(argc, argv);
+  WriteBenchJson("ablation_precopy", rows);
+  return 0;
 }

@@ -1,22 +1,21 @@
-// Shared benchmark plumbing.
+// Shared bench plumbing.
 //
-// Every bench binary reproduces one figure of the paper. Because all timing is
-// virtual (the simulator's deterministic clock), a "benchmark" runs a scenario to
-// completion and reads off virtual CPU/real time; google-benchmark is used as the
-// harness (manual time = virtual real seconds) and each binary additionally prints
-// a paper-style table, normalised the way the figure is, with the paper's reported
-// shape alongside for comparison. EXPERIMENTS.md records these numbers.
+// Every bench binary reproduces one figure of the paper or one ablation. All
+// timing is virtual (the simulator's deterministic clock): a bench runs each
+// scenario to completion once, reads off virtual CPU and real time, prints a
+// paper-style table normalised the way the figure is (with the paper's
+// reported shape alongside), and writes the same rows to BENCH_<name>.json,
+// which a baseline_<name> ctest holds to its committed copy. EXPERIMENTS.md
+// records these numbers.
 
 #ifndef PMIG_BENCH_BENCH_UTIL_H_
 #define PMIG_BENCH_BENCH_UTIL_H_
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/testbed.h"
@@ -42,58 +41,51 @@ struct Row {
   std::string paper_note;  // what the paper reports for this row
 };
 
-// Report destination set by --report=FILE (empty: no report). Each bench appends
-// JSONL rows here so figure results are machine-readable as well as printed.
-inline std::string& ReportPath() {
-  static std::string path;
-  return path;
-}
+// A bench's command-line flags. Each bench accepts only the ones it
+// implements: none, --check (the nine gated benches), or fig4_migrate's
+// --check, --report and --trace-out.
+struct BenchFlags {
+  bool check = false;     // run the bench's gate; exit 1 when it fails
+  std::string report;     // append the instrumented cluster report (JSONL) here
+  std::string trace_out;  // write the Perfetto-loadable timeline here
+};
 
-// Chrome trace destination set by --trace-out=FILE (empty: no trace). Benches
-// that run an instrumented scenario write its Perfetto-loadable timeline here.
-inline std::string& TraceOutPath() {
-  static std::string path;
-  return path;
-}
+// The flag sets ParseBenchFlags can accept, or-ed together.
+enum : unsigned { kCheckFlag = 1, kReportFlags = 2 };
 
-// The shared bench flags, stripped from argv before google-benchmark sees it
-// (it rejects unrecognised flags). Call first in every bench main(). Every flag
-// accepts both --flag=VALUE and --flag VALUE, so all benches behave alike.
-inline void ParseBenchFlags(int* argc, char** argv) {
-  const auto take = [argc, argv](int* i, const char* name, size_t len,
-                                 std::string* dest) {
-    if (std::strncmp(argv[*i], name, len) == 0 && argv[*i][len] == '=') {
-      *dest = argv[*i] + len + 1;
+// Parses argv against the flags in `accepted`; call first in every bench
+// main(). Anything else (an unknown flag, one this bench does not implement,
+// a missing value) prints a usage line and exits 2 before any scenario runs.
+// --report and --trace-out take FILE as --flag=FILE or --flag FILE.
+inline BenchFlags ParseBenchFlags(int argc, char** argv, unsigned accepted = 0) {
+  BenchFlags flags;
+  const auto take = [argc, argv](int* i, std::string_view name, std::string* dest) {
+    const std::string_view arg = argv[*i];
+    if (arg.size() > name.size() + 1 && arg.substr(0, name.size()) == name &&
+        arg[name.size()] == '=') {
+      *dest = arg.substr(name.size() + 1);
       return true;
     }
-    if (std::strcmp(argv[*i], name) == 0 && *i + 1 < *argc) {
+    if (arg == name && *i + 1 < argc) {
       *dest = argv[++*i];
       return true;
     }
     return false;
   };
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (take(&i, "--report", 8, &ReportPath())) continue;
-    if (take(&i, "--trace-out", 11, &TraceOutPath())) continue;
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-}
-
-// True when `flag` (e.g. "--check") is present; strips it from argv.
-inline bool ParseBoolFlag(int* argc, char** argv, const char* flag) {
-  bool found = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      found = true;
-    } else {
-      argv[out++] = argv[i];
+  for (int i = 1; i < argc; ++i) {
+    if ((accepted & kCheckFlag) != 0 && std::string_view(argv[i]) == "--check") {
+      flags.check = true;
+    } else if ((accepted & kReportFlags) == 0 ||
+               !(take(&i, "--report", &flags.report) ||
+                 take(&i, "--trace-out", &flags.trace_out))) {
+      std::fprintf(stderr, "%s: unrecognized argument '%s'\nusage: %s%s%s\n", argv[0],
+                   argv[i], argv[0], (accepted & kCheckFlag) != 0 ? " [--check]" : "",
+                   (accepted & kReportFlags) != 0 ? " [--report=FILE] [--trace-out=FILE]"
+                                                  : "");
+      std::exit(2);
     }
   }
-  *argc = out;
-  return found;
+  return flags;
 }
 
 // Exact comparison for the bit-identical gates: a scenario re-run with the
@@ -113,28 +105,6 @@ inline void EnableAllInstrumentation(TestbedOptions* options) {
   options->decision_log = true;
 }
 
-// Appends one raw JSONL line to the report file (no-op without --report).
-inline void WriteReportLine(const std::string& json_line) {
-  if (ReportPath().empty()) return;
-  std::ofstream out(ReportPath(), std::ios::app);
-  if (out) out << json_line << "\n";
-}
-
-// One machine-readable result row.
-inline void WriteBenchRow(const std::string& figure, const std::string& name,
-                          const Measurement& m, double cpu_norm, double real_norm,
-                          const std::string& paper_note) {
-  if (ReportPath().empty()) return;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"type\":\"bench_row\",\"figure\":\"%s\",\"case\":\"%s\","
-                "\"vcpu_ms\":%.4f,\"vreal_ms\":%.4f,\"cpu_norm\":%.4f,\"real_norm\":%.4f,"
-                "\"paper\":\"%s\"}",
-                sim::JsonEscape(figure).c_str(), sim::JsonEscape(name).c_str(), m.cpu_ms,
-                m.real_ms, cpu_norm, real_norm, sim::JsonEscape(paper_note).c_str());
-  WriteReportLine(buf);
-}
-
 // Bytes the scenario put on disk or on the wire, summed across every host:
 // all writes plus NFS reads (local reads just revisit data already in place).
 // Zero unless the testbed was built with metrics on. Subtract a snapshot taken
@@ -149,9 +119,9 @@ inline int64_t TotalBytesMoved(Testbed& world) {
   return total;
 }
 
-// Writes the standardized BENCH_<name>.json next to the binary: one object per
-// row with the virtual-time totals and bytes moved. Silent (no stdout), so the
-// printed figure tables stay bit-identical to earlier runs.
+// Writes the standardized BENCH_<name>.json in the working directory: one
+// object per row with the virtual-time totals and bytes moved. Silent (no
+// stdout), so the printed tables stay bit-identical to earlier runs.
 inline void WriteBenchJson(const std::string& bench, const std::vector<Row>& rows) {
   std::ofstream out("BENCH_" + bench + ".json");
   if (!out) return;
@@ -168,8 +138,7 @@ inline void WriteBenchJson(const std::string& bench, const std::vector<Row>& row
   out << "]}\n";
 }
 
-// Prints a figure table normalised against rows[baseline]; with --report also
-// emits each row as JSONL.
+// Prints a figure table normalised against rows[baseline].
 inline void PrintFigure(const std::string& title, const std::vector<Row>& rows,
                         size_t baseline) {
   std::printf("\n=== %s ===\n", title.c_str());
@@ -182,30 +151,7 @@ inline void PrintFigure(const std::string& title, const std::vector<Row>& rows,
     const double real_norm = real_base > 0 ? row.m.real_ms / real_base : 0.0;
     std::printf("%-34s %12.2f %12.2f %10.2f %10.2f   %s\n", row.name.c_str(), row.m.cpu_ms,
                 row.m.real_ms, cpu_norm, real_norm, row.paper_note.c_str());
-    WriteBenchRow(title, row.name, row.m, cpu_norm, real_norm, row.paper_note);
   }
-}
-
-// Registers a scenario with google-benchmark: manual time is virtual real time,
-// virtual CPU is exported as a counter.
-inline void RegisterSim(const std::string& name, std::function<Measurement()> run) {
-  benchmark::RegisterBenchmark(name.c_str(), [run](benchmark::State& state) {
-    Measurement m;
-    for (auto _ : state) {
-      m = run();
-      state.SetIterationTime(m.real_ms / 1000.0);
-    }
-    state.counters["vcpu_ms"] = m.cpu_ms;
-    state.counters["vreal_ms"] = m.real_ms;
-  })->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-}
-
-inline int RunBenchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 // The paper's counter test program with 1987-realistic segment sizes (a compiled

@@ -1,7 +1,7 @@
 // Schema gate for the standardized BENCH_<name>.json files and for JSONL run
 // reports.
 //
-// Every bench binary writes a BENCH_<name>.json next to itself (see
+// Every bench binary writes a BENCH_<name>.json in its working directory (see
 // WriteBenchJson); bench/baselines/ commits a reference copy per bench.
 // Downstream tooling (EXPERIMENTS.md tables, dashboards) parses them, so the
 // shape is a contract:
@@ -12,7 +12,7 @@
 // Cluster::WriteReport's JSONL output is a contract too — every line is one
 // {"type": ...} object, and each type carries a fixed key set (report, meta,
 // counter, gauge, histogram, span, phase_summary, trace_summary, sample,
-// postmortem, alert, slo, decision, plus the bench harness's bench_row). The
+// postmortem, alert, slo, decision). The
 // --report mode validates a report file line by line against that table; an
 // unknown type or a missing/mistyped required key fails, so a writer cannot
 // silently drift away from what the readers parse.
@@ -303,14 +303,6 @@ const std::vector<ReportSchema>& ReportSchemas() {
         {"rc", JV::kNumber},
         {"candidates", JV::kArray},
         {"exclusions", JV::kArray}}},
-      {"bench_row",
-       {{"figure", JV::kString},
-        {"case", JV::kString},
-        {"vcpu_ms", JV::kNumber},
-        {"vreal_ms", JV::kNumber},
-        {"cpu_norm", JV::kNumber},
-        {"real_norm", JV::kNumber},
-        {"paper", JV::kString}}},
   };
   return schemas;
 }

@@ -11,10 +11,9 @@
 //   check_phases --fig4 <fig4_migrate binary> --baseline bench/phase_baseline.txt
 //   check_phases --report <existing.jsonl>    --baseline bench/phase_baseline.txt
 //
-// With --fig4 the checker runs the bench itself (benchmark scenarios filtered
-// out; only the instrumented report run happens) into a scratch file. On a
-// legitimate cost-model change, regenerate the baseline from the shares this
-// program prints.
+// With --fig4 the checker runs the bench itself, table to /dev/null, with its
+// instrumented report going to a scratch file. On a legitimate cost-model
+// change, regenerate the baseline from the shares this program prints.
 
 #include <cmath>
 #include <cstdio>
@@ -126,8 +125,7 @@ int main(int argc, char** argv) {
   if (!fig4.empty()) {
     report = "check_phases_report.jsonl";
     std::remove(report.c_str());
-    const std::string cmd =
-        "\"" + fig4 + "\" --report=" + report + " --benchmark_filter=^$ > /dev/null";
+    const std::string cmd = "\"" + fig4 + "\" --report=" + report + " > /dev/null";
     const int rc = std::system(cmd.c_str());
     if (rc != 0) {
       std::fprintf(stderr, "check_phases: '%s' failed (%d)\n", cmd.c_str(), rc);

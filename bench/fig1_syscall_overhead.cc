@@ -105,22 +105,6 @@ void PrintTables() {
   std::printf("%-22s %16.1f %16.1f %9.1f%%   +36%%\n", "chdir() triple", cd_orig, cd_mod,
               100.0 * (cd_mod - cd_orig) / cd_orig);
 
-  // Figure 1's table is hand-printed (microseconds, not the PrintFigure shape), so
-  // its machine-readable rows are too.
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"type\":\"bench_row\",\"figure\":\"fig1\",\"case\":\"open_close_pair\","
-                "\"original_us\":%.2f,\"modified_us\":%.2f,\"overhead_pct\":%.2f,"
-                "\"paper\":\"+44%%\"}",
-                oc_orig, oc_mod, 100.0 * (oc_mod - oc_orig) / oc_orig);
-  WriteReportLine(buf);
-  std::snprintf(buf, sizeof(buf),
-                "{\"type\":\"bench_row\",\"figure\":\"fig1\",\"case\":\"chdir_triple\","
-                "\"original_us\":%.2f,\"modified_us\":%.2f,\"overhead_pct\":%.2f,"
-                "\"paper\":\"+36%%\"}",
-                cd_orig, cd_mod, 100.0 * (cd_mod - cd_orig) / cd_orig);
-  WriteReportLine(buf);
-
   // BENCH_fig1.json carries each loop's totals, so %.4f ms resolves 1 ns per
   // iteration.
   const auto row = [](const char* name, const Loop& loop) {
@@ -136,24 +120,7 @@ void PrintTables() {
 }  // namespace pmig::bench
 
 int main(int argc, char** argv) {
-  pmig::bench::ParseBenchFlags(&argc, argv);
+  pmig::bench::ParseBenchFlags(argc, argv);
   pmig::bench::PrintTables();
-  using pmig::bench::Measurement;
-  pmig::bench::RegisterSim("fig1/open_close/original", [] {
-    const double v = pmig::bench::PerIterationUs(pmig::bench::MeasureOpenClose(false)) / 1000.0;
-    return Measurement{v, v};
-  });
-  pmig::bench::RegisterSim("fig1/open_close/migration_kernel", [] {
-    const double v = pmig::bench::PerIterationUs(pmig::bench::MeasureOpenClose(true)) / 1000.0;
-    return Measurement{v, v};
-  });
-  pmig::bench::RegisterSim("fig1/chdir/original", [] {
-    const double v = pmig::bench::PerIterationUs(pmig::bench::MeasureChdir(false)) / 1000.0;
-    return Measurement{v, v};
-  });
-  pmig::bench::RegisterSim("fig1/chdir/migration_kernel", [] {
-    const double v = pmig::bench::PerIterationUs(pmig::bench::MeasureChdir(true)) / 1000.0;
-    return Measurement{v, v};
-  });
-  return pmig::bench::RunBenchmarks(argc, argv);
+  return 0;
 }

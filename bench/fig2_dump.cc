@@ -62,12 +62,10 @@ Measurement MeasureKill(KillMode mode, bool instrumented = false) {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
-
   // --check: the bit-identical gate. Every scenario re-run with the whole
   // observability layer on (trace, spans, flight recorder, sampler) must
   // reproduce the plain run's measurements exactly.
-  if (ParseBoolFlag(&argc, argv, "--check")) {
+  if (ParseBenchFlags(argc, argv, kCheckFlag).check) {
     int failures = 0;
     const struct {
       const char* name;
@@ -100,9 +98,5 @@ int main(int argc, char** argv) {
   };
   PrintFigure("Figure 2: killing the test program (normalised to SIGQUIT)", rows, 0);
   WriteBenchJson("fig2", rows);
-
-  RegisterSim("fig2/sigquit", [] { return MeasureKill(KillMode::kSigQuit); });
-  RegisterSim("fig2/sigdump", [] { return MeasureKill(KillMode::kSigDump); });
-  RegisterSim("fig2/dumpproc", [] { return MeasureKill(KillMode::kDumpproc); });
-  return RunBenchmarks(argc, argv);
+  return 0;
 }

@@ -90,12 +90,6 @@ Measurement MeasureMigrate(const Placement& placement, bool use_daemon,
                      TotalBytesMoved(world) - bytes0};
 }
 
-}  // namespace
-}  // namespace pmig::bench
-
-namespace pmig::bench {
-namespace {
-
 // With --report and/or --trace-out: one instrumented remote-to-remote migrate
 // (metrics, spans, tracing, flight recorder, sampler all on) whose full cluster
 // report — per-host metrics, spans with trace ids, per-phase and per-trace
@@ -103,8 +97,8 @@ namespace {
 // timeline is written to the trace file (open it in Perfetto). Run separately
 // from the measured scenarios so the figure numbers above stay bit-identical to
 // an uninstrumented run.
-void AppendInstrumentedReport() {
-  if (ReportPath().empty() && TraceOutPath().empty()) return;
+void AppendInstrumentedReport(const BenchFlags& flags) {
+  if (flags.report.empty() && flags.trace_out.empty()) return;
   TestbedOptions options;
   options.num_hosts = 3;
   options.file_server_home = true;
@@ -117,8 +111,8 @@ void AppendInstrumentedReport() {
       {"-p", std::to_string(pid), "-f", "schooner", "-t", "brador"}, kUserUid,
       world.console("brick"));
   world.RunUntilExited("brick", mig, sim::Seconds(600));
-  if (!ReportPath().empty()) world.cluster().WriteReport(ReportPath());
-  if (!TraceOutPath().empty()) world.cluster().WriteChromeTrace(TraceOutPath());
+  if (!flags.report.empty()) world.cluster().WriteReport(flags.report);
+  if (!flags.trace_out.empty()) world.cluster().WriteChromeTrace(flags.trace_out);
 }
 
 }  // namespace
@@ -126,12 +120,12 @@ void AppendInstrumentedReport() {
 
 int main(int argc, char** argv) {
   using namespace pmig::bench;
-  ParseBenchFlags(&argc, argv);
+  const BenchFlags flags = ParseBenchFlags(argc, argv, kCheckFlag | kReportFlags);
 
   // --check: the bit-identical gate. Each placement re-run with the whole
   // observability layer on (trace, spans, flight recorder, sampler) must
   // reproduce the plain run's measurements exactly.
-  if (ParseBoolFlag(&argc, argv, "--check")) {
+  if (flags.check) {
     int failures = 0;
     const auto compare = [&failures](const std::string& name, const Measurement& plain,
                                      const Measurement& instrumented) {
@@ -167,12 +161,6 @@ int main(int argc, char** argv) {
   std::printf("\n(remote cases pay rsh connection setup; see ablation_daemon_vs_rsh for\n"
               " the Section 6.4 daemon-based improvement)\n");
 
-  AppendInstrumentedReport();
-
-  for (const Placement& placement : kPlacements) {
-    RegisterSim("fig4/migrate/" + placement.name.substr(placement.name.find('(')),
-                [placement] { return MeasureMigrate(placement, false); });
-  }
-  RegisterSim("fig4/separate_baseline", [] { return MeasureSeparate(kPlacements[0]); });
-  return RunBenchmarks(argc, argv);
+  AppendInstrumentedReport(flags);
+  return 0;
 }

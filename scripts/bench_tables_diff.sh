@@ -5,12 +5,12 @@
 #
 # Exports <git-ref> with git archive, builds the bench binaries there and from
 # the working tree (both Release, in one `mktemp -d` directory, so TMPDIR
-# chooses where), runs each bench on both sides with --benchmark_filter=NONE so
-# that only the deterministic virtual-time tables print, diffs their stdout
-# with the nondeterministic google-benchmark harness lines filtered out, and
-# byte-compares every BENCH_*.json they write. A change that must leave
-# virtual time alone (an interpreter or other host-side change) should pass it
-# against its parent.
+# chooses where), runs each bench once on both sides with no flags, diffs
+# their stdout (deterministic virtual-time tables only) and byte-compares every
+# BENCH_*.json they write. A change that must leave virtual time alone (an
+# interpreter or other host-side change) should pass it against its parent.
+# The ref's benches must print nothing but their tables too: on older refs,
+# whose benches also ran google-benchmark, the diff reports its harness lines.
 #
 # Exits 0 when everything matches, 1 on any difference, 2 on a usage, build or
 # run error. Benches the ref does not have are listed and skipped.
@@ -54,13 +54,6 @@ build() {
 build "$tmp/ref-src" "$tmp/ref-build"
 build "$root" "$tmp/work-build"
 
-# The harness lines that differ from run to run (SKILL.md's filter): the date,
-# load average and host banner, and the host-time columns of benchmark rows.
-harness_filter() {
-  grep -v -E '^[0-9]{4}-|Load Average|^Running|^Run on' |
-    sed -E 's/ +[0-9.]+ ms +[0-9.]+ ms +1 / MS MS 1 /'
-}
-
 status=0
 for bench in $(benches "$root"); do
   if ! benches "$tmp/ref-src" | grep -qx "$bench"; then
@@ -70,13 +63,12 @@ for bench in $(benches "$root"); do
   for side in ref work; do
     out="$tmp/out-$side/$bench"
     mkdir -p "$out"
-    if ! (cd "$out" && "$tmp/$side-build/bench/$bench" --benchmark_filter=NONE \
-            >"$tmp/$side-$bench.raw" 2>"$tmp/$side-$bench.err"); then
+    if ! (cd "$out" && "$tmp/$side-build/bench/$bench" \
+            >"$tmp/$side-$bench.txt" 2>"$tmp/$side-$bench.err"); then
       tail -n 20 "$tmp/$side-$bench.err" >&2
       echo "bench_tables_diff: $bench ($side) exited non-zero" >&2
       exit 2
     fi
-    harness_filter <"$tmp/$side-$bench.raw" >"$tmp/$side-$bench.txt"
   done
   same=yes
   if ! diff -u --label "$ref/$bench" --label "working/$bench" \

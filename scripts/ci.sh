@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full verification pipeline, one command: the tier-1, ASan and UBSan
-# builds (all three with warnings as errors) and their ctest runs, the bench
-# gates, and the two-clock benchmark's own unit tests. Run from the repository
-# root.
+# builds (all three with warnings as errors) and their ctest runs, which hold
+# every bench gate, and the two-clock benchmark's own unit tests. Run from the
+# repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,38 +37,6 @@ cmake --build build-ubsan -j "$jobs"
 
 echo "== UBSan ctest =="
 (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure --timeout 300 -j "$jobs")
-
-echo "== phase-drift gate =="
-./build/bench/check_phases --fig4 ./build/bench/fig4_migrate \
-    --baseline bench/phase_baseline.txt
-
-echo "== placement gate =="
-./build/bench/ablation_placement --check
-
-echo "== observability bit-identical gates =="
-./build/bench/fig2_dump --check
-./build/bench/fig4_migrate --check
-
-echo "== health-monitor gate =="
-./build/bench/ablation_health --check
-
-echo "== partition gate =="
-./build/bench/ablation_partition --check
-
-echo "== scale gate =="
-./build/bench/ablation_scale --check
-
-echo "== event-driven balancer gate =="
-./build/bench/ablation_event --check
-
-echo "== decision-diff gate =="
-(cd build/bench && ./decision_diff --check)
-
-echo "== bench JSON schema gate =="
-./build/bench/check_bench_json bench/baselines
-
-echo "== report-line schema gate =="
-./build/bench/check_bench_json --report build/bench/REPORT_decision_diff.jsonl
 
 echo "== benchmark statistics tests =="
 python3 -m unittest discover -s perfbench -p 'test_*.py'

@@ -15,8 +15,9 @@ using core::FilesEntry;
 using core::FilesFile;
 using vm::abi::OpenFlags;
 
-constexpr uint32_t kMetaMagic = 0777;    // v1: per-slot saved bit only
-constexpr uint32_t kMetaMagicV2 = 0776;  // v2: per-slot {state, hash, source}
+// The manifest format: the pid, then per slot {state, hash, source}. LoadMeta
+// refuses any other magic with ENOEXEC.
+constexpr uint32_t kMetaMagicV2 = 0776;
 
 // Where a checkpointed open file's copy lives. State 1 = this checkpoint wrote
 // the copy (at `source` == its own index); state 2 = content was identical to an
@@ -57,27 +58,20 @@ std::string CkptName(const std::string& dir, int index, const std::string& what)
   return dir + "/" + std::to_string(index) + "." + what;
 }
 
-// Parses <dir>/<index>.meta in either format. v1 (0777) carried one saved bit per
-// slot; v2 (0776) records content hashes and where each copy actually lives.
+// Parses <dir>/<index>.meta: the content hash of each saved slot and where its
+// copy actually lives.
 Result<SlotArray> LoadMeta(kernel::SyscallApi& api, const std::string& dir, int index,
                            int32_t* pid_out) {
   const Result<std::string> meta_bytes = ReadWholeFile(api, CkptName(dir, index, "meta"));
   if (!meta_bytes.ok()) return meta_bytes.error();
   sim::ByteReader meta(*meta_bytes);
-  const uint32_t magic = meta.U32();
-  if (magic != kMetaMagic && magic != kMetaMagicV2) return Errno::kNoExec;
+  if (meta.U32() != kMetaMagicV2) return Errno::kNoExec;
   const int32_t pid = meta.I32();
   SlotArray slots{};
-  for (int i = 0; i < kernel::kNoFile; ++i) {
-    SlotRecord& rec = slots[static_cast<size_t>(i)];
-    if (magic == kMetaMagic) {
-      rec.state = meta.U8() != 0 ? 1 : 0;
-      rec.source = index;
-    } else {
-      rec.state = meta.U8();
-      rec.hash = meta.U64();
-      rec.source = meta.I32();
-    }
+  for (SlotRecord& rec : slots) {
+    rec.state = meta.U8();
+    rec.hash = meta.U64();
+    rec.source = meta.I32();
   }
   if (!meta.ok()) return Errno::kNoExec;
   if (pid_out != nullptr) *pid_out = pid;

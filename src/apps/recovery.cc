@@ -191,20 +191,6 @@ bool PathExists(kernel::SyscallApi& api, const std::string& path) {
   return api.Stat(path).ok();
 }
 
-core::DumpMarker ReadMarker(kernel::SyscallApi& api, const std::string& path) {
-  const Result<std::string> bytes = ReadWholeFile(api, path);
-  if (!bytes.ok()) return {};
-  return core::ParseDumpMarker(*bytes);
-}
-
-void RemoveDumpSet(kernel::SyscallApi& api, const core::DumpPaths& paths) {
-  for (const std::string* p : {&paths.aout, &paths.files, &paths.stack,
-                               &paths.ready, &paths.claim}) {
-    const Status st = api.Unlink(*p);
-    (void)st;
-  }
-}
-
 // A live migrated process anywhere (reachable) whose pre-migration identity is
 // (pid, dump_host): the dump set was consumed; the process survives elsewhere.
 bool SurvivorExists(net::Network& net, const std::string& local,
@@ -320,7 +306,7 @@ void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
     if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, lease);
     if (rc.ok() && *rc == 0) {
       ctx.api.kernel().metrics().Inc("reaper.revived");
-      RemoveDumpSet(ctx.api, paths);
+      core::RemoveDumpSet(ctx.api, paths);
       ctx.report->revived.push_back(pid);
       Note(ctx, pid, host, "revived");
       return;
@@ -366,7 +352,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   // short (e.g. the consumer lost the source's disk to a partition right
   // after committing): collect it.
   if (SurvivorExists(ctx.net, ctx.local, host, pid)) {
-    RemoveDumpSet(ctx.api, paths);
+    core::RemoveDumpSet(ctx.api, paths);
     ctx.api.kernel().metrics().Inc("reaper.collected");
     ctx.report->collected.push_back(pid);
     Note(ctx, pid, host, "consumed");
@@ -397,7 +383,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
       return;
     }
     ctx.state->erase(it);
-    RemoveDumpSet(ctx.api, paths);
+    core::RemoveDumpSet(ctx.api, paths);
     ctx.api.kernel().metrics().Inc("reaper.collected");
     ctx.report->collected.push_back(pid);
     Note(ctx, pid, host, "debris");
@@ -405,7 +391,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   }
 
   // Complete set. Too young to touch?
-  const core::DumpMarker ready = ReadMarker(ctx.api, paths.ready);
+  const core::DumpMarker ready = core::ReadDumpMarker(ctx.api, paths.ready);
   if (ready.at >= 0 && now - ready.at < ctx.opts.grace) {
     ctx.report->skipped.push_back(pid);
     Note(ctx, pid, host, "young");
@@ -413,7 +399,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   }
 
   if (PathExists(ctx.api, paths.claim)) {
-    const core::DumpMarker claim = ReadMarker(ctx.api, paths.claim);
+    const core::DumpMarker claim = core::ReadDumpMarker(ctx.api, paths.claim);
     if (!claim.host.empty()) {
       kernel::Kernel* holder = ctx.net.FindHost(claim.host);
       const bool reachable = holder != nullptr && !holder->down() &&

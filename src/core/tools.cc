@@ -128,10 +128,10 @@ bool FileExists(kernel::SyscallApi& api, const std::string& path) {
   return true;
 }
 
-// Reads the claim marker next to a dump set. Empty host when the claim is
-// missing, unreadable (e.g. across a partition), or from a pre-metadata writer.
-DumpMarker ReadClaimMarker(kernel::SyscallApi& api, const DumpPaths& paths) {
-  const Result<int> fd = api.Open(paths.claim, OpenFlags::kORdOnly);
+}  // namespace
+
+DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path) {
+  const Result<int> fd = api.Open(path, OpenFlags::kORdOnly);
   if (!fd.ok()) return {};
   const Result<std::string> bytes = api.ReadAll(*fd);
   const Status closed = api.Close(*fd);
@@ -140,18 +140,13 @@ DumpMarker ReadClaimMarker(kernel::SyscallApi& api, const DumpPaths& paths) {
   return ParseDumpMarker(*bytes);
 }
 
-// Removes every trace of a dump set, ignoring files that are not there. Used
-// on the success path (the dump has been consumed) and on every failure path
-// (a half-written or unconsumable dump must not survive as an orphan).
-void CleanupDumpFiles(kernel::SyscallApi& api, const DumpPaths& paths) {
+void RemoveDumpSet(kernel::SyscallApi& api, const DumpPaths& paths) {
   for (const std::string* p : {&paths.aout, &paths.files, &paths.stack,
                                &paths.ready, &paths.claim}) {
     const Status st = api.Unlink(*p);
     (void)st;
   }
 }
-
-}  // namespace
 
 bool IsTransientErrno(Errno e) {
   return e == Errno::kTimedOut || e == Errno::kHostUnreach || e == Errno::kIo ||
@@ -220,7 +215,7 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
         if (failed.ok() && *failed) {
           Complain(api, "dumpproc: dump of " + std::to_string(pid) +
                             " aborted by the kernel");
-          CleanupDumpFiles(api, paths);
+          RemoveDumpSet(api, paths);
           return tx ? kToolTransient : kToolFail;
         }
         api.Sleep(sim::Seconds(1));
@@ -230,14 +225,14 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
   if (!appeared) {
     // The dump may be mid-write (an injected fault resumed the process, or the
     // kernel is slow): leave nothing behind and let the caller retry.
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: dump files for " + std::to_string(pid) + " never appeared");
     return tx ? kToolTransient : kToolFail;
   }
 
   Result<FilesFile> files = LoadDumpFile<FilesFile>(api, paths.files);
   if (!files.ok()) {
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: bad " + paths.files + " (" +
                       std::string(ErrnoName(files.error())) + ")");
     return kToolFail;
@@ -270,7 +265,7 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
         // + files-present path above) and redoes the idempotent rewrite.
         return kToolTransient;
       }
-      CleanupDumpFiles(api, paths);
+      RemoveDumpSet(api, paths);
       return kToolFail;
     }
     return kToolOk;
@@ -280,7 +275,7 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
       !wrote.ok()) {
     // A half-rewritten filesXXXXX is poison for restart; take the whole dump
     // set down with it rather than leaving a trap (and an orphan) behind.
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: cannot rewrite " + paths.files + " (" +
                       std::string(ErrnoName(wrote.error())) + ")");
     return kToolFail;
@@ -632,7 +627,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
         postmortem("dump", "dump set for " + pid_str + " kept: it is the process now");
         return kToolTransient;
       }
-      CleanupDumpFiles(api, dump_paths);
+      RemoveDumpSet(api, dump_paths);
     }
     return rc.ok() ? *rc : kTransportFailure;
   }
@@ -644,7 +639,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     rc = run_leg(to_host, "restart", restart_args);
   }
   if (rc.ok() && *rc == 0) {
-    if (opts.transactional) CleanupDumpFiles(api, dump_paths);
+    if (opts.transactional) RemoveDumpSet(api, dump_paths);
     observe_e2e();
     return kToolOk;
   }
@@ -657,7 +652,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // files, report transient, and let the orphan reaper disambiguate after the
   // heal.
   auto claim_holder_reachable = [&]() -> bool {
-    const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+    const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
     if (claim.host.empty()) return true;  // no metadata: assume a live claimant
     kernel::Kernel* holder = net.FindHost(claim.host);
     if (holder == nullptr || holder->down()) return false;
@@ -669,7 +664,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // cut the link, whose release (an unlink over that same dead link) failed
   // too. Sweeping on the claim alone would destroy the only copy.
   auto claim_consumed = [&]() -> bool {
-    const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+    const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
     const std::string holder_host = claim.host.empty() ? to_host : claim.host;
     kernel::Kernel* holder = net.FindHost(holder_host);
     if (holder == nullptr || holder->down()) return false;
@@ -693,7 +688,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     // claim and fall through to the fallback restart below, which can now win.
     api.Sleep(sim::Seconds(1));
     if (claim_consumed()) {
-      CleanupDumpFiles(api, dump_paths);
+      RemoveDumpSet(api, dump_paths);
       observe_e2e();
       return kToolOk;
     }
@@ -788,11 +783,11 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   }
   if (rc.ok() && (*rc == 0 || *rc == kToolClaimed)) {
     if (*rc == kToolClaimed) {
-      const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+      const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
       if (!claim.host.empty() && claim.host != from_host) {
         // The verified winner is remote: the restart committed and only its
         // reply was lost. That is a successful migration, not a fallback.
-        CleanupDumpFiles(api, dump_paths);
+        RemoveDumpSet(api, dump_paths);
         observe_e2e();
         return kToolOk;
       }
@@ -800,7 +795,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     metrics.Inc("migrate.fallback_restarts");
     postmortem("fallback", "migrate of " + pid_str + " fell back; process restarted on " +
                                from_host);
-    CleanupDumpFiles(api, dump_paths);
+    RemoveDumpSet(api, dump_paths);
     return kMigrateFellBack;
   }
   Complain(api, "migrate: fallback restart on " + from_host + " failed (" + describe(rc) +
@@ -810,7 +805,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   if (rc.ok() && *rc != kToolTransient) {
     // The tool ran and rejected the dump set — it is unconsumable (corrupted,
     // truncated), so keeping it helps nobody; sweep it up.
-    CleanupDumpFiles(api, dump_paths);
+    RemoveDumpSet(api, dump_paths);
     return kToolFail;
   }
   // On a transport failure or a still-transient refusal the files stay: they

@@ -54,6 +54,15 @@ struct MigrateOptions {
   static MigrateOptions Robust();
 };
 
+// Reads the transaction marker at `path` (a dump set's ready or claim file):
+// open, read to EOF, close. Empty host and at = -1 when the file is missing or
+// unreadable (e.g. across a partition), or from a pre-metadata writer.
+DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path);
+
+// Removes every file of a dump set (a.out, files, stack, ready, claim, in that
+// order), ignoring ones that are not there.
+void RemoveDumpSet(kernel::SyscallApi& api, const DumpPaths& paths);
+
 // Userland realpath: resolves every symbolic link in `path` with readlink(),
 // iteratively, as Section 4.3 prescribes for dump-file rewriting. Does not require
 // the final component to exist if the parent chain does.

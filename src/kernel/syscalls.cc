@@ -761,6 +761,11 @@ constexpr VmSyscall kVmSyscalls[] = {
     {"fork", 0, [](Kernel& k, Trap& t) { return R0(k.SysFork(t.p)); }},
     {"read", 0,
      [](Kernel& k, Trap& t) {
+       // The buffer is checked before SysRead consumes anything, so a bad one
+       // cannot drain a pipe or move the offset. Text is unmapped, so the
+       // readable range is the writable one.
+       const int64_t count = std::max<int64_t>(t.r[2], 0);
+       if (!t.ctx.Readable(t.Addr(1), static_cast<uint64_t>(count))) return R0(Errno::kFault);
        const Result<std::string> out = k.SysRead(t.p, t.Int(0), t.r[2]);
        if (out.error() == Errno::kAgain) return Block(k, t, k.MakeReadCheck(t.p, t.Int(0)));
        if (!out.ok()) return R0(out.error());

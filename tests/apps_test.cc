@@ -5,6 +5,7 @@
 #include "src/apps/checkpoint.h"
 #include "src/apps/load_balancer.h"
 #include "src/apps/night_shift.h"
+#include "src/sim/bytes.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -109,6 +110,51 @@ TEST(Checkpoint, RestoreRollsBackProcessAndFiles) {
     return world.console("brick")->PlainOutput().find("r=3 s=3 k=3") != std::string::npos;
   }));
   EXPECT_EQ(world.FileContents("brick", "/u/user/counter.out"), "before\nresumed\n");
+}
+
+TEST(Checkpoint, RestoreRefusesA0777Manifest) {
+  // Only the 0776 manifest is read. The same checkpoint with its manifest in
+  // the 0777 layout (magic, pid, one saved byte per slot) fails with ENOEXEC.
+  World world;
+  world.host("brick").vfs().SetupMkdirAll("/ckpt");
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  auto new_pid = std::make_shared<int32_t>(0);
+  ASSERT_EQ(RunSystem(world, "brick",
+                      [pid, new_pid](SyscallApi& api) {
+                        const auto r = apps::TakeCheckpoint(api, pid, "/ckpt", 0);
+                        if (!r.ok()) return 1;
+                        *new_pid = r->new_pid;
+                        return 0;
+                      }),
+            0);
+  ASSERT_TRUE(world.host("brick").PostSignal(*new_pid, vm::abi::kSigKill, nullptr).ok());
+  ASSERT_TRUE(world.RunUntilExited("brick", *new_pid));
+
+  const std::string manifest = world.FileContents("brick", "/ckpt/0.meta");
+  sim::ByteReader current(manifest);
+  ASSERT_EQ(current.U32(), 0776u);
+  sim::ByteWriter old;
+  old.U32(0777);
+  old.I32(current.I32());
+  for (int i = 0; i < kernel::kNoFile; ++i) {
+    old.U8(current.U8() != 0 ? 1 : 0);
+    current.U64();  // hash
+    current.I32();  // source
+  }
+  ASSERT_TRUE(current.ok());
+  world.host("brick").vfs().SetupCreateFile("/ckpt/0.meta", old.Take(), 0, 0600);
+
+  auto error = std::make_shared<Errno>(Errno::kOk);
+  EXPECT_EQ(RunSystem(world, "brick",
+                      [error](SyscallApi& api) {
+                        const Result<int32_t> r = apps::RestoreCheckpoint(api, "/ckpt", 0);
+                        if (r.ok()) return 0;
+                        *error = r.error();
+                        return 1;
+                      }),
+            1);
+  EXPECT_EQ(*error, Errno::kNoExec);
 }
 
 TEST(Checkpoint, DaemonTakesPeriodicSnapshots) {

@@ -716,6 +716,48 @@ msg:    .ascii "hello"
   EXPECT_EQ(world.FileContents("brick", "/u/user/w.dat"), "hello");
 }
 
+TEST(VmSyscall, ReadIntoBadBufferKeepsTheData) {
+  // A read whose buffer lies outside every segment fails with -EFAULT before
+  // it takes anything: the bytes stay in the pipe for the next read.
+  World world;
+  const int code = RunAsm(world, R"(
+start:  sys  SYS_pipe
+        mov  r6, r0             ; read end
+        mov  r0, r1
+        movi r1, msg
+        movi r2, 5
+        sys  SYS_write
+        mov  r0, r6
+        movi r1, 0x400000       ; between the data segment and the stack
+        movi r2, 5
+        sys  SYS_read
+        movi r5, -14            ; -EFAULT
+        bne  r0, r5, bad1
+        mov  r0, r6
+        movi r1, buf
+        movi r2, 16
+        sys  SYS_read
+        movi r5, 5              ; all five bytes still there
+        bne  r0, r5, bad2
+        movi r3, buf
+        ldb  r4, r3, 4
+        movi r5, 111            ; 'o'
+        bne  r4, r5, bad3
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+bad3:   movi r0, 3
+        sys  SYS_exit
+        .data
+msg:    .ascii "hello"
+buf:    .space 16
+)");
+  EXPECT_EQ(code, 0);
+}
+
 TEST(VmSyscall, NonPositiveChannelReadTakesNothing) {
   // A read count <= 0 on a pipe or socket returns 0 bytes, leaves the buffer
   // whole and charges nothing, as on a file or a terminal.
