@@ -4,7 +4,6 @@
 #include "src/core/tools.h"
 #include "src/sim/bytes.h"
 #include "src/sim/hash.h"
-#include "src/vm/abi.h"
 
 namespace pmig::apps {
 
@@ -13,7 +12,8 @@ namespace {
 using core::DumpPaths;
 using core::FilesEntry;
 using core::FilesFile;
-using vm::abi::OpenFlags;
+using core::ReadWholeFile;
+using core::WriteWholeFile;
 
 // The manifest format: the pid, then per slot {state, hash, source}. LoadMeta
 // refuses any other magic with ENOEXEC.
@@ -28,25 +28,6 @@ struct SlotRecord {
   int32_t source = 0;
 };
 using SlotArray = std::array<SlotRecord, kernel::kNoFile>;
-
-Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  const Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!bytes.ok()) return bytes.error();
-  return *bytes;
-}
-
-Status WriteWholeFile(kernel::SyscallApi& api, const std::string& path,
-                      const std::string& contents, uint16_t mode = 0600) {
-  PMIG_TRY(int fd, api.Creat(path, mode));
-  const Result<int64_t> n = api.Write(fd, contents);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!n.ok()) return n.error();
-  return Status::Ok();
-}
 
 Status CopyFile(kernel::SyscallApi& api, const std::string& src, const std::string& dst,
                 uint16_t mode = 0600) {

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "src/apps/placement.h"
 #include "src/core/dump_format.h"
-#include "src/net/migration_daemon.h"
-#include "src/net/rsh.h"
 
 namespace pmig::apps {
 
@@ -17,14 +16,6 @@ std::string LeasePath(const std::string& local, const std::string& target) {
   const std::string dir =
       target == local ? std::string(kLeaseDir) : "/n/" + target + kLeaseDir;
   return dir + "/placement";
-}
-
-Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  return bytes;
 }
 
 struct LeaseRecord {
@@ -54,12 +45,8 @@ LeaseRecord ParseLease(const std::string& bytes) {
   return out;
 }
 
-Status WriteLease(kernel::SyscallApi& api, int fd, const std::string& holder,
-                  sim::Nanos expires) {
-  const Result<int64_t> n = api.Write(
-      fd, "holder " + holder + " expires " + std::to_string(expires) + "\n");
-  if (!n.ok()) return n.error();
-  return Status::Ok();
+std::string LeaseBody(const std::string& holder, sim::Nanos expires) {
+  return "holder " + holder + " expires " + std::to_string(expires) + "\n";
 }
 
 // One acquisition pass: O_EXCL create, break-expired-and-retry-once, or
@@ -84,7 +71,7 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       lease.holder = local;
       lease.expires = api.Now() + opts.ttl;
       lease.held = true;
-      const Status wrote = WriteLease(api, *fd, local, lease.expires);
+      const Result<int64_t> wrote = api.Write(*fd, LeaseBody(local, lease.expires));
       const Status closed = api.Close(*fd);
       (void)closed;
       if (!wrote.ok()) {
@@ -97,7 +84,7 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       return lease;
     }
     if (fd.error() != Errno::kExist) return fd.error();
-    const Result<std::string> bytes = ReadWholeFile(api, path);
+    const Result<std::string> bytes = core::ReadWholeFile(api, path);
     if (!bytes.ok()) {
       // Unlinked between our create and read: go around and try again.
       if (bytes.error() == Errno::kNoEnt) continue;
@@ -154,7 +141,7 @@ Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
   if (lease == nullptr || !lease->held) return Errno::kAcces;
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, lease->target);
-  const Result<std::string> bytes = ReadWholeFile(api, path);
+  const Result<std::string> bytes = core::ReadWholeFile(api, path);
   if (!bytes.ok()) return bytes.error();
   if (ParseLease(*bytes).holder != local) {
     // Somebody broke our expired lease and took it; we no longer hold it.
@@ -162,11 +149,7 @@ Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
     return Errno::kAcces;
   }
   const sim::Nanos expires = api.Now() + opts.ttl;
-  PMIG_TRY(int fd, api.Creat(path, 0600));
-  const Status wrote = WriteLease(api, fd, local, expires);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!wrote.ok()) return wrote.error();
+  PMIG_RETURN_IF_ERROR(core::WriteWholeFile(api, path, LeaseBody(local, expires)));
   lease->expires = expires;
   api.kernel().metrics().Inc("lease.renewed");
   return Status::Ok();
@@ -176,7 +159,7 @@ void ReleasePlacementLease(kernel::SyscallApi& api, const PlacementLease& lease)
   if (!lease.held) return;
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, lease.target);
-  const Result<std::string> bytes = ReadWholeFile(api, path);
+  const Result<std::string> bytes = core::ReadWholeFile(api, path);
   if (!bytes.ok() || ParseLease(*bytes).holder != local) return;
   const Status st = api.Unlink(path);
   (void)st;
@@ -240,28 +223,11 @@ struct ReapContext {
   std::string local;
 };
 
-void Note(ReapContext& ctx, int32_t pid, const std::string& host,
-          const char* action) {
+// Files `pid` under one of the report's outcomes and logs the decision.
+void Note(ReapContext& ctx, std::vector<int32_t>& outcome, int32_t pid,
+          const std::string& host, const char* action) {
+  outcome.push_back(pid);
   ctx.report->log += std::to_string(pid) + "@" + host + ":" + action + ";";
-}
-
-Result<int> RunRestart(ReapContext& ctx, const std::string& target,
-                       int32_t pid, const std::string& dump_host) {
-  std::vector<std::string> args = {"-p", std::to_string(pid), "-h", dump_host,
-                                   "--claim"};
-  if (target == ctx.local) {
-    PMIG_TRY(int32_t child, ctx.api.SpawnProgram("restart", std::move(args)));
-    (void)child;
-    PMIG_TRY(kernel::WaitResult wr, ctx.api.Wait());
-    return wr.overlaid ? 0 : wr.info.exit_code;
-  }
-  net::RemoteExecOptions remote_opts;
-  if (ctx.opts.attempt_timeout > 0) remote_opts.timeout = ctx.opts.attempt_timeout;
-  return ctx.opts.use_daemon
-             ? net::DaemonExec(ctx.api, ctx.net, target, "restart",
-                               std::move(args), remote_opts)
-             : net::Rsh(ctx.api, ctx.net, target, "restart", std::move(args),
-                        remote_opts);
 }
 
 // Re-drives the restart of a stale, unclaimed (or just-unclaimed) dump set on
@@ -271,11 +237,9 @@ Result<int> RunRestart(ReapContext& ctx, const std::string& target,
 // and bows out.
 void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
             const core::DumpPaths& paths) {
-  PlacementEngine engine(&ctx.net, ctx.opts.policy);
+  PlacementEngine engine(&ctx.net, PlacementPolicy::kLoadOnly);
   PlacementQuery query;
   query.from_host = host;
-  query.fault_threshold = ctx.opts.fault_threshold;
-  query.health_threshold = ctx.opts.health_threshold;
   query.occupancy = true;
   query.context = "reaper";
   const size_t max_tries = ctx.net.hosts().size();
@@ -291,43 +255,37 @@ void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
       query.exclude.push_back(target);
       continue;
     }
-    PlacementLease lease;
-    if (ctx.opts.use_lease) {
-      Result<PlacementLease> acquired =
-          AcquirePlacementLease(ctx.api, ctx.net, target, ctx.opts.lease);
-      if (!acquired.ok() || !acquired->held) {
-        if (target == host) break;  // nowhere left to go this pass
-        query.exclude.push_back(target);
-        continue;
-      }
-      lease = *acquired;
+    const Result<PlacementLease> lease = AcquirePlacementLease(ctx.api, ctx.net, target);
+    if (!lease.ok() || !lease->held) {
+      if (target == host) break;  // nowhere left to go this pass
+      query.exclude.push_back(target);
+      continue;
     }
-    const Result<int> rc = RunRestart(ctx, target, pid, host);
-    if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, lease);
+    const Result<int> rc =
+        core::RunTool(ctx.api, ctx.net, target, "restart",
+                      {"-p", std::to_string(pid), "-h", host, "--claim"},
+                      ctx.opts.use_daemon, core::kAttemptTimeout);
+    ReleasePlacementLease(ctx.api, *lease);
     if (rc.ok() && *rc == 0) {
       ctx.api.kernel().metrics().Inc("reaper.revived");
       core::RemoveDumpSet(ctx.api, paths);
-      ctx.report->revived.push_back(pid);
-      Note(ctx, pid, host, "revived");
+      Note(ctx, ctx.report->revived, pid, host, "revived");
       return;
     }
     if (rc.ok() && *rc == core::kToolClaimed) {
       // A concurrent consumer won the claim mid-pass; the process is in
       // better-informed hands. Leave the sweep to the winner.
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "lost-claim");
+      Note(ctx, ctx.report->skipped, pid, host, "lost-claim");
       return;
     }
     // Transient or hard failure: keep the set for the next pass rather than
     // guessing. (A hard restart failure with a valid-looking set usually
     // means the set is unconsumable; the next pass's survivor/age checks
     // keep it from living forever.)
-    ctx.report->skipped.push_back(pid);
-    Note(ctx, pid, host, "revive-failed");
+    Note(ctx, ctx.report->skipped, pid, host, "revive-failed");
     return;
   }
-  ctx.report->skipped.push_back(pid);
-  Note(ctx, pid, host, "no-target");
+  Note(ctx, ctx.report->skipped, pid, host, "no-target");
 }
 
 void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
@@ -342,8 +300,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   if (owner != nullptr) {
     kernel::Proc* p = owner->FindProc(pid);
     if (p != nullptr && p->Alive()) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "origin-alive");
+      Note(ctx, ctx.report->skipped, pid, host, "origin-alive");
       return;
     }
   }
@@ -354,8 +311,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   if (SurvivorExists(ctx.net, ctx.local, host, pid)) {
     core::RemoveDumpSet(ctx.api, paths);
     ctx.api.kernel().metrics().Inc("reaper.collected");
-    ctx.report->collected.push_back(pid);
-    Note(ctx, pid, host, "consumed");
+    Note(ctx, ctx.report->collected, pid, host, "consumed");
     return;
   }
 
@@ -365,72 +321,55 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   // landing right now.
   if (!PathExists(ctx.api, paths.ready)) {
     if (ctx.state == nullptr) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete");
       return;
     }
     const std::string key = host + ":" + std::to_string(pid);
     auto it = ctx.state->find(key);
     if (it == ctx.state->end()) {
       (*ctx.state)[key] = now;
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete-first-seen");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete-first-seen");
       return;
     }
     if (now - it->second < ctx.opts.grace) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete-young");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete-young");
       return;
     }
     ctx.state->erase(it);
     core::RemoveDumpSet(ctx.api, paths);
     ctx.api.kernel().metrics().Inc("reaper.collected");
-    ctx.report->collected.push_back(pid);
-    Note(ctx, pid, host, "debris");
+    Note(ctx, ctx.report->collected, pid, host, "debris");
     return;
   }
 
   // Complete set. Too young to touch?
   const core::DumpMarker ready = core::ReadDumpMarker(ctx.api, paths.ready);
   if (ready.at >= 0 && now - ready.at < ctx.opts.grace) {
-    ctx.report->skipped.push_back(pid);
-    Note(ctx, pid, host, "young");
+    Note(ctx, ctx.report->skipped, pid, host, "young");
     return;
   }
 
   if (PathExists(ctx.api, paths.claim)) {
     const core::DumpMarker claim = core::ReadDumpMarker(ctx.api, paths.claim);
-    if (!claim.host.empty()) {
-      kernel::Kernel* holder = ctx.net.FindHost(claim.host);
-      const bool reachable = holder != nullptr && !holder->down() &&
-                             ctx.net.Reachable(ctx.local, claim.host);
-      if (!reachable) {
-        // THE exactly-once rule: the holder may be running this process on
-        // the far side of a partition. Hands off until it is observable.
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "holder-unreachable");
-        return;
-      }
-      if (claim.at >= 0 && now - claim.at < ctx.opts.grace) {
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "claim-fresh");
-        return;
-      }
+    // THE exactly-once rule: the holder may be running this process on the
+    // far side of a partition. Hands off until it is observable. (No metrics
+    // registry: only migrate's decision points count fault.injected.partition.)
+    if (!core::ClaimHolderReachable(ctx.net, ctx.local, claim, nullptr)) {
+      Note(ctx, ctx.report->skipped, pid, host, "holder-unreachable");
+      return;
+    }
+    if (!claim.host.empty() && claim.at >= 0 && now - claim.at < ctx.opts.grace) {
+      Note(ctx, ctx.report->skipped, pid, host, "claim-fresh");
+      return;
     }
     // The holder is reachable, no survivor exists anywhere we can see, and
     // the claim has gone stale: the claimant died between claiming and
     // committing. Break the claim under the dump host's lease (serialising
     // concurrent reapers over this host's sets) and re-drive the restart.
-    PlacementLease breaker;
-    if (ctx.opts.use_lease) {
-      Result<PlacementLease> acquired =
-          AcquirePlacementLease(ctx.api, ctx.net, host, ctx.opts.lease);
-      if (!acquired.ok() || !acquired->held) {
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "break-contended");
-        return;
-      }
-      breaker = *acquired;
+    const Result<PlacementLease> breaker = AcquirePlacementLease(ctx.api, ctx.net, host);
+    if (!breaker.ok() || !breaker->held) {
+      Note(ctx, ctx.report->skipped, pid, host, "break-contended");
+      return;
     }
     const Status st = ctx.api.Unlink(paths.claim);
     (void)st;
@@ -438,7 +377,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
     // With the stale claim gone, restart --claim's O_EXCL is the mutex again;
     // release the serialising lease before reviving so the revive may lease
     // the dump host itself as a target.
-    if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, breaker);
+    ReleasePlacementLease(ctx.api, *breaker);
     Revive(ctx, host, pid, paths);
     return;
   }
@@ -484,13 +423,11 @@ int PreapMain(kernel::SyscallApi& api, net::Network& net,
       opts.grace = sim::Seconds(std::atoi(args[++i].c_str()));
     } else if (args[i] == "--rsh") {
       opts.use_daemon = false;
-    } else if (args[i] == "--no-lease") {
-      opts.use_lease = false;
     } else if (args[i] == "-H" && i + 1 < args.size()) {
       opts.hosts.push_back(args[++i]);  // repeatable: this pass's shard
     } else {
       const Result<int64_t> n = api.Write(
-          2, "usage: preap [-g grace_seconds] [-H host ...] [--rsh] [--no-lease]\n");
+          2, "usage: preap [-g grace_seconds] [-H host ...] [--rsh]\n");
       (void)n;
       return core::kToolUsage;
     }

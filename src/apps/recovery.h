@@ -17,13 +17,13 @@
 //   coordinator is gone: claimed by a host that died mid-restart, completed
 //   (readyXXXXX) but never consumed, or half-written debris. Depending on what
 //   it finds it revives the process on a placement-engine-chosen host, GCs the
-//   set, or — crucially — leaves it alone. The exactly-once rule, shared with
-//   core::Migrate's fallback path: NOBODY sweeps or resurrects a claimed dump
-//   set while its claim holder is unreachable, because the holder may be
-//   running the process on the far side of the partition. Only after the heal,
-//   when the holder (and any survivor process) is observable again, does the
-//   set get settled — as a GC if the restart committed, as a revival if the
-//   claimant died first.
+//   set, or — crucially — leaves it alone. The exactly-once rule, one function
+//   shared with core::Migrate (core::ClaimHolderReachable): NOBODY sweeps or
+//   resurrects a claimed dump set while its claim holder is unreachable,
+//   because the holder may be running the process on the far side of the
+//   partition. Only after the heal, when the holder (and any survivor
+//   process) is observable again, does the set get settled — as a GC if the
+//   restart committed, as a revival if the claimant died first.
 //
 // Determinism: everything here is surveys, file ops, and virtual-time sleeps —
 // no RNG, no wall clock — so recovery passes replay bit-identically.
@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/placement.h"
 #include "src/core/tools.h"
 #include "src/kernel/kernel.h"
 #include "src/net/network.h"
@@ -89,18 +88,16 @@ void ReleasePlacementLease(kernel::SyscallApi& api, const PlacementLease& lease)
 
 // --- Orphan dump-set reaper ---------------------------------------------------
 
+// A pass always leases the host it revives onto (and the dump host while it
+// breaks a stale claim), bounds each remote restart by core::kAttemptTimeout,
+// and picks revival targets by load alone (PlacementPolicy::kLoadOnly).
 struct ReaperOptions {
   // Minimum marker age before a dump set is considered abandoned. Must
-  // comfortably exceed migrate's fallback persistence window (30 s) so the
-  // reaper and a still-running coordinator don't race over a live transaction.
+  // comfortably exceed migrate's fallback persistence window
+  // (core::kAttemptTimeout) so the reaper and a still-running coordinator
+  // don't race over a live transaction.
   sim::Nanos grace = sim::Seconds(60);
-  bool use_daemon = true;                // transport for remote restarts
-  sim::Nanos attempt_timeout = sim::Seconds(30);
-  PlacementPolicy policy = PlacementPolicy::kLoadOnly;
-  double fault_threshold = 0.5;
-  double health_threshold = 1.0;
-  bool use_lease = true;                 // lease targets before reviving
-  LeaseOptions lease;
+  bool use_daemon = true;  // transport for remote restarts
   // Periodic pass (ReaperDaemonMain) cadence and bound; rounds 0 = forever.
   sim::Nanos poll_interval = sim::Seconds(30);
   int rounds = 0;
@@ -131,7 +128,7 @@ ReaperReport ReapOrphans(kernel::SyscallApi& api, net::Network& net,
                          const ReaperOptions& opts = {},
                          ReaperState* state = nullptr);
 
-// preap [-g grace_seconds] [--rsh] [--no-lease]: one reaper pass from this
+// preap [-g grace_seconds] [-H host ...] [--rsh]: one reaper pass from this
 // host; prints "preap: scanned N revived N collected N skipped N".
 int PreapMain(kernel::SyscallApi& api, net::Network& net,
               const std::vector<std::string>& args);

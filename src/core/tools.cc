@@ -25,16 +25,22 @@ void Complain(kernel::SyscallApi& api, const std::string& message) {
 // Reads and parses one dump file.
 template <typename T>
 Result<T> LoadDumpFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  const Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!bytes.ok()) return bytes.error();
-  return T::Parse(*bytes);
+  PMIG_TRY(std::string bytes, ReadWholeFile(api, path));
+  return T::Parse(bytes);
 }
 
-Status WriteFileContents(kernel::SyscallApi& api, const std::string& path,
-                         const std::string& contents, uint16_t mode) {
+}  // namespace
+
+Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path) {
+  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
+  Result<std::string> bytes = api.ReadAll(fd);
+  const Status closed = api.Close(fd);
+  (void)closed;
+  return bytes;
+}
+
+Status WriteWholeFile(kernel::SyscallApi& api, const std::string& path,
+                      const std::string& contents, uint16_t mode) {
   PMIG_TRY(int fd, api.Creat(path, mode));
   const Result<int64_t> n = api.Write(fd, contents);
   const Status closed = api.Close(fd);
@@ -42,8 +48,6 @@ Status WriteFileContents(kernel::SyscallApi& api, const std::string& path,
   if (!n.ok()) return n.error();
   return Status::Ok();
 }
-
-}  // namespace
 
 Result<std::string> Realpath(kernel::SyscallApi& api, const std::string& path) {
   std::string start = path;
@@ -131,13 +135,32 @@ bool FileExists(kernel::SyscallApi& api, const std::string& path) {
 }  // namespace
 
 DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path) {
-  const Result<int> fd = api.Open(path, OpenFlags::kORdOnly);
-  if (!fd.ok()) return {};
-  const Result<std::string> bytes = api.ReadAll(*fd);
-  const Status closed = api.Close(*fd);
-  (void)closed;
+  const Result<std::string> bytes = ReadWholeFile(api, path);
   if (!bytes.ok()) return {};
   return ParseDumpMarker(*bytes);
+}
+
+bool ClaimHolderReachable(net::Network& net, const std::string& local,
+                          const DumpMarker& claim, sim::MetricsRegistry* metrics) {
+  if (claim.host.empty()) return true;  // no metadata: assume a live claimant
+  kernel::Kernel* holder = net.FindHost(claim.host);
+  if (holder == nullptr || holder->down()) return false;
+  return net.Reachable(local, claim.host, metrics);
+}
+
+Result<int> RunTool(kernel::SyscallApi& api, net::Network& net, const std::string& host,
+                    const std::string& program, std::vector<std::string> args,
+                    bool use_daemon, sim::Nanos timeout) {
+  if (host == api.GetHostname()) {
+    PMIG_TRY(int32_t child, api.SpawnProgram(program, std::move(args)));
+    (void)child;
+    PMIG_TRY(kernel::WaitResult wr, api.Wait());
+    return wr.overlaid ? 0 : wr.info.exit_code;
+  }
+  net::RemoteExecOptions remote;
+  remote.timeout = timeout;
+  return use_daemon ? net::DaemonExec(api, net, host, program, std::move(args), remote)
+                    : net::Rsh(api, net, host, program, std::move(args), remote);
 }
 
 void RemoveDumpSet(kernel::SyscallApi& api, const DumpPaths& paths) {
@@ -156,9 +179,6 @@ bool IsTransientErrno(Errno e) {
 MigrateOptions MigrateOptions::Robust() {
   MigrateOptions o;
   o.attempts = 3;
-  o.retry_backoff = sim::Millis(500);
-  o.max_backoff = sim::Seconds(8);
-  o.attempt_timeout = sim::Seconds(30);
   o.transactional = true;
   return o;
 }
@@ -245,12 +265,12 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
     // publish the ready marker: a reader that sees readyXXXXX sees a complete,
     // rewritten dump set.
     const std::string tmp = paths.files + ".tmp";
-    Status wrote = WriteFileContents(api, tmp, files->Serialize(), 0600);
+    Status wrote = WriteWholeFile(api, tmp, files->Serialize(), 0600);
     if (wrote.ok()) wrote = api.Rename(tmp, paths.files);
     if (wrote.ok()) {
       // The marker carries when and where the set was completed so the orphan
       // reaper can age it later (inodes have no mtime).
-      wrote = WriteFileContents(
+      wrote = WriteWholeFile(
           api, paths.ready, FormatReadyMarker(api.GetHostname(), api.Now()), 0600);
     }
     if (!wrote.ok()) {
@@ -271,7 +291,7 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
     return kToolOk;
   }
 
-  if (const Status wrote = WriteFileContents(api, paths.files, files->Serialize(), 0600);
+  if (const Status wrote = WriteWholeFile(api, paths.files, files->Serialize(), 0600);
       !wrote.ok()) {
     // A half-rewritten filesXXXXX is poison for restart; take the whole dump
     // set down with it rather than leaving a trap (and an orphan) behind.
@@ -460,74 +480,86 @@ int Restart(kernel::SyscallApi& api, int32_t pid, const std::string& dump_host,
 
 // --- migrate -----------------------------------------------------------------------
 
+namespace {
+
+// Every attempt's outcome feeds the health monitor and, for a remote host, the
+// cluster's per-host fault history: placement policies read the decayed
+// scores back to steer the next migration away from hosts that have been
+// failing. Recording is bookkeeping only — it never consumes virtual time, so
+// runs that never read the history are bit-identical with or without it.
+void RecordOutcome(net::Network& net, const std::string& local, const std::string& host,
+                   const Result<int>& rc) {
+  const bool bad = !rc.ok() || *rc == kToolTransient;
+  // The health monitor sees every leg, local ones included: a host whose
+  // dumps start failing should trip its error-rate series no matter where
+  // the migrate command happens to run.
+  net.context().health_monitor.ObserveOutcome(host, "migrate.errors", bad);
+  if (host == local) return;
+  sim::FaultHistory& history = net.context().fault_history;
+  if (!rc.ok()) {
+    history.RecordFailure(host, rc.error());
+  } else if (*rc == kToolTransient) {
+    history.RecordTransient(host);
+  } else {
+    history.RecordSuccess(host);  // the tool ran: the host is reachable
+  }
+}
+
+std::string Describe(const Result<int>& rc) {
+  if (!rc.ok()) return std::string(ErrnoName(rc.error()));
+  return "exit " + std::to_string(*rc);
+}
+
+}  // namespace
+
 int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string from_host,
             std::string to_host, bool use_daemon, const MigrateOptions& opts) {
   const std::string local = api.GetHostname();
   if (from_host.empty()) from_host = local;
   if (to_host.empty()) to_host = local;
   sim::MetricsRegistry& metrics = api.kernel().metrics();
+  const sim::Nanos timeout =
+      opts.transactional ? kAttemptTimeout : net::RemoteExecOptions{}.timeout;
 
-  auto run_local = [&api](const std::string& program,
-                          std::vector<std::string> args) -> Result<int> {
-    PMIG_TRY(int32_t child, api.SpawnProgram(program, std::move(args)));
-    (void)child;
-    PMIG_TRY(kernel::WaitResult wr, api.Wait());
-    return wr.overlaid ? 0 : wr.info.exit_code;
-  };
-  auto run_on = [&](const std::string& host, const std::string& program,
-                    std::vector<std::string> args) -> Result<int> {
-    if (host == local) return run_local(program, std::move(args));
-    net::RemoteExecOptions remote_opts;
-    if (opts.attempt_timeout > 0) remote_opts.timeout = opts.attempt_timeout;
-    return use_daemon
-               ? net::DaemonExec(api, net, host, program, std::move(args), remote_opts)
-               : net::Rsh(api, net, host, program, std::move(args), remote_opts);
-  };
-  // Every remote attempt's outcome also feeds the cluster's per-host fault
-  // history: placement policies read the decayed scores back to steer the next
-  // migration away from hosts that have been failing. Recording is bookkeeping
-  // only — it never consumes virtual time, so runs that never read the history
-  // are bit-identical with or without it.
-  auto record_outcome = [&](const std::string& host, const Result<int>& rc) {
-    const bool bad = !rc.ok() || *rc == kToolTransient;
-    // The health monitor sees every leg, local ones included: a host whose
-    // dumps start failing should trip its error-rate series no matter where
-    // the migrate command happens to run.
-    net.context().health_monitor.ObserveOutcome(host, "migrate.errors", bad);
-    if (host == local) return;
-    sim::FaultHistory& history = net.context().fault_history;
-    if (!rc.ok()) {
-      history.RecordFailure(host, rc.error());
-    } else if (*rc == kToolTransient) {
-      history.RecordTransient(host);
-    } else {
-      history.RecordSuccess(host);  // the tool ran: the host is reachable
+  // Every pause between tries: sleep (outside a transaction there is nothing
+  // to sleep), then double, up to kMaxBackoff.
+  auto pause = [&](sim::Nanos* backoff) {
+    if (*backoff > 0) api.Sleep(*backoff);
+    *backoff *= 2;
+    if (*backoff > kMaxBackoff) {
+      *backoff = kMaxBackoff;
+      metrics.Inc("migrate.backoff_capped");
     }
   };
   // One leg of the transaction: up to opts.attempts tries, retrying only
   // failures a later attempt might not see again, with a doubling pause
   // between tries so a recovering host gets a moment to come back.
   auto run_leg = [&](const std::string& host, const std::string& program,
-                     std::vector<std::string> args) -> Result<int> {
-    sim::Nanos backoff = opts.retry_backoff;
+                     const std::vector<std::string>& args) -> Result<int> {
+    sim::Nanos backoff = opts.transactional ? kFirstBackoff : 0;
     for (int attempt = 0;; ++attempt) {
-      Result<int> rc = run_on(host, program, args);
-      record_outcome(host, rc);
+      Result<int> rc = RunTool(api, net, host, program, args, use_daemon, timeout);
+      RecordOutcome(net, local, host, rc);
       const bool transient =
           rc.ok() ? *rc == kToolTransient : IsTransientErrno(rc.error());
       if (!transient || attempt + 1 >= opts.attempts) return rc;
       metrics.Inc("migrate.retries");
-      if (backoff > 0) api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
+      pause(&backoff);
     }
   };
-  auto describe = [](const Result<int>& rc) -> std::string {
-    if (!rc.ok()) return std::string(ErrnoName(rc.error()));
-    return "exit " + std::to_string(*rc);
+  // The never-lose loops: while a leg keeps failing transiently and
+  // `keep_going` holds, run it again, for up to kAttemptTimeout. The dump set
+  // may be the process by now, and walking away from it over a condition that
+  // will pass turns a stuck disk into a lost process.
+  auto persist = [&](Result<int>& rc, const std::string& host, const std::string& program,
+                     const std::vector<std::string>& args, const auto& keep_going) {
+    sim::Nanos backoff = kFirstBackoff;
+    const sim::Nanos give_up = api.kernel().clock().now() + kAttemptTimeout;
+    while (rc.ok() && *rc == kToolTransient && api.kernel().clock().now() < give_up &&
+           keep_going()) {
+      pause(&backoff);
+      rc = run_leg(host, program, args);
+    }
   };
 
   const std::string pid_str = std::to_string(pid);
@@ -541,15 +573,19 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     // the dump metadata, so spans on every host reassemble into one tree.
     self.trace_id = api.kernel().context().spans.MintTraceId();
   }
-  // Failures/fallbacks are tagged with the trace id and failing phase — the
-  // same pair the flight-recorder post-mortems carry, so a complaint greps
-  // straight to its post-mortem.
-  auto tag = [&self](const char* phase) {
-    return " [trace=" + std::to_string(self.trace_id) + " phase=" + phase + "]";
-  };
+  // Failures and fallbacks leave a complaint tagged with the trace id and the
+  // failing phase, and a post-mortem carrying the same pair, so a complaint
+  // greps straight to its post-mortem. The complaint is the post-mortem's
+  // reason unless `reason` says otherwise.
   sim::FlightRecorder& recorder = api.kernel().context().flight_recorder;
   auto postmortem = [&](const char* phase, const std::string& reason) {
     if (recorder.enabled()) recorder.Dump(local, self.trace_id, reason + " phase=" + phase);
+  };
+  auto report = [&](const char* phase, const std::string& complaint,
+                    const std::string& reason = {}) {
+    Complain(api, "migrate: " + complaint + " [trace=" + std::to_string(self.trace_id) +
+                      " phase=" + phase + "]");
+    postmortem(phase, reason.empty() ? complaint : reason);
   };
   // Root span for the whole command; its self time (network round trips, waits on
   // the remote tools) is reported as "other" in the run report.
@@ -558,10 +594,24 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // attributed to the host the process landed on, so a destination that gets
   // slow at receiving processes shows up on its own series.
   const sim::Nanos e2e_start = api.kernel().clock().now();
-  auto observe_e2e = [&] {
+  // The process runs at its destination (the target, or a verified remote
+  // winner of its claim), so the dump set is garbage.
+  auto landed = [&] {
+    if (opts.transactional) RemoveDumpSet(api, dump_paths);
     net.context().health_monitor.Observe(
         to_host, "migrate.e2e_ns",
         static_cast<double>(api.kernel().clock().now() - e2e_start));
+    return kToolOk;
+  };
+  auto source_proc_alive = [&]() -> bool {
+    kernel::Kernel* src = net.FindHost(from_host);
+    if (src == nullptr || src->down()) return false;
+    kernel::Proc* p = src->FindAnyProc(pid);
+    return p != nullptr && p->Alive();
+  };
+  auto dump_set_intact = [&] {
+    return FileExists(api, dump_paths.aout) && FileExists(api, dump_paths.files) &&
+           FileExists(api, dump_paths.stack);
   };
 
   std::vector<std::string> dump_args = {"-p", pid_str};
@@ -578,53 +628,24 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // may hit a full disk after the kill. dumpproc's resume path makes a retry
   // idempotent — ESRCH with the files present picks the set back up and
   // finishes the rewrite — so when the process is gone, persist like the
-  // fallback-restart loop does rather than walking away (or worse, sweeping
-  // up the process itself). A transient failure with the process still alive
-  // keeps failing fast: the process is unharmed and the caller's own retry
-  // policy (e.g. an evacuation sweeping round-robin) stays in charge.
-  auto source_proc_alive = [&]() -> bool {
-    kernel::Kernel* src = net.FindHost(from_host);
-    if (src == nullptr || src->down()) return false;
-    kernel::Proc* p = src->FindAnyProc(pid);
-    return p != nullptr && p->Alive();
-  };
+  // fallback restart does rather than walking away (or worse, sweeping up the
+  // process itself). A transient failure with the process still alive keeps
+  // failing fast: the process is unharmed and the caller's own retry policy
+  // (e.g. an evacuation sweeping round-robin) stays in charge.
   if (opts.transactional && rc.ok() && *rc == kToolTransient && !source_proc_alive()) {
-    sim::Nanos backoff = opts.retry_backoff > 0 ? opts.retry_backoff : sim::Millis(500);
-    const sim::Nanos give_up = api.kernel().clock().now() +
-                               (opts.attempt_timeout > 0 ? opts.attempt_timeout
-                                                         : sim::Seconds(30));
     kernel::TraceSpan phase(api.kernel(), self, "dump");
-    while (rc.ok() && *rc == kToolTransient && api.kernel().clock().now() < give_up &&
-           !source_proc_alive()) {
-      api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
-      rc = run_leg(from_host, "dumpproc", dump_args);
-    }
+    persist(rc, from_host, "dumpproc", dump_args, [&] { return !source_proc_alive(); });
   }
   if (!rc.ok() || *rc != 0) {
-    Complain(api, "migrate: dumpproc on " + from_host + " failed (" + describe(rc) + ")" +
-                      tag("dump"));
-    postmortem("dump", "dumpproc on " + from_host + " failed (" + describe(rc) + ")");
+    report("dump", "dumpproc on " + from_host + " failed (" + Describe(rc) + ")");
     if (opts.transactional) {
       // GC the partial set — unless the process is no longer alive and the
       // files are: then the set IS the process, and deleting it is the loss
       // this whole protocol exists to prevent. Leave it for a later migrate
       // or the orphan reaper.
-      bool proc_alive = false;
-      if (kernel::Kernel* src = net.FindHost(from_host);
-          src != nullptr && !src->down()) {
-        kernel::Proc* p = src->FindAnyProc(pid);
-        proc_alive = p != nullptr && p->Alive();
-      }
-      if (!proc_alive && FileExists(api, dump_paths.aout)) {
-        Complain(api, "migrate: " + pid_str +
-                          " is gone but its dump set remains; leaving the set" +
-                          tag("dump"));
-        postmortem("dump", "dump set for " + pid_str + " kept: it is the process now");
+      if (!source_proc_alive() && FileExists(api, dump_paths.aout)) {
+        report("dump", pid_str + " is gone but its dump set remains; leaving the set",
+               "dump set for " + pid_str + " kept: it is the process now");
         return kToolTransient;
       }
       RemoveDumpSet(api, dump_paths);
@@ -638,26 +659,8 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     kernel::TraceSpan phase(api.kernel(), self, "restart");
     rc = run_leg(to_host, "restart", restart_args);
   }
-  if (rc.ok() && *rc == 0) {
-    if (opts.transactional) RemoveDumpSet(api, dump_paths);
-    observe_e2e();
-    return kToolOk;
-  }
-  // kToolClaimed normally means "somebody's restart won the claim and the
-  // process is running" — but a claimant that is down or cut off by a
-  // partition may have died between claiming and committing, and GCing the
-  // dump set on its behalf could lose the process (or, after the partition
-  // heals, let a second restart resurrect it next to the first). Exactly-once
-  // rule: never sweep a claimed set while its holder is unreachable; keep the
-  // files, report transient, and let the orphan reaper disambiguate after the
-  // heal.
-  auto claim_holder_reachable = [&]() -> bool {
-    const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
-    if (claim.host.empty()) return true;  // no metadata: assume a live claimant
-    kernel::Kernel* holder = net.FindHost(claim.host);
-    if (holder == nullptr || holder->down()) return false;
-    return net.Reachable(local, claim.host, &metrics);
-  };
+  if (rc.ok() && *rc == 0) return landed();
+
   // Whether the claim holder actually committed: a live process on the holder
   // carrying this dump's identity. A reachable holder with no such process is
   // a stale claim — a restart that claimed and then died mid-copy when a flap
@@ -673,37 +676,40 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     }
     return false;
   };
-  if (opts.transactional && rc.ok() && *rc == kToolClaimed) {
-    if (!claim_holder_reachable()) {
-      Complain(api, "migrate: dump of " + pid_str +
-                        " is claimed by an unreachable host; leaving the set" +
-                        tag("restart"));
-      postmortem("restart", "claim holder for " + pid_str + " unreachable");
-      return kToolTransient;
+  // kToolClaimed normally means "somebody's restart won the claim and the
+  // process is running", but the claimant may have died between claiming and
+  // committing. So a claim that beat us settles one of three ways. Its holder
+  // is down or cut off: hands off, keep the files, and let the orphan reaper
+  // settle them after the heal (the holder may be running the process on the
+  // far side). A live copy runs behind it: consumed. Or, after giving an
+  // in-flight winner a beat to finish reading the files, nothing runs behind
+  // it: the debris of a restart that died mid-copy, whose claim is broken.
+  enum class Claim { kHolderUnreachable, kConsumed, kBroken };
+  auto settle_claim = [&](const char* phase, const char* unreachable) -> Claim {
+    if (!ClaimHolderReachable(net, local, ReadDumpMarker(api, dump_paths.claim), &metrics)) {
+      report(phase, "dump of " + pid_str + " is claimed by an unreachable host; " + unreachable,
+             "claim holder for " + pid_str + " unreachable");
+      return Claim::kHolderUnreachable;
     }
-    // A racing attempt won the claim and may be consuming the dump right now.
-    // Give the winner a beat to finish reading the files, then sweep up — but
-    // only once its process is actually running. No process behind the claim
-    // means the claimant died between claiming and committing: break the stale
-    // claim and fall through to the fallback restart below, which can now win.
     api.Sleep(sim::Seconds(1));
-    if (claim_consumed()) {
-      RemoveDumpSet(api, dump_paths);
-      observe_e2e();
-      return kToolOk;
-    }
-    Complain(api, "migrate: stale claim on " + pid_str +
-                      " (holder has no such process); breaking it" + tag("restart"));
-    postmortem("restart", "stale claim on " + pid_str + " broken");
+    if (claim_consumed()) return Claim::kConsumed;
+    report(phase, "stale claim on " + pid_str + " (holder has no such process); breaking it",
+           "stale claim on " + pid_str + " broken");
     metrics.Inc("migrate.stale_claims_broken");
     const Status broke = api.Unlink(dump_paths.claim);
     (void)broke;
-  }
+    return Claim::kBroken;
+  };
+  auto claimed = [](const Result<int>& r) { return r.ok() && *r == kToolClaimed; };
   if (!opts.transactional) {
-    Complain(api, "migrate: restart on " + to_host + " failed (" + describe(rc) + ")" +
-                      tag("restart"));
-    postmortem("restart", "restart on " + to_host + " failed (" + describe(rc) + ")");
+    report("restart", "restart on " + to_host + " failed (" + Describe(rc) + ")");
     return rc.ok() ? *rc : kTransportFailure;
+  }
+  if (claimed(rc)) {
+    const Claim settled = settle_claim("restart", "leaving the set");
+    if (settled == Claim::kHolderUnreachable) return kToolTransient;
+    if (settled == Claim::kConsumed) return landed();
+    // Broken: the fallback restart below can now win the claim.
   }
 
   // Every remote attempt failed. The process must not be lost: as long as the
@@ -711,69 +717,29 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // the host it came from — a migration that merely fails to move beats one
   // that loses its subject. Only after a fallback restart is alive may the
   // dump files be declared garbage.
-  Complain(api, "migrate: restart on " + to_host + " failed (" + describe(rc) +
-                    "); restarting on " + from_host + tag("restart"));
-  postmortem("restart", "restart on " + to_host + " failed (" + describe(rc) +
-                            "); falling back to " + from_host);
-  if (!FileExists(api, dump_paths.aout) || !FileExists(api, dump_paths.files) ||
-      !FileExists(api, dump_paths.stack)) {
-    Complain(api, "migrate: dump files for " + pid_str + " are gone; cannot fall back" +
-                      tag("fallback"));
-    postmortem("fallback", "dump files for " + pid_str + " are gone; cannot fall back");
+  report("restart",
+         "restart on " + to_host + " failed (" + Describe(rc) + "); restarting on " + from_host,
+         "restart on " + to_host + " failed (" + Describe(rc) + "); falling back to " +
+             from_host);
+  if (!dump_set_intact()) {
+    report("fallback", "dump files for " + pid_str + " are gone; cannot fall back");
     return kToolFail;
   }
   kernel::TraceSpan phase(api.kernel(), self, "restart");
-  rc = run_leg(from_host, "restart",
-               {"-p", pid_str, "-h", from_host, "--claim"});
-  // The fallback is the never-lose path. While the dump set is intact and the
-  // failures are transient (e.g. the source disk is still inside a full window,
-  // so nobody can write the claim file next to the dump), keep trying until the
-  // attempt timeout: the files are the process, and walking away from them over
-  // a condition that will pass turns a stuck disk into a lost process.
-  {
-    sim::Nanos backoff = opts.retry_backoff > 0 ? opts.retry_backoff : sim::Millis(500);
-    const sim::Nanos give_up = api.kernel().clock().now() +
-                               (opts.attempt_timeout > 0 ? opts.attempt_timeout
-                                                         : sim::Seconds(30));
-    while (rc.ok() && *rc == kToolTransient && api.kernel().clock().now() < give_up &&
-           FileExists(api, dump_paths.aout) && FileExists(api, dump_paths.files) &&
-           FileExists(api, dump_paths.stack)) {
-      api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
-      rc = run_leg(from_host, "restart", {"-p", pid_str, "-h", from_host, "--claim"});
-    }
-  }
-  if (rc.ok() && *rc == kToolClaimed) {
-    if (!claim_holder_reachable()) {
-      // The target claimed the dump before the link went away: it may be
-      // running the process right now, on the far side of the partition. A
-      // fallback restart here would be the double-resurrection this protocol
-      // exists to prevent; leave the set for the reaper to settle post-heal.
-      Complain(api, "migrate: dump of " + pid_str +
-                        " is claimed by an unreachable host; not falling back" +
-                        tag("fallback"));
-      postmortem("fallback", "claim holder for " + pid_str + " unreachable");
-      return kToolTransient;
-    }
-    // The holder is reachable — but reachable is not committed. Wait a beat
-    // for an in-flight winner, then verify a live copy exists behind the
-    // claim. A claim with no process is the debris of a restart the partition
-    // killed mid-copy (its release unlink died on the same cut link): break
-    // it and retry the fallback, which can now win the claim itself.
-    api.Sleep(sim::Seconds(1));
-    if (!claim_consumed()) {
-      Complain(api, "migrate: stale claim on " + pid_str +
-                        " (holder has no such process); breaking it" + tag("fallback"));
-      postmortem("fallback", "stale claim on " + pid_str + " broken");
-      metrics.Inc("migrate.stale_claims_broken");
-      const Status broke = api.Unlink(dump_paths.claim);
-      (void)broke;
-      rc = run_leg(from_host, "restart", {"-p", pid_str, "-h", from_host, "--claim"});
-      if (rc.ok() && *rc == kToolClaimed && !claim_consumed()) {
+  rc = run_leg(from_host, "restart", restart_args);
+  // E.g. the source disk is still inside a full window, so nobody can write
+  // the claim file next to the dump.
+  persist(rc, from_host, "restart", restart_args, dump_set_intact);
+  if (claimed(rc)) {
+    // An unreachable holder is the target that claimed the dump before the
+    // link went away: it may be running the process on the far side, and a
+    // fallback restart here would be the double resurrection this protocol
+    // exists to prevent.
+    const Claim settled = settle_claim("fallback", "not falling back");
+    if (settled == Claim::kHolderUnreachable) return kToolTransient;
+    if (settled == Claim::kBroken) {
+      rc = run_leg(from_host, "restart", restart_args);
+      if (claimed(rc) && !claim_consumed()) {
         // Claimed again and still no copy anywhere — stop second-guessing and
         // leave the set for the orphan reaper to settle.
         postmortem("fallback", "claim on " + pid_str + " contended; leaving the set");
@@ -783,14 +749,10 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   }
   if (rc.ok() && (*rc == 0 || *rc == kToolClaimed)) {
     if (*rc == kToolClaimed) {
+      // A verified remote winner means the restart committed and only its
+      // reply was lost. That is a successful migration, not a fallback.
       const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
-      if (!claim.host.empty() && claim.host != from_host) {
-        // The verified winner is remote: the restart committed and only its
-        // reply was lost. That is a successful migration, not a fallback.
-        RemoveDumpSet(api, dump_paths);
-        observe_e2e();
-        return kToolOk;
-      }
+      if (!claim.host.empty() && claim.host != from_host) return landed();
     }
     metrics.Inc("migrate.fallback_restarts");
     postmortem("fallback", "migrate of " + pid_str + " fell back; process restarted on " +
@@ -798,10 +760,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     RemoveDumpSet(api, dump_paths);
     return kMigrateFellBack;
   }
-  Complain(api, "migrate: fallback restart on " + from_host + " failed (" + describe(rc) +
-                    ")" + tag("fallback"));
-  postmortem("fallback",
-             "fallback restart on " + from_host + " failed (" + describe(rc) + ")");
+  report("fallback", "fallback restart on " + from_host + " failed (" + Describe(rc) + ")");
   if (rc.ok() && *rc != kToolTransient) {
     // The tool ran and rejected the dump set — it is unconsumable (corrupted,
     // truncated), so keeping it helps nobody; sweep it up.
@@ -855,7 +814,7 @@ int Undump(kernel::SyscallApi& api, const std::string& aout_path,
   }
 
   image->data = core->data;  // statics take their values at the time of death
-  if (!WriteFileContents(api, output_path, image->Serialize(), 0755).ok()) {
+  if (!WriteWholeFile(api, output_path, image->Serialize(), 0755).ok()) {
     Complain(api, "undump: cannot write " + output_path);
     return 1;
   }

@@ -37,15 +37,22 @@ constexpr int kTransportFailure = 127;
 // rebooting hosts, NFS flakes, a disk-full window.
 bool IsTransientErrno(Errno e);
 
+// The migrate transaction's pacing (migrate --robust and the orphan reaper):
+// the pause before a leg's second try, which doubles up to kMaxBackoff, and
+// the bound on each remote command and on each persistence loop.
+inline constexpr sim::Nanos kFirstBackoff = sim::Millis(500);
+inline constexpr sim::Nanos kMaxBackoff = sim::Seconds(8);
+inline constexpr sim::Nanos kAttemptTimeout = sim::Seconds(30);
+
 // How hard migrate tries. The default is the paper's one-shot behavior; the
 // transaction (retries, timeouts, claim files, fallback restart on the source)
 // is opt-in so default-config runs are unchanged.
 struct MigrateOptions {
-  int attempts = 1;                // total tries per leg (dump, restart)
-  sim::Nanos retry_backoff = 0;    // pause before the second try; doubles after
-  sim::Nanos max_backoff = 0;      // cap on the doubling; 0 = uncapped
-  sim::Nanos attempt_timeout = 0;  // per remote command; 0 = transport default
-  bool transactional = false;      // dumpproc --tx / restart --claim / GC / fallback
+  int attempts = 1;  // total tries per leg (dump, restart)
+  // dumpproc --tx / restart --claim / GC / fallback, paced by the constants
+  // above. Off, remote commands keep the transport's default timeout and
+  // retries do not pause.
+  bool transactional = false;
   // migrate --cached: dump incrementally (dumpproc --incremental), so text and
   // the data base travel by content digest and hosts that have seen them serve
   // them from /var/segcache instead of the wire. Needs a kernel booted with
@@ -54,10 +61,32 @@ struct MigrateOptions {
   static MigrateOptions Robust();
 };
 
-// Reads the transaction marker at `path` (a dump set's ready or claim file):
-// open, read to EOF, close. Empty host and at = -1 when the file is missing or
-// unreadable (e.g. across a partition), or from a pre-metadata writer.
+// Whole-file I/O on the syscall surface: open, read to EOF, close; and creat
+// with `mode`, one write of `contents`, close.
+Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path);
+Status WriteWholeFile(kernel::SyscallApi& api, const std::string& path,
+                      const std::string& contents, uint16_t mode = 0600);
+
+// Reads the transaction marker at `path` (a dump set's ready or claim file).
+// Empty host and at = -1 when the file is missing or unreadable (e.g. across a
+// partition), or from a pre-metadata writer.
 DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path);
+
+// The exactly-once rule, shared by migrate and the orphan reaper: nobody
+// sweeps or resurrects a claimed dump set while its claim holder is
+// unobservable (down, or cut off from `local` by a partition), because the
+// holder may be running the process on the far side. A claim without holder
+// metadata counts as reachable. `metrics` (may be null) counts an injected
+// partition that hides the holder.
+bool ClaimHolderReachable(net::Network& net, const std::string& local,
+                          const DumpMarker& claim, sim::MetricsRegistry* metrics);
+
+// Runs `program args...` on `host` and returns its exit status: here (spawn +
+// wait) when `host` is this machine, otherwise through its migration daemon
+// (`use_daemon`) or rsh, waiting at most `timeout` for the remote side.
+Result<int> RunTool(kernel::SyscallApi& api, net::Network& net, const std::string& host,
+                    const std::string& program, std::vector<std::string> args,
+                    bool use_daemon, sim::Nanos timeout);
 
 // Removes every file of a dump set (a.out, files, stack, ready, claim, in that
 // order), ignoring ones that are not there.

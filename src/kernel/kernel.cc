@@ -225,13 +225,7 @@ OpenFilePtr Kernel::OpenTtyFile(Tty* tty) {
     // Held name storage, same as TrackOpenName — ReleaseOpenName gives these
     // bytes back on close, so skipping the add here would drive
     // name_bytes_current negative.
-    file->name = "/dev/" + std::string(tty->DeviceName());
-    const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
-                             ? config_.fixed_name_bytes
-                             : static_cast<int64_t>(file->name->size()) + 1;
-    ++stats_.name_allocs;
-    stats_.name_bytes_current += held;
-    stats_.name_bytes_peak = std::max(stats_.name_bytes_peak, stats_.name_bytes_current);
+    HoldOpenName(*file, "/dev/" + std::string(tty->DeviceName()));
   }
   return file;
 }

@@ -383,6 +383,9 @@ class Kernel {
   // Name-tracking helpers (the Section 5.1 bookkeeping + its costs).
   void TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path);
   void ReleaseOpenName(Proc& p, OpenFile& file);
+  // Stores `name` as the file's tracked name and books the kernel memory it
+  // holds: its bytes and NUL, or a whole slot under NameStorage::kFixed.
+  void HoldOpenName(OpenFile& file, std::string name);
   void TrackChdirName(Proc& p, std::string_view user_path);
 
   Result<OpenFilePtr> FdGet(Proc& p, int fd);

@@ -35,6 +35,13 @@ bool IsNullDevice(const vfs::Inode& inode) {
   return inode.IsDevice() && dynamic_cast<NullDevice*>(inode.device) != nullptr;
 }
 
+// Kernel memory a tracked name holds: its bytes and NUL, or a whole slot.
+int64_t NameBytesHeld(const KernelConfig& config, const std::string& name) {
+  return config.name_storage == KernelConfig::NameStorage::kFixed
+             ? config.fixed_name_bytes
+             : static_cast<int64_t>(name.size()) + 1;
+}
+
 }  // namespace
 
 // --- Name tracking (Section 5.1) -------------------------------------------------
@@ -51,31 +58,35 @@ void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) 
     abs = vfs::Combine(cwd, user_path);
     ChargeCpu(p, costs_->name_combine);
   }
-  ChargeCpu(p, costs_->kmem_alloc);
+  // A fixed slot lives inside the file structure: nothing to allocate (or
+  // free on close), only the copy into it.
+  const bool fixed = config_.name_storage == KernelConfig::NameStorage::kFixed;
+  if (!fixed) {
+    ChargeCpu(p, costs_->kmem_alloc);
+    metrics_.Inc("kernel.kmem_allocs");
+  }
   ChargeCpu(p, static_cast<sim::Nanos>(abs.size() + 1) * costs_->name_copy_per_byte);
-  metrics_.Inc("kernel.kmem_allocs");
   metrics_.Inc("vfs.name_bytes_copied", static_cast<int64_t>(abs.size()) + 1);
-  const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
-                           ? config_.fixed_name_bytes
-                           : static_cast<int64_t>(abs.size()) + 1;
-  if (config_.name_storage == KernelConfig::NameStorage::kFixed &&
-      static_cast<int>(abs.size()) >= config_.fixed_name_bytes) {
+  if (fixed && static_cast<int>(abs.size()) >= config_.fixed_name_bytes) {
     abs.resize(static_cast<size_t>(config_.fixed_name_bytes - 1));  // truncated!
   }
-  file.name = std::move(abs);
-  ++stats_.name_allocs;
-  stats_.name_bytes_current += held;
-  stats_.name_bytes_peak = std::max(stats_.name_bytes_peak, stats_.name_bytes_current);
+  HoldOpenName(file, std::move(abs));
 }
 
 void Kernel::ReleaseOpenName(Proc& p, OpenFile& file) {
   if (!file.name.has_value()) return;
-  if (config_.track_names) ChargeCpu(p, costs_->kmem_free);
-  const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
-                           ? config_.fixed_name_bytes
-                           : static_cast<int64_t>(file.name->size()) + 1;
-  stats_.name_bytes_current -= held;
+  if (config_.track_names && config_.name_storage != KernelConfig::NameStorage::kFixed) {
+    ChargeCpu(p, costs_->kmem_free);
+  }
+  stats_.name_bytes_current -= NameBytesHeld(config_, *file.name);
   file.name.reset();
+}
+
+void Kernel::HoldOpenName(OpenFile& file, std::string name) {
+  ++stats_.name_allocs;
+  stats_.name_bytes_current += NameBytesHeld(config_, name);
+  stats_.name_bytes_peak = std::max(stats_.name_bytes_peak, stats_.name_bytes_current);
+  file.name = std::move(name);
 }
 
 void Kernel::TrackChdirName(Proc& p, std::string_view user_path) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -243,6 +244,26 @@ std::string RunChaos(uint64_t seed, bool with_partitions = false) {
   return fp.str();
 }
 
+// Replaying within one build only shows that a soak is deterministic; a change
+// that moves a fault-path number would still replay. So every soak must also
+// equal its committed fingerprint: tests/chaos_fingerprints.txt holds one
+// "<suite>/<seed> <fingerprint>" line per soak ('#' lines are comments). On a
+// mismatch the failure prints the fresh line; a change that moves a soak on
+// purpose copies it over the old one.
+void ExpectGoldenFingerprint(const std::string& suite, uint64_t seed,
+                             const std::string& fingerprint) {
+  const std::string key = suite + "/" + std::to_string(seed) + " ";
+  std::ifstream golden(PMIG_CHAOS_GOLDEN);
+  ASSERT_TRUE(golden.is_open()) << "cannot read " << PMIG_CHAOS_GOLDEN;
+  std::string line;
+  std::string committed;
+  while (std::getline(golden, line)) {
+    if (line.rfind(key, 0) == 0) committed = line.substr(key.size());
+  }
+  EXPECT_EQ(committed, fingerprint) << "fresh line for " << PMIG_CHAOS_GOLDEN << ":\n"
+                                    << key << fingerprint;
+}
+
 class ChaosSoak : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosSoak, NoProcessLostAndDeterministicReplay) {
@@ -250,6 +271,7 @@ TEST_P(ChaosSoak, NoProcessLostAndDeterministicReplay) {
   const std::string first = RunChaos(seed);
   const std::string second = RunChaos(seed);
   EXPECT_EQ(first, second) << "seed " << seed << " did not replay deterministically";
+  ExpectGoldenFingerprint("ChaosSoak", seed, first);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::Values(1u, 2u, 3u));
@@ -265,6 +287,7 @@ TEST_P(PartitionChaosSoak, NothingLostNothingDuplicatedDeterministicReplay) {
   const std::string first = RunChaos(seed, /*with_partitions=*/true);
   const std::string second = RunChaos(seed, /*with_partitions=*/true);
   EXPECT_EQ(first, second) << "seed " << seed << " did not replay deterministically";
+  ExpectGoldenFingerprint("PartitionChaosSoak", seed, first);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionChaosSoak, ::testing::Values(1u, 2u, 3u));

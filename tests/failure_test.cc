@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/apps/evacuate.h"
 #include "src/apps/night_shift.h"
 #include "src/core/dump_format.h"
@@ -338,6 +340,334 @@ TEST(MigrateTransaction, HalfWrittenDumpNeverSurvivesDumpproc) {
   ASSERT_TRUE(world.RunUntilExited("brick", dp, sim::Seconds(60)));
   EXPECT_NE(world.ExitInfoOf("brick", dp).exit_code, 0);
   EXPECT_TRUE(NoDumpFilesLeft(world, "brick", pid));
+}
+
+// --- Every exit of the migrate transaction ------------------------------------
+//
+// Each case below drives `migrate --robust` brick -> target out through one of
+// its exits and pins what that exit leaves behind: the exit code, which files
+// of the dump set remain on brick, the migrate.* counters, and the reason of
+// the post-mortem the exit records. Where no fault schedule reaches an exit,
+// the case plants the state directly (a dump set made by hand, a claim file, a
+// disk-full window opened at a probed instant, a contending claimer).
+
+namespace {
+
+// The files of `pid`'s dump set present on `host`'s /usr/tmp, in
+// RemoveDumpSet's order, space-separated.
+std::string DumpSetOnDisk(World& world, const std::string& host, int32_t pid) {
+  const DumpPaths paths = DumpPaths::For(pid);
+  std::string out;
+  for (const auto& [name, path] :
+       {std::pair<const char*, const std::string*>{"a.out", &paths.aout},
+        {"files", &paths.files},
+        {"stack", &paths.stack},
+        {"ready", &paths.ready},
+        {"claim", &paths.claim}}) {
+    if (!world.FileExists(host, *path)) continue;
+    if (!out.empty()) out += " ";
+    out += name;
+  }
+  return out;
+}
+
+// Every migrate.* counter on `host`, "name=value;" in name order.
+std::string MigrateCounters(World& world, const std::string& host) {
+  std::string out;
+  for (const auto& [name, value] : world.host(host).metrics().counters()) {
+    if (name.rfind("migrate.", 0) == 0) out += name + "=" + std::to_string(value) + ";";
+  }
+  return out;
+}
+
+// The reason of the last post-mortem recorded on `host`, "" if there is none.
+std::string LastPostmortem(World& world, const std::string& host) {
+  std::string reason;
+  for (const auto& pm : world.cluster().context().flight_recorder.postmortems()) {
+    if (pm.host == host) reason = pm.reason;
+  }
+  return reason;
+}
+
+// The exit cases' world: counters and post-mortems recorded.
+test::WorldOptions ObservedWorld(int hosts = 2) {
+  test::WorldOptions options;
+  options.num_hosts = hosts;
+  options.metrics = true;
+  options.flight_recorder = true;
+  return options;
+}
+
+// A /bin/counter on brick, dumped by hand with `dumpproc --tx`: a complete
+// dump set (a.out, files, stack, ready) that is now the only copy of the
+// process. Returns its pid.
+int32_t HandDumpedCounter(World& world) {
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  EXPECT_TRUE(world.RunUntilBlocked("brick", pid));
+  const int32_t dp =
+      world.StartTool("brick", "dumpproc", {"-p", std::to_string(pid), "--tx"});
+  EXPECT_TRUE(world.RunUntilExited("brick", dp));
+  EXPECT_EQ(world.ExitInfoOf("brick", dp).exit_code, 0);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack ready");
+  return pid;
+}
+
+void PlantClaim(World& world, int32_t pid, const std::string& holder) {
+  world.host("brick").vfs().SetupCreateFile(
+      DumpPaths::For(pid).claim,
+      core::FormatClaimMarker(holder, world.cluster().clock().now()), kUserUid, 0600);
+}
+
+// Runs `migrate --robust -p <counter> -f brick -t schooner` in a world built
+// from `options` (whose disk-full windows must all lie in the far future),
+// with schooner down if `target_down`, and returns the first virtual instant
+// at which `reached` holds. The simulation is deterministic, so a disk-full
+// window that opens at that instant in a fresh world set up the same way
+// lands at the same point of the run.
+sim::Nanos ProbeInstant(const test::WorldOptions& options, bool target_down,
+                        const std::function<bool(World&, int32_t)>& reached) {
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  EXPECT_TRUE(world.RunUntilBlocked("brick", pid));
+  world.cluster().SetHostDown("schooner", target_down);
+  SpawnMigrate(world, "brick", pid, "brick", "schooner", /*use_daemon=*/false,
+               core::MigrateOptions::Robust());
+  EXPECT_TRUE(world.cluster().RunUntil([&] { return reached(world, pid); },
+                                       sim::Seconds(120)));
+  return world.cluster().clock().now();
+}
+
+}  // namespace
+
+// Exit: the dump leg fails while the process is still alive. A kernel-aborted
+// dump resumes its process, so the transaction fails fast and sweeps up.
+TEST(MigrateTransaction, AbortedDumpFailsFastAndSweepsTheSet) {
+  test::WorldOptions options = ObservedWorld();
+  options.faults.enabled = true;
+  options.faults.disk_full.push_back({"brick", 0, sim::Seconds(600)});
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  kernel::Proc* p = world.host("brick").FindProc(pid);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->Alive());
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.retries=2;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "dumpproc on brick failed (exit 3) phase=dump");
+}
+
+// Exit: the process died in its dump, but the dumpproc rewrite keeps hitting a
+// full disk. The dead-source persistence loop retries until the attempt
+// timeout (reaching the 8 s backoff cap), then the transaction keeps the set:
+// it is the process now.
+TEST(MigrateTransaction, DeadSourceKeepsItsDumpSetWhenTheRewriteCannotLand) {
+  test::WorldOptions options = ObservedWorld();
+  options.faults.enabled = true;
+  options.faults.disk_full.push_back({"brick", sim::Seconds(100000), sim::Seconds(100001)});
+  const sim::Nanos dumped = ProbeInstant(options, /*target_down=*/false, [](World& w, int32_t pid) {
+    const kernel::Proc* p = w.host("brick").FindAnyProc(pid);
+    return p == nullptr || !p->Alive();
+  });
+  // Open just after the instant the dump landed (its writes share that
+  // instant): dumpproc only wakes from its one-second poll later, to rewrite
+  // filesXXXXX.
+  options.faults.disk_full = {{"brick", dumped + sim::Millis(1), dumped + sim::Seconds(600)}};
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  EXPECT_EQ(world.host("brick").FindProc(pid), nullptr);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack");
+  EXPECT_FALSE(world.FileExists("brick", DumpPaths::For(pid).files + ".tmp"));
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.backoff_capped=2;migrate.retries=14;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "dump set for " + std::to_string(pid) + " kept: it is the process now phase=dump");
+}
+
+// Exit: the restart leg lost the claim to a host that is down. That holder
+// may be running the process, so the set (claim included) is left alone.
+TEST(MigrateTransaction, ClaimHeldByADownHostLeavesTheSet) {
+  World world(ObservedWorld(3));
+  const int32_t pid = HandDumpedCounter(world);
+  PlantClaim(world, pid, "brador");
+  world.cluster().SetHostDown("brador", true);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack ready claim");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "claim holder for " + std::to_string(pid) + " unreachable phase=restart");
+}
+
+// Exit: the restart leg's claim was won by a restart that is running the
+// process now, so the migration succeeded and the set is swept up.
+TEST(MigrateTransaction, ClaimWonByARunningRestartIsASuccess) {
+  World world(ObservedWorld());
+  const int32_t pid = HandDumpedCounter(world);
+  const int32_t rs = world.StartTool("schooner", "restart",
+                                     {"-p", std::to_string(pid), "-h", "brick", "--claim"});
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", rs));  // overlaid by the counter
+  ASSERT_EQ(world.FindPidByCommand("schooner", "migrated"), rs);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolOk);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "");
+  EXPECT_EQ(LastPostmortem(world, "brick"), "");
+}
+
+// Exit: restart failed on the target and a dump file has since vanished, so
+// there is nothing whole to fall back to.
+TEST(MigrateTransaction, MissingStackFileCannotFallBack) {
+  World world(ObservedWorld());
+  const int32_t pid = HandDumpedCounter(world);
+  world.host("brick").vfs().SetupUnlink(DumpPaths::For(pid).stack);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolFail);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files ready");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "dump files for " + std::to_string(pid) +
+                " are gone; cannot fall back phase=fallback");
+}
+
+// Exit: the target is down and the fallback restart finds the set claimed by
+// that same target. It may have committed before it went away, so the
+// transaction does not fall back.
+TEST(MigrateTransaction, FallbackClaimHeldByTheDownTargetIsNotBroken) {
+  World world(ObservedWorld());
+  const int32_t pid = HandDumpedCounter(world);
+  PlantClaim(world, pid, "schooner");
+  world.cluster().SetHostDown("schooner", true);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack ready claim");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.retries=2;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "claim holder for " + std::to_string(pid) + " unreachable phase=fallback");
+}
+
+// Exit: the fallback finds a stale claim (no process behind it), breaks it,
+// and loses the claim again to a contender that still has no process. The
+// transaction stops there and leaves the set to the orphan reaper.
+TEST(MigrateTransaction, ContendedFallbackClaimLeavesTheSet) {
+  World world(ObservedWorld());
+  const int32_t pid = HandDumpedCounter(world);
+  world.cluster().SetHostDown("schooner", true);
+  // The contender claims the set whenever it is unclaimed, naming brick, and
+  // never restarts anything.
+  const std::string claim = DumpPaths::For(pid).claim;
+  kernel::Kernel* brick = &world.host("brick");
+  auto claims = std::make_shared<int>(0);
+  kernel::SpawnOptions opts;
+  opts.creds = {kUserUid, 10, kUserUid, 10};
+  world.host("brick").SpawnNative(
+      "claimer",
+      [claim, brick, claims](SyscallApi& api) {
+        for (;;) {
+          const Result<int> fd = api.Open(
+              claim, vm::abi::OpenFlags::kOWrOnly | vm::abi::OpenFlags::kOCreat |
+                         vm::abi::OpenFlags::kOExcl,
+              0600);
+          if (fd.ok()) {
+            ++*claims;
+            const Result<int64_t> n = api.Write(*fd, core::FormatClaimMarker("brick", api.Now()));
+            (void)n;
+            const Status closed = api.Close(*fd);
+            (void)closed;
+          }
+          api.BlockUntil([brick, claim] {
+            return !brick->vfs()
+                        .Resolve(brick->vfs().RootState(), claim, vfs::Follow::kAll, nullptr)
+                        .ok();
+          });
+        }
+        return 0;
+      },
+      opts);
+  ASSERT_TRUE(world.cluster().RunUntil([&] { return world.FileExists("brick", claim); },
+                                       sim::Seconds(10)));
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  EXPECT_EQ(*claims, 2);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack ready claim");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.retries=2;migrate.stale_claims_broken=1;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "claim on " + std::to_string(pid) + " contended; leaving the set phase=fallback");
+}
+
+// Exit: the target is down, and the fallback restart finds the set claimed by
+// a restart on a third host that is running the process. That remote winner
+// makes this a successful migration, not a fallback.
+TEST(MigrateTransaction, RemoteWinnerBehindTheFallbackClaimIsASuccess) {
+  World world(ObservedWorld(3));
+  const int32_t pid = HandDumpedCounter(world);
+  const int32_t rs = world.StartTool("schooner", "restart",
+                                     {"-p", std::to_string(pid), "-h", "brick", "--claim"});
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", rs));  // overlaid by the counter
+  ASSERT_EQ(world.FindPidByCommand("schooner", "migrated"), rs);
+  world.cluster().SetHostDown("brador", true);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "brador",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolOk);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.retries=2;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "restart on brador failed (EHOSTUNREACH); falling back to brick phase=restart");
+}
+
+// Exit: the target is down and the source disk is full, so the fallback
+// restart cannot write its claim. The fallback persistence loop retries until
+// the attempt timeout (reaching the 8 s backoff cap), then leaves the set.
+TEST(MigrateTransaction, FallbackPersistsThroughAFullDiskThenLeavesTheSet) {
+  test::WorldOptions options = ObservedWorld();
+  options.faults.enabled = true;
+  options.faults.disk_full.push_back({"brick", sim::Seconds(100000), sim::Seconds(100001)});
+  // The instant dumpproc has stamped the ready marker: the dump leg is done.
+  const sim::Nanos dumped = ProbeInstant(options, /*target_down=*/true, [](World& w, int32_t pid) {
+    return !core::ParseDumpMarker(w.FileContents("brick", DumpPaths::For(pid).ready))
+                .host.empty();
+  });
+  options.faults.disk_full = {{"brick", dumped + sim::Millis(1), dumped + sim::Seconds(600)}};
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  world.cluster().SetHostDown("schooner", true);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolTransient);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack ready");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.backoff_capped=2;migrate.retries=16;");
+  EXPECT_EQ(LastPostmortem(world, "brick"),
+            "fallback restart on brick failed (exit 3) phase=fallback");
 }
 
 TEST(FaultInjection, DumpCorruptionAbortsDumpAndProcessSurvives) {

@@ -190,6 +190,48 @@ TEST(NativeApi, FixedNameStorageTruncatesLongPaths) {
   EXPECT_EQ(deep.compare(0, 31, *name), 0);
 }
 
+// A fixed slot lives inside the file structure, so naming an open file under
+// kFixed allocates and frees nothing: its creat() costs exactly one kmem_alloc
+// less system CPU than under kDynamic, its close() one kmem_free less, and no
+// kmem allocation is counted. Both policies still copy the name in.
+TEST(NativeApi, FixedNameSlotSkipsKmemAllocAndFree) {
+  struct Costs {
+    sim::Nanos creat = -1;
+    sim::Nanos close = -1;
+    int64_t kmem_allocs = -1;
+  };
+  auto measure = [](kernel::KernelConfig::NameStorage storage) {
+    test::WorldOptions options;
+    options.metrics = true;
+    World world(options);
+    kernel::Kernel& k = world.host("brick");
+    k.mutable_config().name_storage = storage;
+    auto costs = std::make_shared<Costs>();
+    const int64_t allocs_before = k.metrics().Counter("kernel.kmem_allocs");
+    EXPECT_EQ(RunUser(world,
+                      [costs](SyscallApi& api) {
+                        const sim::Nanos s0 = api.proc().stime;
+                        const Result<int> fd = api.Creat("/u/user/f", 0644);
+                        if (!fd.ok()) return 1;
+                        const sim::Nanos s1 = api.proc().stime;
+                        const Status closed = api.Close(*fd);
+                        costs->creat = s1 - s0;
+                        costs->close = api.proc().stime - s1;
+                        return closed.ok() ? 0 : 1;
+                      }),
+              0);
+    costs->kmem_allocs = k.metrics().Counter("kernel.kmem_allocs") - allocs_before;
+    return *costs;
+  };
+  const Costs dynamic = measure(kernel::KernelConfig::NameStorage::kDynamic);
+  const Costs fixed = measure(kernel::KernelConfig::NameStorage::kFixed);
+  const sim::CostModel costs;
+  EXPECT_EQ(dynamic.creat - fixed.creat, costs.kmem_alloc);
+  EXPECT_EQ(dynamic.close - fixed.close, costs.kmem_free);
+  EXPECT_EQ(dynamic.kmem_allocs, 1);
+  EXPECT_EQ(fixed.kmem_allocs, 0);
+}
+
 TEST(NativeApi, SyscallsCountedInStats) {
   World world;
   kernel::Kernel& k = world.host("brick");

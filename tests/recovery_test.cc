@@ -643,10 +643,18 @@ TEST(PreapCommandTest, OnePassFromTheShellRevivesAndReports) {
   EXPECT_NE(FindSurvivor(world, "schooner", pid), nullptr);
   EXPECT_TRUE(DumpSetGone(world, "schooner", pid));
 
-  // Bad flags are a usage error, not a pass.
-  const int32_t bad = world.StartTool("brick", "preap", {"--bogus"}, /*uid=*/0);
-  EXPECT_TRUE(world.RunUntilExited("brick", bad, sim::Seconds(120)));
-  EXPECT_EQ(world.ExitInfoOf("brick", bad).exit_code, core::kToolUsage);
+  // Bad flags are a usage error, not a pass. --no-lease is one too: every
+  // pass leases its targets.
+  for (const char* flag : {"--bogus", "--no-lease"}) {
+    const int32_t bad = world.StartTool("brick", "preap", {flag}, /*uid=*/0);
+    EXPECT_TRUE(world.RunUntilExited("brick", bad, sim::Seconds(120)));
+    EXPECT_EQ(world.ExitInfoOf("brick", bad).exit_code, core::kToolUsage) << flag;
+  }
+  const std::string out = world.tty("brick", "ttyp0")->PlainOutput();
+  const std::string usage = "usage: preap [-g grace_seconds] [-H host ...] [--rsh]\n";
+  const size_t first = out.find(usage);
+  ASSERT_NE(first, std::string::npos) << out;
+  EXPECT_NE(out.find(usage, first + usage.size()), std::string::npos) << out;
 }
 
 }  // namespace
