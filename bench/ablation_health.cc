@@ -181,7 +181,7 @@ HealthOutcome RunDegradingHost(bool armed, bool watchdog, bool crash) {
             if (*evac_trigger < 0) *evac_trigger = now;
             apps::EvacuateHost(api, *net, "schooner", "", /*use_daemon=*/true,
                                evac_opts, apps::PlacementPolicy::kCombined,
-                               /*fault_threshold=*/0.5, /*health_threshold=*/2.0);
+                               /*health_threshold=*/2.0);
             bool remaining = false;
             for (kernel::Proc* p : net->FindHost("schooner")->ListProcs()) {
               if (p->kind == kernel::ProcKind::kVm && p->Alive() &&

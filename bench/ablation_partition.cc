@@ -248,8 +248,7 @@ Outcome RunSplitBrain(bool leases) {
           const apps::EvacuationReport report = apps::EvacuateHost(
               api, *net, "brick", "", /*use_daemon=*/true,
               core::MigrateOptions::Robust(), apps::PlacementPolicy::kLoadOnly,
-              /*fault_threshold=*/0.5, /*health_threshold=*/1.0,
-              /*lease_targets=*/leases, /*lease_ttl=*/sim::Seconds(30));
+              /*health_threshold=*/1.0, /*lease_targets=*/leases);
           return report.Status();
         },
         kernel::SpawnOptions{}));

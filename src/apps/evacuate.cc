@@ -6,27 +6,11 @@
 
 namespace pmig::apps {
 
-namespace {
-
-// The Section 7 eligibility rules, same as the load balancer's.
-bool Movable(kernel::Kernel& host, const kernel::Proc& p) {
-  for (const kernel::OpenFilePtr& f : p.fds) {
-    if (f != nullptr && f->kind != kernel::FileKind::kInode) return false;
-  }
-  for (kernel::Proc* q : host.ListProcs()) {
-    if (q->ppid == p.pid) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
                               std::string_view from_host, std::string_view to_host,
                               bool use_daemon, const core::MigrateOptions& opts,
-                              PlacementPolicy policy, double fault_threshold,
-                              double health_threshold, bool lease_targets,
-                              sim::Nanos lease_ttl, ClusterIndex* index) {
+                              PlacementPolicy policy, double health_threshold,
+                              bool lease_targets, ClusterIndex* index) {
   EvacuationReport report;
   kernel::Kernel* from = net.FindHost(from_host);
   if (from == nullptr) return report;
@@ -51,7 +35,6 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
       PlacementQuery query;
       query.from_host = std::string(from_host);
       query.pid = pid;
-      query.fault_threshold = fault_threshold;
       query.health_threshold = health_threshold;
       query.occupancy = true;  // count earlier evacuees even before they reschedule
       query.context = "evacuation";
@@ -59,16 +42,13 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
         query.index = index;  // survey-free picks from the maintained view
         query.reachable_from = api.GetHostname();  // never aim across a partition
       }
-      // Like the balancer: with leasing on, a pick must also be won. Contended
-      // targets are excluded and the query re-run, so a concurrent coordinator
-      // cannot receive the same flood of evacuees.
+      // With leasing on, a pick must also be won. Contended targets are
+      // excluded and the query re-run, so a concurrent coordinator cannot
+      // receive the same flood of evacuees.
       for (size_t tries = 0; tries <= net.hosts().size(); ++tries) {
         target = engine.PickTarget(query);
         if (target.empty() || !lease_targets) break;
-        LeaseOptions lopts;
-        lopts.ttl = lease_ttl;
-        const Result<PlacementLease> acquired =
-            AcquirePlacementLease(api, net, target, lopts);
+        const Result<PlacementLease> acquired = AcquirePlacementLease(api, net, target);
         if (acquired.ok() && acquired->held) {
           lease = *acquired;
           have_lease = true;

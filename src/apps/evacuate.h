@@ -54,14 +54,15 @@ struct EvacuationReport {
 // An empty `to_host` asks the PlacementEngine to pick a target per process under
 // `policy` — spreading the evacuees across the cluster instead of dumping them
 // all on one machine, and never picking a host that is down (or, under the
-// fault-aware policies, one with a bad recent track record or a health-monitor
-// score at or above `health_threshold`). Processes with no eligible target are
-// reported as `unplaced` and receive no migrate attempt.
+// fault-aware policies, one whose fault score is at or above kFaultThreshold
+// or whose health-monitor score is at or above `health_threshold`). Processes
+// with no eligible target are reported as `unplaced` and receive no migrate
+// attempt.
 //
 // With `lease_targets`, each auto-placed pick is held under the target's
 // placement lease for the duration of its migration (contended targets are
-// excluded and the pick re-run), so an evacuation and a balancer — or two
-// evacuations — cannot dog-pile one receiving host.
+// excluded and the pick re-run), so two evacuations, or an evacuation and a
+// reaper pass, cannot dog-pile one receiving host.
 //
 // With `index` (a coordinator-maintained apps::ClusterIndex), each auto-placed
 // pick reads the index instead of re-surveying the cluster per evacuee, and
@@ -79,10 +80,8 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
                               bool use_daemon = true,
                               const core::MigrateOptions& opts = {},
                               PlacementPolicy policy = PlacementPolicy::kLoadOnly,
-                              double fault_threshold = 0.5,
                               double health_threshold = 1.0,
                               bool lease_targets = false,
-                              sim::Nanos lease_ttl = sim::Seconds(30),
                               ClusterIndex* index = nullptr);
 
 }  // namespace pmig::apps

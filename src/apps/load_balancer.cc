@@ -4,52 +4,29 @@
 #include <memory>
 #include <optional>
 
-#include "src/apps/recovery.h"
 #include "src/core/tools.h"
 
 namespace pmig::apps {
 
-namespace {
-
-// Section 7 eligibility for one process: runnable VM work, old enough to be
-// worth moving, no children to orphan, no sockets to sever.
-bool EligibleVictim(kernel::Kernel& host, kernel::Proc& p, sim::Nanos now,
-                    sim::Nanos min_age) {
-  if (p.kind != kernel::ProcKind::kVm || p.state != kernel::ProcState::kRunnable) {
-    return false;
-  }
-  if (now - p.start_time < min_age) return false;
-  for (kernel::Proc* q : host.ListProcs()) {
-    if (q->ppid == p.pid) return false;
-  }
-  for (const kernel::OpenFilePtr& f : p.fds) {
-    if (f != nullptr && f->kind != kernel::FileKind::kInode) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::vector<int32_t> PickVictims(kernel::Kernel& host, sim::Nanos now,
-                                 sim::Nanos min_age, bool by_cpu, int max_victims) {
+                                 sim::Nanos min_age, int max_victims) {
   std::vector<int32_t> victims;
   if (host.down() || max_victims <= 0) return victims;
   NoteSurveyMessage(host);  // one proc-table read serves the whole batch
   std::vector<kernel::Proc*> eligible;
   for (kernel::Proc* p : host.ListProcs()) {
-    if (EligibleVictim(host, *p, now, min_age)) eligible.push_back(p);
+    // Runnable VM work, old enough to be worth moving (Section 8), and movable
+    // at all (Section 7).
+    if (p->kind == kernel::ProcKind::kVm && p->state == kernel::ProcState::kRunnable &&
+        now - p->start_time >= min_age && Movable(host, *p)) {
+      eligible.push_back(p);
+    }
   }
-  // Oldest-first is the paper's proxy for "will keep running"; by_cpu measures
-  // it instead — most accumulated CPU first, ties to the older start. A stable
-  // sort keeps the process-table order on full ties, so the single-victim
-  // default picks exactly what the pre-batch balancer picked.
+  // Oldest-first is the paper's proxy for "will keep running". A stable sort
+  // keeps the process-table order on ties, so the single-victim default picks
+  // exactly what the pre-batch balancer picked.
   std::stable_sort(eligible.begin(), eligible.end(),
-                   [by_cpu](const kernel::Proc* a, const kernel::Proc* b) {
-                     if (by_cpu) {
-                       const sim::Nanos ca = a->utime + a->stime;
-                       const sim::Nanos cb = b->utime + b->stime;
-                       if (ca != cb) return ca > cb;
-                     }
+                   [](const kernel::Proc* a, const kernel::Proc* b) {
                      return a->start_time < b->start_time;
                    });
   for (kernel::Proc* p : eligible) {
@@ -184,7 +161,7 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
     kernel::Kernel* from = net.FindHost(busiest->first);
     const std::vector<int32_t> victims =
         PickVictims(*from, api.Now(), options.min_age,
-                    options.victim_by_cpu, std::max(1, options.batch_per_round));
+                    std::max(1, options.batch_per_round));
     if (victims.empty()) {
       // Imbalanced but nothing is old enough (or eligible) to move yet.
       // Eligibility ripens with time, not with observations, so the wait here
@@ -196,7 +173,6 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
     }
     PlacementQuery query;
     query.from_host = busiest->first;
-    query.fault_threshold = options.fault_threshold;
     query.context = "balancer";
     if (index.has_value()) {
       query.index = &*index;
@@ -216,33 +192,7 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
     bool attempted = false;
     for (size_t i = 0; i < victims.size(); ++i) {
       const int32_t victim = victims[i];
-      std::string target = placed[i];
-      // With leasing on, the pick must also be won: a target whose placement
-      // lease another coordinator holds is excluded and the query re-run, so
-      // concurrent balancers spread across targets instead of thundering onto
-      // the one idlest host.
-      PlacementLease lease;
-      bool have_lease = false;
-      if (options.lease_targets) {
-        PlacementQuery retry = query;
-        retry.pid = victim;
-        for (size_t tries = 0; tries <= net.hosts().size(); ++tries) {
-          if (target.empty()) break;
-          LeaseOptions lopts;
-          lopts.ttl = options.lease_ttl;
-          const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
-          if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
-            break;
-          }
-          ++stats.lease_conflicts;
-          retry.exclude.push_back(target);
-          target = engine.PickTarget(retry);
-        }
-        if (!have_lease) target.clear();
-      }
+      const std::string& target = placed[i];
       if (target.empty()) continue;
       attempted = true;
       if (kernel::Kernel* t = net.FindHost(target); t != nullptr && t->down()) {
@@ -254,7 +204,6 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       }
       const int rc = core::Migrate(api, net, victim, busiest->first, target,
                                    options.use_daemon, options.migrate);
-      if (have_lease) ReleasePlacementLease(api, lease);
       net.context().decision_log.AttachOutcome(victim, busiest->first, target, rc,
                                                api.proc().trace_id);
       if (rc == 0) {
@@ -267,8 +216,8 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       }
     }
     if (!attempted) {
-      // Imbalanced, but every other host is down, fault-excluded, unreachable,
-      // or leased away. Wait for one to come back (or a lease/score to lapse).
+      // Imbalanced, but every other host is down, fault-excluded, or
+      // unreachable. Wait for one to come back (or a score to lapse).
       ++stats.no_target_rounds;
       ++stats.idle_rounds;
       metrics.Inc("balancer.idle_rounds");

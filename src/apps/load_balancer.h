@@ -39,18 +39,10 @@ struct LoadBalancerOptions {
   // Target selection. kLoadOnly is decision-identical to the pre-engine
   // balancer on a fault-free cluster.
   PlacementPolicy policy = PlacementPolicy::kLoadOnly;
-  double fault_threshold = 0.5;  // kFaultAware/kCombined exclusion cutoff
   // Per-migration behaviour, passed through to core::Migrate. The default is
   // the paper's one-shot command; pass core::MigrateOptions::Robust() to make
   // every balancer migration a never-lose-a-process transaction.
   core::MigrateOptions migrate;
-  // Hold the target's placement lease (apps::AcquirePlacementLease) across
-  // each migration, re-picking with the contended host excluded when another
-  // coordinator already holds it — so two balancers on different hosts stop
-  // dog-piling the same idle machine. Off by default: single-coordinator runs
-  // are untouched (and bit-identical).
-  bool lease_targets = false;
-  sim::Nanos lease_ttl = sim::Seconds(30);
   // The cluster-scale path: maintain an apps::ClusterIndex across rounds.
   // Loads come from the index (kept current by migrate-outcome deltas, sampler
   // snapshots, and a per-round Refresh that re-surveys only entries older than
@@ -65,13 +57,6 @@ struct LoadBalancerOptions {
   // PlaceBatch call — one survey (or the index view) with lookahead bumps —
   // instead of one survey per victim.
   int batch_per_round = 1;
-  // Prefer the victim with the most accumulated CPU (utime + stime) instead of
-  // the oldest start time. Same Section 8 heuristic — "has been running for
-  // more than a certain amount of time" — measured directly instead of proxied
-  // by age: the process that has burned the most CPU is the likeliest to keep
-  // burning, so moving it pays for itself. Off keeps the historical
-  // oldest-first choice.
-  bool victim_by_cpu = false;
   // Event-driven rounds: instead of sleeping poll_interval between rounds, the
   // balancer arms a wake condition on its ClusterIndex (event_driven implies
   // use_index) and blocks until an observation — a sampler snapshot, a migrate
@@ -98,7 +83,6 @@ struct LoadBalancerStats {
   int fallback_restarts = 0;  // transactional migrate restarted on the source
   int no_target_rounds = 0;   // imbalance seen but no eligible target existed
   int attempts_to_down = 0;   // chosen target was down at migrate time (bug if >0)
-  int lease_conflicts = 0;    // target re-picked because its lease was held
   // Chosen target was unreachable from the coordinator at migrate time. The
   // index path filters these before picking, so it must stay 0 there; the
   // classic path counts each wasted leg it was about to pay for.
@@ -113,12 +97,11 @@ struct LoadBalancerStats {
 };
 
 // The balancer's victim choice on `host`, exposed for tests: up to `max_victims`
-// eligible processes (runnable VM, older than min_age, childless, socket-free),
-// oldest-first — or, with by_cpu, most-accumulated-CPU-first (ties to the older
-// start). Reads the host's process table once (one survey message), which also
-// carries the per-proc CPU signal. A down host has no candidates.
+// eligible processes (runnable VM, older than min_age, and Movable), oldest
+// first. Reads the host's process table once (one survey message). A down host
+// has no candidates.
 std::vector<int32_t> PickVictims(kernel::Kernel& host, sim::Nanos now,
-                                 sim::Nanos min_age, bool by_cpu, int max_victims);
+                                 sim::Nanos min_age, int max_victims);
 
 // Runs until the cluster's VM load is balanced (or max_rounds elapsed).
 LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,

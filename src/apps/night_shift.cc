@@ -1,6 +1,6 @@
 #include "src/apps/night_shift.h"
 
-#include "src/apps/recovery.h"
+#include "src/apps/placement.h"
 #include "src/core/tools.h"
 
 namespace pmig::apps {
@@ -18,33 +18,27 @@ std::vector<int32_t> BatchJobsOn(kernel::Kernel& host, int32_t batch_uid) {
 NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
                               const NightShiftOptions& options) {
   NightShiftStats stats;
-  const PlacementEngine engine(&net, options.policy);
   std::string day_host = options.day_host;
   if (day_host.empty()) {
     // No hardcoded day machine: ask the engine. Occupancy is the right load —
-    // the day host will hold every hog, runnable or not — and the fault-aware
-    // policies keep the batch off a machine that already looks sick.
+    // the day host will hold every hog, runnable or not.
     PlacementQuery query;
-    query.fault_threshold = options.fault_threshold;
     query.occupancy = true;
     query.context = "night-shift";
-    day_host = engine.PickTarget(query);
+    day_host = PlacementEngine(&net).PickTarget(query);
     if (day_host.empty()) return stats;  // nothing eligible; nothing to run
   }
   stats.day_host = day_host;
   for (int night = 0; night < options.nights; ++night) {
     // Dusk: spread the day machine's hogs across the other machines, leaving a
-    // fair share at home. kLoadOnly walks the eligible hosts round-robin (the
-    // historical behaviour); the other policies place each job via the engine.
+    // fair share at home, walking the live hosts round-robin.
     kernel::Kernel* day = net.FindHost(day_host);
     if (day == nullptr) break;
     std::vector<int32_t> jobs = BatchJobsOn(*day, options.batch_uid);
     const auto& hosts = net.hosts();
     std::vector<kernel::Kernel*> eligible;  // spread targets, in network order
     for (kernel::Kernel* host : hosts) {
-      if (host->hostname() == day_host) continue;
-      if (!engine.Eligible(*host, options.fault_threshold)) continue;
-      eligible.push_back(host);
+      if (host->hostname() != day_host && !host->down()) eligible.push_back(host);
     }
     // The fair share counts the day machine itself as one of the workers.
     const size_t machines = eligible.size() + 1;
@@ -52,75 +46,27 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
     size_t target_index = 0;
     size_t moved_to_target = 0;
     for (size_t i = share; i < jobs.size(); ++i) {
-      std::string target;
-      PlacementLease lease;
-      bool have_lease = false;
-      LeaseOptions lopts;
-      lopts.ttl = options.lease_ttl;
-      if (options.policy == PlacementPolicy::kLoadOnly) {
-        // Advance past filled shares, and drop any target that crashed since
-        // dusk began — a dead machine must receive zero migration attempts.
-        // With leasing on, a contended target is rotated past the same way a
-        // filled share is: the walk simply moves to the next eligible host.
-        for (size_t tries = 0; tries <= eligible.size(); ++tries) {
-          while (!eligible.empty()) {
-            if (eligible[target_index]->down()) {
-              eligible.erase(eligible.begin() + static_cast<ptrdiff_t>(target_index));
-              if (eligible.empty()) break;
-              target_index %= eligible.size();
-              moved_to_target = 0;
-              continue;
-            }
-            if (moved_to_target >= share) {
-              target_index = (target_index + 1) % eligible.size();
-              moved_to_target = 0;
-              continue;
-            }
-            break;
-          }
+      // Advance past filled shares, and drop any target that crashed since
+      // dusk began — a dead machine must receive zero migration attempts.
+      while (!eligible.empty()) {
+        if (eligible[target_index]->down()) {
+          eligible.erase(eligible.begin() + static_cast<ptrdiff_t>(target_index));
           if (eligible.empty()) break;
-          target = eligible[target_index]->hostname();
-          if (!options.lease_targets) break;
-          const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
-          if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
-            break;
-          }
-          ++stats.lease_conflicts;
+          target_index %= eligible.size();
+          moved_to_target = 0;
+          continue;
+        }
+        if (moved_to_target >= share) {
           target_index = (target_index + 1) % eligible.size();
           moved_to_target = 0;
-          target.clear();
+          continue;
         }
-        if (target.empty()) break;  // nowhere left to spread; jobs stay home
-      } else {
-        PlacementQuery query;
-        query.from_host = day_host;
-        query.pid = jobs[i];
-        query.fault_threshold = options.fault_threshold;
-        query.context = "night-shift";
-        for (size_t tries = 0; tries <= hosts.size(); ++tries) {
-          target = engine.PickTarget(query);
-          if (target.empty() || !options.lease_targets) break;
-          const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
-          if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
-            break;
-          }
-          ++stats.lease_conflicts;
-          query.exclude.push_back(target);
-          target.clear();
-        }
-        if (target.empty()) break;  // no eligible target; jobs stay home
+        break;
       }
-      const int rc = core::Migrate(api, net, jobs[i], day_host, target,
-                                   options.use_daemon, options.migrate);
-      if (have_lease) ReleasePlacementLease(api, lease);
-      net.context().decision_log.AttachOutcome(jobs[i], day_host, target, rc,
-                                               api.proc().trace_id);
+      if (eligible.empty()) break;  // nowhere left to spread; jobs stay home
+      const int rc = core::Migrate(api, net, jobs[i], day_host,
+                                   eligible[target_index]->hostname(),
+                                   /*use_daemon=*/true);
       if (rc == 0) {
         ++stats.spread_migrations;
         ++moved_to_target;
@@ -144,7 +90,7 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
       }
       for (const int32_t pid : strays) {
         const int rc = core::Migrate(api, net, pid, host->hostname(), day_host,
-                                     options.use_daemon, options.migrate);
+                                     /*use_daemon=*/true);
         if (rc == 0) {
           ++stats.gather_migrations;
         } else {

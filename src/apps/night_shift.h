@@ -7,10 +7,9 @@
 // NightShiftController is a native program: at nightfall it spreads every hog
 // process from the day machine across the cluster; at dawn it gathers them back
 // onto the day machine. Hogs are recognised by ownership (a dedicated batch uid),
-// not by name — migration renames processes. Spread targets come from the
-// PlacementEngine: the default kLoadOnly policy keeps the historical round-robin
-// walk (now skipping crashed hosts); the richer policies place each job on the
-// engine's best candidate instead.
+// not by name — migration renames processes. The dusk spread walks the live
+// hosts round-robin, a fair share each, skipping crashed machines; every move
+// is a one-shot migrate through the migration daemon.
 
 #ifndef PMIG_SRC_APPS_NIGHT_SHIFT_H_
 #define PMIG_SRC_APPS_NIGHT_SHIFT_H_
@@ -18,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/placement.h"
-#include "src/core/tools.h"
 #include "src/kernel/kernel.h"
 #include "src/net/network.h"
 
@@ -27,26 +24,13 @@ namespace pmig::apps {
 
 struct NightShiftOptions {
   // Where the hogs live during the day. Empty = let the placement engine pick
-  // one under `policy` (least occupied eligible host, fault/health-filtered)
-  // instead of the caller hardcoding a machine; the choice is made once at
-  // startup and reported in NightShiftStats::day_host.
+  // the least occupied live host instead of the caller hardcoding a machine;
+  // the choice is made once at startup and reported in
+  // NightShiftStats::day_host.
   std::string day_host;
   int32_t batch_uid = 999;     // uid that marks batch (hog) jobs
   sim::Nanos night_length = sim::Seconds(60);
   int nights = 1;
-  bool use_daemon = true;
-  // Target selection for the dusk spread. kLoadOnly keeps the round-robin walk
-  // over eligible hosts; other policies pick per-job via the engine.
-  PlacementPolicy policy = PlacementPolicy::kLoadOnly;
-  double fault_threshold = 0.5;
-  // Passed through to every core::Migrate call (dusk and dawn). Default is the
-  // one-shot command; core::MigrateOptions::Robust() makes each a transaction.
-  core::MigrateOptions migrate;
-  // Hold each spread target's placement lease across its migration, skipping
-  // (kLoadOnly) or excluding (engine policies) targets another coordinator
-  // holds. Off by default: solo runs are untouched (and bit-identical).
-  bool lease_targets = false;
-  sim::Nanos lease_ttl = sim::Seconds(30);
 };
 
 struct NightShiftStats {
@@ -57,7 +41,6 @@ struct NightShiftStats {
   // Dawn gathers that failed or could not be attempted — each is a job visibly
   // stranded on a night host instead of silently uncounted.
   int failed_gather = 0;
-  int lease_conflicts = 0;     // dusk target skipped because its lease was held
   // The day host actually used: options.day_host, or the engine's pick when
   // that was empty ("" when nothing was eligible and the run did nothing).
   std::string day_host;

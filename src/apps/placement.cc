@@ -103,13 +103,12 @@ int HostOccupancy(kernel::Kernel& host) {
   return alive;
 }
 
-bool PlacementEngine::Eligible(const kernel::Kernel& host, double fault_threshold,
-                               double health_threshold) const {
-  if (host.down()) return false;
-  if (UsesFaultSignal()) {
-    const sim::ClusterContext& ctx = net_->context();
-    if (ctx.fault_history.Score(host.hostname()) >= fault_threshold) return false;
-    if (ctx.health_monitor.HealthScore(host.hostname()) >= health_threshold) return false;
+bool Movable(kernel::Kernel& host, const kernel::Proc& p) {
+  for (const kernel::OpenFilePtr& f : p.fds) {
+    if (f != nullptr && f->kind != kernel::FileKind::kInode) return false;
+  }
+  for (kernel::Proc* q : host.ListProcs()) {
+    if (q->ppid == p.pid) return false;
   }
   return true;
 }
@@ -143,7 +142,7 @@ void PlacementEngine::FillSignals(const PlacementQuery& query, kernel::Kernel* f
     if (restarts != nullptr) s->est_restart_ns = restarts->Percentile(50);
   }
   s->fault_score = net_->context().fault_history.Score(s->host);
-  s->fault_excluded = UsesFaultSignal() && s->fault_score >= query.fault_threshold;
+  s->fault_excluded = UsesFaultSignal() && s->fault_score >= kFaultThreshold;
   s->health_score = net_->context().health_monitor.HealthScore(s->host);
   s->health_excluded = UsesFaultSignal() && s->health_score >= query.health_threshold;
 }
@@ -267,7 +266,7 @@ void PlacementEngine::RecordDecision(const PlacementQuery& query, bool from_inde
       }
     }
     if (listed) {
-      r.exclusions.push_back({name, query.exclude_reason, 0});
+      r.exclusions.push_back({name, "lease-contended", 0});
       continue;
     }
     if (!query.reachable_from.empty() && name != query.reachable_from &&
@@ -369,7 +368,7 @@ std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
     kernel::Kernel* host = net_->FindHost(e.host);
     if (host == nullptr || host->down()) continue;
     if (UsesFaultSignal()) {
-      if (ctx.fault_history.Score(e.host) >= query.fault_threshold) continue;
+      if (ctx.fault_history.Score(e.host) >= kFaultThreshold) continue;
       if (ctx.health_monitor.HealthScore(e.host) >= query.health_threshold) continue;
     }
     if (group.empty() && policy_ == PlacementPolicy::kLoadOnly) {

@@ -49,14 +49,15 @@ enum class PlacementPolicy {
 
 std::string_view PlacementPolicyName(PlacementPolicy policy);
 
+// kFaultAware/kCombined: hosts whose decayed fault score is at or above this
+// are excluded outright.
+inline constexpr double kFaultThreshold = 0.5;
+
 struct PlacementQuery {
   std::string from_host;  // the source; never a candidate
   // The process being placed (on from_host). -1 disables the cost signal
   // (est_bytes reports 0 for every candidate).
   int32_t pid = -1;
-  // kFaultAware/kCombined: hosts whose decayed fault score is at or above this
-  // are excluded outright.
-  double fault_threshold = 0.5;
   // kFaultAware/kCombined: hosts whose HealthMonitor score (anomalous series,
   // firing burn alerts) is at or above this are excluded too — a host can be
   // demoted for *looking* sick before any migrate against it has failed. The
@@ -70,7 +71,8 @@ struct PlacementQuery {
   bool occupancy = false;
   // Hosts to leave out entirely — a coordinator that failed to win a target's
   // placement lease re-picks with the loser added here, so lease contention
-  // spreads the herd instead of deadlocking it.
+  // spreads the herd instead of deadlocking it. The decision log records each
+  // as "lease-contended".
   std::vector<std::string> exclude;
   // Incrementally maintained placement state (see cluster_index.h). When set,
   // loads come from the index's entries and PickTarget walks its maintained
@@ -87,10 +89,6 @@ struct PlacementQuery {
   // "night-shift", "evacuation", "reaper"). Recorded verbatim; never read by
   // the pick itself.
   std::string context;
-  // The reason recorded against `exclude` hosts in the decision log. Every
-  // current excluder is a lease re-pick loop, hence the default; a future
-  // caller excluding for another reason labels it here.
-  std::string exclude_reason = "lease-contended";
 };
 
 // One candidate's signals, in network host order.
@@ -119,12 +117,6 @@ class PlacementEngine {
       : net_(net), policy_(policy) {}
 
   PlacementPolicy policy() const { return policy_; }
-
-  // A host this policy would consider at all: powered on, and (for the
-  // fault-aware policies) below both the fault-score and health-score
-  // thresholds.
-  bool Eligible(const kernel::Kernel& host, double fault_threshold = 0.5,
-                double health_threshold = 1.0) const;
 
   // Every live candidate except from_host, in network order, signals filled.
   std::vector<CandidateScore> Score(const PlacementQuery& query) const;
@@ -186,6 +178,11 @@ int HostLoad(kernel::Kernel& host);
 // One host's occupancy load: every live VM process, runnable or not (see
 // PlacementQuery::occupancy).
 int HostOccupancy(kernel::Kernel& host);
+
+// Section 7's rule for what can move at all: a process with children would
+// orphan them, and one holding a socket or pipe would sever it. The balancer
+// and evacuation both skip (evacuation: report) a process that fails it.
+bool Movable(kernel::Kernel& host, const kernel::Proc& p);
 
 // Per-host runnable VM-process count as a load daemon would report. Crashed
 // (down) machines are not surveyed: a dead host reports nothing, rather than a

@@ -18,43 +18,15 @@ std::string LeasePath(const std::string& local, const std::string& target) {
   return dir + "/placement";
 }
 
-struct LeaseRecord {
-  std::string holder;
-  sim::Nanos expires = -1;
-};
-
-LeaseRecord ParseLease(const std::string& bytes) {
-  LeaseRecord out;
-  std::string cur;
-  std::vector<std::string> tokens;
-  for (char c : bytes) {
-    if (c == ' ' || c == '\n' || c == '\t') {
-      if (!cur.empty()) tokens.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) tokens.push_back(cur);
-  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i] == "holder") out.holder = tokens[i + 1];
-    if (tokens[i] == "expires") {
-      out.expires = static_cast<sim::Nanos>(std::atoll(tokens[i + 1].c_str()));
-    }
-  }
-  return out;
-}
-
 std::string LeaseBody(const std::string& holder, sim::Nanos expires) {
   return "holder " + holder + " expires " + std::to_string(expires) + "\n";
 }
 
-// One acquisition pass: O_EXCL create, break-expired-and-retry-once, or
-// report the contending holder. The public wrapper adds the backoff loop.
-Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
-                                        net::Network& net,
-                                        const std::string& target,
-                                        const LeaseOptions& opts) {
+}  // namespace
+
+Result<PlacementLease> AcquirePlacementLease(kernel::SyscallApi& api,
+                                             net::Network& net,
+                                             const std::string& target) {
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, target);
   sim::MetricsRegistry& metrics = api.kernel().metrics();
@@ -69,7 +41,7 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       PlacementLease lease;
       lease.target = target;
       lease.holder = local;
-      lease.expires = api.Now() + opts.ttl;
+      lease.expires = api.Now() + kLeaseTtl;
       lease.held = true;
       const Result<int64_t> wrote = api.Write(*fd, LeaseBody(local, lease.expires));
       const Status closed = api.Close(*fd);
@@ -90,8 +62,8 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       if (bytes.error() == Errno::kNoEnt) continue;
       return bytes.error();
     }
-    const LeaseRecord rec = ParseLease(*bytes);
-    if (rec.expires >= 0 && api.Now() >= rec.expires) {
+    const core::DumpMarker rec = core::ParseDumpMarker(*bytes);
+    if (rec.at >= 0 && api.Now() >= rec.at) {
       // The holder sat on an expired lease (crashed, partitioned, or just
       // slow): break it and retry the exclusive create once.
       const Status st = api.Unlink(path);
@@ -101,8 +73,8 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
     }
     PlacementLease lease;
     lease.target = target;
-    lease.holder = rec.holder;
-    lease.expires = rec.expires;
+    lease.holder = rec.host;
+    lease.expires = rec.at;
     lease.held = false;
     metrics.Inc("lease.contended");
     return lease;
@@ -114,53 +86,12 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
   return lease;
 }
 
-}  // namespace
-
-Result<PlacementLease> AcquirePlacementLease(kernel::SyscallApi& api,
-                                             net::Network& net,
-                                             const std::string& target,
-                                             const LeaseOptions& opts) {
-  sim::Nanos backoff = opts.first_backoff;
-  sim::Nanos waited = 0;
-  for (;;) {
-    const Result<PlacementLease> r = AcquireLeaseOnce(api, net, target, opts);
-    // Errors (unreachable target) and wins return as-is; so does contention
-    // once the wait budget cannot cover another backoff — the default budget
-    // of 0 keeps the classic immediate-contention return bit-identical.
-    if (!r.ok() || r->held) return r;
-    if (backoff <= 0 || waited + backoff > opts.wait) return r;
-    api.Sleep(backoff);
-    waited += backoff;
-    api.kernel().metrics().Inc("lease.wait_ns", backoff);
-    backoff = std::min(backoff * 2, opts.max_backoff);
-  }
-}
-
-Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
-                           const LeaseOptions& opts) {
-  if (lease == nullptr || !lease->held) return Errno::kAcces;
-  const std::string local = api.GetHostname();
-  const std::string path = LeasePath(local, lease->target);
-  const Result<std::string> bytes = core::ReadWholeFile(api, path);
-  if (!bytes.ok()) return bytes.error();
-  if (ParseLease(*bytes).holder != local) {
-    // Somebody broke our expired lease and took it; we no longer hold it.
-    lease->held = false;
-    return Errno::kAcces;
-  }
-  const sim::Nanos expires = api.Now() + opts.ttl;
-  PMIG_RETURN_IF_ERROR(core::WriteWholeFile(api, path, LeaseBody(local, expires)));
-  lease->expires = expires;
-  api.kernel().metrics().Inc("lease.renewed");
-  return Status::Ok();
-}
-
 void ReleasePlacementLease(kernel::SyscallApi& api, const PlacementLease& lease) {
   if (!lease.held) return;
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, lease.target);
   const Result<std::string> bytes = core::ReadWholeFile(api, path);
-  if (!bytes.ok() || ParseLease(*bytes).holder != local) return;
+  if (!bytes.ok() || core::ParseDumpMarker(*bytes).host != local) return;
   const Status st = api.Unlink(path);
   (void)st;
   api.kernel().metrics().Inc("lease.released");
@@ -241,19 +172,17 @@ void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
   PlacementQuery query;
   query.from_host = host;
   query.occupancy = true;
+  query.reachable_from = ctx.local;  // the restart runs from here
   query.context = "reaper";
   const size_t max_tries = ctx.net.hosts().size();
   for (size_t i = 0; i < max_tries; ++i) {
     std::string target = engine.PickTarget(query);
     if (target.empty()) {
       // No other host qualifies; the dump host itself (alive — we just read
-      // its disk) is the fallback, as with migrate's source restart.
+      // its disk) is the fallback, as with migrate's source restart, if it is
+      // still reachable.
       target = host;
-    }
-    if (target != ctx.local && !ctx.net.Reachable(ctx.local, target)) {
-      if (target == host) break;
-      query.exclude.push_back(target);
-      continue;
+      if (target != ctx.local && !ctx.net.Reachable(ctx.local, target)) break;
     }
     const Result<PlacementLease> lease = AcquirePlacementLease(ctx.api, ctx.net, target);
     if (!lease.ok() || !lease->held) {

@@ -7,8 +7,8 @@
 // ordinary Errno failures across a partition.
 //
 //   Placement lease — /var/lease/placement on the *target* host. A coordinator
-//   (balancer, evacuation, night shift, reaper) acquires it before aiming a
-//   migration at the target and releases it afterwards; a second coordinator
+//   (the reaper, and an evacuation run with lease_targets) acquires it before
+//   aiming a migration at the target and releases it afterwards; a second coordinator
 //   finds the file, reads the holder, and picks somewhere else. Expiry makes a
 //   crashed or partitioned holder's lease breakable instead of a permanent
 //   denial of service.
@@ -44,19 +44,10 @@ namespace pmig::apps {
 // Every host's lease directory (created world-writable at boot, like /usr/tmp).
 inline constexpr char kLeaseDir[] = "/var/lease";
 
-struct LeaseOptions {
-  sim::Nanos ttl = sim::Seconds(30);
-  // Contention wait budget. 0 (the default) keeps the classic one-shot
-  // behaviour: contention returns held=false immediately and the caller picks
-  // somewhere else. Positive: retry the acquisition with deterministic
-  // doubling backoff — sleep first_backoff, then double up to max_backoff —
-  // until a retry would push the total slept time past `wait`. Backoff stops
-  // contending coordinators from hammering the target's lease file at a fixed
-  // cadence; the slept time is booked in the lease.wait_ns counter.
-  sim::Nanos wait = 0;
-  sim::Nanos first_backoff = sim::Millis(100);
-  sim::Nanos max_backoff = sim::Seconds(5);
-};
+// How long a placement lease holds before another coordinator may break it: a
+// crashed or partitioned holder's lease lapses instead of denying the target
+// forever.
+inline constexpr sim::Nanos kLeaseTtl = sim::Seconds(30);
 
 struct PlacementLease {
   std::string target;
@@ -66,20 +57,15 @@ struct PlacementLease {
 };
 
 // Tries to acquire `target`'s placement lease for the calling host (O_EXCL
-// create of /n/<target>/var/lease/placement). A present-but-expired lease is
-// broken and the acquisition retried once. Returns held=false carrying the
-// current holder on contention; an Errno when the target cannot be reached at
-// all (down, partitioned) — a coordinator cut off from its target must abandon
-// cleanly, not wedge.
+// create of /n/<target>/var/lease/placement, stamped "holder <h> expires <ns>"
+// with expiry now + kLeaseTtl). A present-but-expired lease is broken and the
+// acquisition retried once. Returns held=false carrying the current holder on
+// contention, at once (the caller picks somewhere else); an Errno when the
+// target cannot be reached at all (down, partitioned) — a coordinator cut off
+// from its target must abandon cleanly, not wedge.
 Result<PlacementLease> AcquirePlacementLease(kernel::SyscallApi& api,
                                              net::Network& net,
-                                             const std::string& target,
-                                             const LeaseOptions& opts = {});
-
-// Extends a held lease's expiry to now + ttl. Fails (kAcces) if the lease file
-// no longer names us — someone broke an expired lease we sat on too long.
-Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
-                           const LeaseOptions& opts = {});
+                                             const std::string& target);
 
 // Releases a held lease (verifying it is still ours before unlinking, so a
 // broken-and-reacquired lease is never released out from under its new
@@ -90,7 +76,8 @@ void ReleasePlacementLease(kernel::SyscallApi& api, const PlacementLease& lease)
 
 // A pass always leases the host it revives onto (and the dump host while it
 // breaks a stale claim), bounds each remote restart by core::kAttemptTimeout,
-// and picks revival targets by load alone (PlacementPolicy::kLoadOnly).
+// and picks revival targets by load alone (PlacementPolicy::kLoadOnly) among
+// the hosts it can reach.
 struct ReaperOptions {
   // Minimum marker age before a dump set is considered abandoned. Must
   // comfortably exceed migrate's fallback persistence window

@@ -264,7 +264,7 @@ DumpMarker ParseDumpMarker(const std::string& bytes) {
   }
   if (!cur.empty()) tokens.push_back(std::move(cur));
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i] == "t") {
+    if (tokens[i] == "t" || tokens[i] == "expires") {
       out.at = static_cast<sim::Nanos>(std::atoll(tokens[i + 1].c_str()));
     } else if (tokens[i] == "h" || tokens[i] == "holder") {
       out.host = tokens[i + 1];

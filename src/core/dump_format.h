@@ -93,9 +93,10 @@ struct DumpPaths {
 // and where) and claimXXXXX carries "holder <host> t <ns>" (who claimed the
 // set, and when). The recovery tools use the timestamps to age orphaned dump
 // sets (inodes carry no mtime) and the claim holder to decide whether a
-// claimant is dead, partitioned, or merely slow. Markers from writers that
-// predate the metadata (empty files, a bare "ok") parse to an empty host and
-// at = -1; every reader must tolerate that.
+// claimant is dead, partitioned, or merely slow. The placement lease file,
+// "holder <host> expires <ns>", parses through the same reader, its expiry as
+// `at`. Markers from writers that predate the metadata (empty files, a bare
+// "ok") parse to an empty host and at = -1; every reader must tolerate that.
 struct DumpMarker {
   std::string host;
   sim::Nanos at = -1;

@@ -10,12 +10,11 @@ namespace pmig::core {
 
 namespace {
 
-// One placement summary line: the survey/lease/balancer counters an operator
+// One placement summary line: the survey/balancer counters an operator
 // checks when asking "is placement cheap and making progress". Printed even
 // when all-zero — absence would read as "not instrumented", which is wrong.
 std::string PlacementCountersLine(const sim::MetricsRegistry& m) {
   return "  placement: survey_msgs=" + std::to_string(m.Counter("placement.survey_msgs")) +
-         " lease_wait_ms=" + std::to_string(m.Counter("lease.wait_ns") / 1000000) +
          " balancer_rounds=" + std::to_string(m.Counter("balancer.rounds")) +
          " idle_rounds=" + std::to_string(m.Counter("balancer.idle_rounds")) + "\n";
 }

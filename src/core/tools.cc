@@ -269,9 +269,23 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
     if (wrote.ok()) wrote = api.Rename(tmp, paths.files);
     if (wrote.ok()) {
       // The marker carries when and where the set was completed so the orphan
-      // reaper can age it later (inodes have no mtime).
-      wrote = WriteWholeFile(
-          api, paths.ready, FormatReadyMarker(api.GetHostname(), api.Now()), 0600);
+      // reaper can age it later (inodes have no mtime). One whose creat landed
+      // but whose write failed goes again: an empty readyXXXXX would pass for
+      // a finished set (a retry returns at once) with no time to age it by.
+      const std::string marker = FormatReadyMarker(api.GetHostname(), api.Now());
+      const Result<int> fd = api.Creat(paths.ready, 0600);
+      if (fd.ok()) {
+        const Result<int64_t> n = api.Write(*fd, marker);
+        const Status closed = api.Close(*fd);
+        (void)closed;
+        if (!n.ok()) {
+          wrote = n.error();
+          const Status st = api.Unlink(paths.ready);
+          (void)st;
+        }
+      } else {
+        wrote = fd.error();
+      }
     }
     if (!wrote.ok()) {
       const Status st = api.Unlink(tmp);

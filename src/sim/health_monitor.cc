@@ -10,6 +10,19 @@ namespace pmig::sim {
 
 namespace {
 
+// Retention shape of each per-(host, metric) series.
+constexpr size_t kSeriesPointsPerTier = 64;
+constexpr size_t kSeriesTiers = 3;
+// Weight of the newest observation in the EWMA ("what the signal does now").
+constexpr double kEwmaAlpha = 0.3;
+// |ewma - mean| / sigma at which a series becomes anomalous, and the
+// hysteresis level below which it recovers.
+constexpr double kAnomalyZ = 3.0;
+constexpr double kAnomalyClearZ = 1.5;
+// Sigma floor, as a fraction of the observed value range: near-constant
+// series would otherwise turn any wiggle into an infinite z-score.
+constexpr double kMinSigmaFrac = 0.05;
+
 std::string AlertKey(const std::string& rule, const std::string& host) {
   return rule + "|" + host;
 }
@@ -36,10 +49,7 @@ void HealthMonitor::Observe(std::string_view host, std::string_view metric,
   const SeriesKey key{std::string(host), std::string(metric)};
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_
-             .emplace(key, TimeSeries(options_.series_points_per_tier,
-                                      options_.series_tiers))
-             .first;
+    it = series_.emplace(key, TimeSeries(kSeriesPointsPerTier, kSeriesTiers)).first;
   }
   it->second.Append(now, value);
 
@@ -56,8 +66,7 @@ void HealthMonitor::Observe(std::string_view host, std::string_view metric,
 void HealthMonitor::ObserveAnomaly(const SeriesKey& key, Detector& d, double value) {
   // EWMA tracks the signal's present regardless of anomaly state, so a
   // recovered signal pulls itself back under the threshold and resolves.
-  d.ewma = d.ewma_init ? options_.ewma_alpha * value + (1 - options_.ewma_alpha) * d.ewma
-                       : value;
+  d.ewma = d.ewma_init ? kEwmaAlpha * value + (1 - kEwmaAlpha) * d.ewma : value;
   d.ewma_init = true;
 
   // The range (sigma floor) tracks every observation, anomalous ones included.
@@ -82,19 +91,19 @@ void HealthMonitor::ObserveAnomaly(const SeriesKey& key, Detector& d, double val
     // should still register a clear shift. Floor at a fraction of the observed
     // range, with a tiny absolute floor for the all-identical case.
     const double range = d.range_init ? d.hi - d.lo : 0.0;
-    sigma = std::max({sigma, options_.min_sigma_frac * range, 1e-9});
+    sigma = std::max({sigma, kMinSigmaFrac * range, 1e-9});
     d.z = std::abs(d.ewma - d.mean) / sigma;
   } else {
     d.z = 0;
   }
 
   const bool was = d.anomalous;
-  if (!was && d.z >= options_.anomaly_z) {
+  if (!was && d.z >= kAnomalyZ) {
     d.anomalous = true;
     Raise("anomaly:" + key.metric, key.host, d.z,
           "ewma=" + FormatValue(d.ewma) + " baseline=" + FormatValue(d.mean) +
               " z=" + FormatValue(d.z));
-  } else if (was && d.z < options_.anomaly_clear_z) {
+  } else if (was && d.z < kAnomalyClearZ) {
     d.anomalous = false;
     Resolve("anomaly:" + key.metric, key.host);
   }

@@ -67,24 +67,14 @@ struct Slo {
   int min_events = 3;  // windows with fewer observations never fire
 };
 
+// The detector's retention shape, EWMA weight, z thresholds and sigma floor
+// are constants in health_monitor.cc.
 struct HealthOptions {
   // Arms the Welford/EWMA detector on every series the monitor retains.
   bool anomaly_detection = false;
-  // Retention shape of each per-(host, metric) series.
-  size_t series_points_per_tier = 64;
-  size_t series_tiers = 3;
-  // Weight of the newest observation in the EWMA ("what the signal does now").
-  double ewma_alpha = 0.3;
-  // |ewma - mean| / sigma at which a series becomes anomalous, and the
-  // hysteresis level below which it recovers.
-  double anomaly_z = 3.0;
-  double anomaly_clear_z = 1.5;
   // Baseline observations required before detection arms (a two-point history
   // has no business declaring anomalies).
   int min_samples = 8;
-  // Sigma floor, as a fraction of the observed value range: near-constant
-  // series would otherwise turn any wiggle into an infinite z-score.
-  double min_sigma_frac = 0.05;
 };
 
 // One firing (and possibly later resolution) of an alert rule against a host.

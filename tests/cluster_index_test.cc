@@ -613,9 +613,9 @@ TEST(ClusterIndex, PlaceBatchSpreadsWithLookahead) {
   EXPECT_EQ(engine.PlaceBatch(query, pids), scan);
 }
 
-// --- CPU-weighted victim selection ---
+// --- Victim selection ---
 
-TEST(ClusterIndex, PickVictimsByCpuPrefersHottestProcess) {
+TEST(ClusterIndex, PickVictimsTakesOldestFirst) {
   WorldOptions options;
   options.num_hosts = 1;
   World world(options);
@@ -628,21 +628,11 @@ TEST(ClusterIndex, PickVictimsByCpuPrefersHottestProcess) {
 
   kernel::Kernel& brick = world.host("brick");
   const sim::Nanos now = world.cluster().clock().now();
-  // Default: oldest first — the paper's "has been running for a while" proxy.
-  const auto by_age = apps::PickVictims(brick, now, sim::Seconds(1), false, 2);
+  // Oldest first — the paper's "has been running for a while" proxy.
+  const auto by_age = apps::PickVictims(brick, now, sim::Seconds(1), 2);
   ASSERT_EQ(by_age.size(), 2u);
   EXPECT_EQ(by_age[0], older);
   EXPECT_EQ(by_age[1], younger);
-
-  // Hand the younger process a larger accumulated CPU bill: by_cpu must rank
-  // it first even though it started later.
-  kernel::Proc* hot = brick.FindProc(younger);
-  ASSERT_NE(hot, nullptr);
-  hot->utime += sim::Seconds(30);
-  const auto by_cpu = apps::PickVictims(brick, now, sim::Seconds(1), true, 2);
-  ASSERT_EQ(by_cpu.size(), 2u);
-  EXPECT_EQ(by_cpu[0], younger);
-  EXPECT_EQ(by_cpu[1], older);
 }
 
 // --- Night shift picks its day host through the engine ---

@@ -670,6 +670,47 @@ TEST(MigrateTransaction, FallbackPersistsThroughAFullDiskThenLeavesTheSet) {
             "fallback restart on brick failed (exit 3) phase=fallback");
 }
 
+// Exit: the disk fills between the creat of dumpproc's ready marker and its
+// write. The failed attempt must not leave an empty readyXXXXX behind (a retry
+// would take it for a finished set, and the reaper could not age it), so the
+// retried dumpproc --tx rewrites the set and publishes a marker that names its
+// host and time, and the migration completes.
+TEST(MigrateTransaction, ReadyMarkerThatCannotBeWrittenIsRemoved) {
+  test::WorldOptions options = ObservedWorld();
+  options.faults.enabled = true;
+  options.faults.disk_full.push_back({"brick", sim::Seconds(100000), sim::Seconds(100001)});
+  // The instant the marker's creat has landed; its write comes a disk wait later.
+  const sim::Nanos created = ProbeInstant(options, /*target_down=*/false, [](World& w, int32_t pid) {
+    return w.FileExists("brick", DumpPaths::For(pid).ready);
+  });
+  const sim::Nanos window_end = created + sim::Millis(100);
+  options.faults.disk_full = {{"brick", created + sim::Millis(1), window_end}};
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const DumpPaths paths = DumpPaths::For(pid);
+
+  auto [mig, rc] = SpawnMigrate(world, "brick", pid, "brick", "schooner",
+                                /*use_daemon=*/false, core::MigrateOptions::Robust());
+  // The first attempt has failed by the end of the window; the retry waits
+  // out the first backoff.
+  world.cluster().RunFor(window_end - world.cluster().clock().now());
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "a.out files stack");
+  ASSERT_TRUE(world.cluster().RunUntil(
+      [&] { return !core::ParseDumpMarker(world.FileContents("brick", paths.ready)).host.empty(); },
+      sim::Seconds(60)));
+  const core::DumpMarker ready =
+      core::ParseDumpMarker(world.FileContents("brick", paths.ready));
+  EXPECT_EQ(ready.host, "brick");
+  EXPECT_GT(ready.at, window_end);
+
+  ASSERT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(300)));
+  EXPECT_EQ(*rc, core::kToolOk);
+  EXPECT_GT(world.FindPidByCommand("schooner", "migrated"), 0);
+  EXPECT_EQ(DumpSetOnDisk(world, "brick", pid), "");
+  EXPECT_EQ(MigrateCounters(world, "brick"), "migrate.retries=1;");
+}
+
 TEST(FaultInjection, DumpCorruptionAbortsDumpAndProcessSurvives) {
   test::WorldOptions options;
   options.metrics = true;

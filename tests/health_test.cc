@@ -376,21 +376,20 @@ TEST(HealthPlacement, FaultAwarePoliciesDemoteUnhealthyHosts) {
   }
   ASSERT_GE(monitor.HealthScore("schooner"), 1.0);
   EXPECT_EQ(fault_aware.PickTarget(query), "brador");
-  EXPECT_FALSE(fault_aware.Eligible(world.host("schooner")));
-  EXPECT_TRUE(fault_aware.Eligible(world.host("brador")));
 
-  // The scores are visible in the survey either way.
+  // The scores and the verdict are visible in the survey.
   const auto scores = fault_aware.Score(query);
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_EQ(scores[0].host, "schooner");
   EXPECT_GE(scores[0].health_score, 1.0);
   EXPECT_TRUE(scores[0].health_excluded);
   EXPECT_FALSE(scores[1].health_excluded);
+  EXPECT_FALSE(scores[1].fault_excluded);
 
   // kLoadOnly ignores health entirely (legacy equivalence).
   const apps::PlacementEngine load_only(&net, apps::PlacementPolicy::kLoadOnly);
   EXPECT_EQ(load_only.PickTarget(query), "schooner");
-  EXPECT_TRUE(load_only.Eligible(world.host("schooner")));
+  EXPECT_FALSE(load_only.Score(query)[0].health_excluded);
 
   // A raised threshold keeps a mildly-unhealthy host in the pool.
   query.health_threshold = 100.0;

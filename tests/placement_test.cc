@@ -142,13 +142,13 @@ TEST(Placement, FaultAwareExcludesFailingHostUntilScoreDecays) {
   // Load-only is blind to the signal; fault-aware routes around it.
   EXPECT_EQ(load_only.PickTarget(query), "schooner");
   EXPECT_EQ(fault_aware.PickTarget(query), "brador");
-  EXPECT_FALSE(fault_aware.Eligible(world.host("schooner")));
+  EXPECT_TRUE(fault_aware.Score(query)[0].fault_excluded);  // schooner
 
   // After the score decays the recovered host re-qualifies. The residual score
   // still breaks ties toward the never-failed host, so prove requalification
   // two ways: eligibility, and winning outright once brador is the busier one.
   world.cluster().RunFor(sim::Seconds(60));
-  EXPECT_TRUE(fault_aware.Eligible(world.host("schooner")));
+  EXPECT_FALSE(fault_aware.Score(query)[0].fault_excluded);
   EXPECT_EQ(fault_aware.PickTarget(query), "brador");  // pristine wins the tie
   world.StartVm("brador", "/bin/hog", {"hog", "40000000"});
   world.cluster().RunFor(sim::Millis(100));

@@ -1,11 +1,12 @@
 // Partition-tolerant recovery: placement leases and the orphan dump-set reaper.
 //
-// The lease tests pin the protocol itself — acquire, contend, renew, break on
-// expiry, fail cleanly across a partition. The reaper tests pin each decision
-// of its state machine (origin-alive, young, incomplete aging, consumed,
-// holder-unreachable, break-contended, revive) and above all the exactly-once
-// rule: a healed partition yields exactly one copy of the process, never a
-// fallback restart *and* a reaper resurrection.
+// The lease tests pin the protocol itself — acquire, contend, release, break on
+// expiry, fail cleanly across a partition — and the evacuation's re-pick past
+// a contended target. The reaper tests pin each decision of its state machine
+// (origin-alive, young, incomplete aging, consumed, holder-unreachable,
+// break-contended, revive) and above all the exactly-once rule: a healed
+// partition yields exactly one copy of the process, never a fallback restart
+// *and* a reaper resurrection.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/apps/evacuate.h"
 #include "src/apps/recovery.h"
 #include "src/core/dump_format.h"
 #include "src/core/test_programs.h"
@@ -100,7 +102,7 @@ bool DumpSetGone(World& world, const std::string& host, int32_t pid) {
   return true;
 }
 
-TEST(PlacementLeaseTest, AcquireContendRenewRelease) {
+TEST(PlacementLeaseTest, AcquireContendRelease) {
   test::WorldOptions options;
   options.num_hosts = 3;
   options.metrics = true;
@@ -129,9 +131,8 @@ TEST(PlacementLeaseTest, AcquireContendRenewRelease) {
     return 0;
   });
 
-  // The holder renews, then releases; the target frees up.
+  // The holder releases; the target frees up.
   RunNative(world, "brick", [brick_lease](SyscallApi& api) {
-    EXPECT_TRUE(apps::RenewPlacementLease(api, brick_lease.get()).ok());
     apps::ReleasePlacementLease(api, *brick_lease);
     return 0;
   });
@@ -140,7 +141,6 @@ TEST(PlacementLeaseTest, AcquireContendRenewRelease) {
   const sim::MetricsRegistry metrics = world.cluster().AggregateMetrics();
   EXPECT_EQ(metrics.Counter("lease.acquired"), 1);
   EXPECT_EQ(metrics.Counter("lease.contended"), 1);
-  EXPECT_EQ(metrics.Counter("lease.renewed"), 1);
   EXPECT_EQ(metrics.Counter("lease.released"), 1);
 }
 
@@ -153,16 +153,18 @@ TEST(PlacementLeaseTest, ExpiredLeaseIsBrokenAndOldHolderLearns) {
 
   auto stale = std::make_shared<apps::PlacementLease>();
   RunNative(world, "brick", [net, stale](SyscallApi& api) {
-    apps::LeaseOptions lopts;
-    lopts.ttl = sim::Seconds(5);
+    const sim::Nanos t0 = api.Now();
     const Result<apps::PlacementLease> r =
-        apps::AcquirePlacementLease(api, *net, "schooner", lopts);
+        apps::AcquirePlacementLease(api, *net, "schooner");
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r->held);
+    // Stamped kLeaseTtl past the instant of its exclusive create.
+    EXPECT_GE(r->expires, t0 + apps::kLeaseTtl);
+    EXPECT_LE(r->expires, api.Now() + apps::kLeaseTtl);
     *stale = *r;
     return 0;
   });
-  world.cluster().RunFor(sim::Seconds(10));  // let the lease expire
+  world.cluster().RunFor(apps::kLeaseTtl + sim::Seconds(5));  // let it expire
 
   // A newcomer breaks the expired lease and takes it.
   RunNative(world, "brador", [net](SyscallApi& api) {
@@ -174,12 +176,10 @@ TEST(PlacementLeaseTest, ExpiredLeaseIsBrokenAndOldHolderLearns) {
     return 0;
   });
 
-  // The original holder's renew fails and marks the lease lost.
+  // The original holder still thinks it holds the lease, but its release must
+  // not unlink the new holder's.
   RunNative(world, "brick", [stale](SyscallApi& api) {
-    const Status st = apps::RenewPlacementLease(api, stale.get());
-    EXPECT_FALSE(st.ok());
-    EXPECT_FALSE(stale->held);
-    // ... so its release must not unlink the new holder's lease.
+    EXPECT_TRUE(stale->held);
     apps::ReleasePlacementLease(api, *stale);
     return 0;
   });
@@ -188,92 +188,7 @@ TEST(PlacementLeaseTest, ExpiredLeaseIsBrokenAndOldHolderLearns) {
   const sim::MetricsRegistry metrics = world.cluster().AggregateMetrics();
   EXPECT_EQ(metrics.Counter("lease.broken"), 1);
   EXPECT_EQ(metrics.Counter("lease.acquired"), 2);
-}
-
-// wait > 0 turns contention into deterministic doubling backoff: sleeps of
-// first_backoff, 2x, 4x, ... capped at max_backoff, stopping before the total
-// would exceed `wait`. With first=100ms, cap=400ms, wait=2s the schedule is
-// exactly 100+200+400+400+400+400 = 1900ms of sleep (a 7th 400ms retry would
-// reach 2300ms), every nanosecond of it booked in lease.wait_ns.
-TEST(PlacementLeaseTest, ContentionBacksOffDeterministicallyUpToWaitBudget) {
-  test::WorldOptions options;
-  options.num_hosts = 3;
-  options.metrics = true;
-  World world(options);
-  net::Network* net = &world.cluster().network();
-
-  RunNative(world, "brick", [net](SyscallApi& api) {
-    const Result<apps::PlacementLease> r =
-        apps::AcquirePlacementLease(api, *net, "schooner");
-    EXPECT_TRUE(r.ok() && r->held);
-    return 0;
-  });
-
-  RunNative(world, "brador", [net](SyscallApi& api) {
-    apps::LeaseOptions lopts;
-    lopts.wait = sim::Seconds(2);
-    lopts.first_backoff = sim::Millis(100);
-    lopts.max_backoff = sim::Millis(400);
-    const sim::Nanos t0 = api.Now();
-    const Result<apps::PlacementLease> r =
-        apps::AcquirePlacementLease(api, *net, "schooner", lopts);
-    const sim::Nanos elapsed = api.Now() - t0;
-    EXPECT_TRUE(r.ok());
-    EXPECT_FALSE(r->held);
-    EXPECT_EQ(r->holder, "brick");
-    // The sleeps total exactly 1900ms; the attempts themselves cost RPC time
-    // on top, so bound loosely above. The exact slept time is pinned by the
-    // lease.wait_ns assertion below.
-    EXPECT_GE(elapsed, sim::Millis(1900));
-    EXPECT_LT(elapsed, sim::Seconds(4));
-    return 0;
-  });
-
-  const sim::MetricsRegistry metrics = world.cluster().AggregateMetrics();
-  EXPECT_EQ(metrics.Counter("lease.wait_ns"), sim::Millis(1900));
-  EXPECT_EQ(metrics.Counter("lease.contended"), 7);  // initial try + 6 retries
-  EXPECT_EQ(metrics.Counter("lease.acquired"), 1);
-}
-
-// A release during the backoff window hands the lease to the waiter instead of
-// running out its budget.
-TEST(PlacementLeaseTest, BackoffWinsWhenHolderReleasesMidWait) {
-  test::WorldOptions options;
-  options.num_hosts = 3;
-  options.metrics = true;
-  World world(options);
-  net::Network* net = &world.cluster().network();
-
-  // Holder takes the lease, sits on it for 350ms, then releases — concurrent
-  // with the contender below.
-  const int32_t holder = world.host("brick").SpawnNative(
-      "holder",
-      [net](SyscallApi& api) {
-        const Result<apps::PlacementLease> r =
-            apps::AcquirePlacementLease(api, *net, "schooner");
-        EXPECT_TRUE(r.ok() && r->held);
-        api.Sleep(sim::Millis(350));
-        apps::ReleasePlacementLease(api, *r);
-        return 0;
-      },
-      kernel::SpawnOptions{});
-  world.cluster().RunFor(sim::Millis(50));  // let the holder win the race
-
-  RunNative(world, "brador", [net](SyscallApi& api) {
-    apps::LeaseOptions lopts;
-    lopts.wait = sim::Seconds(2);
-    const Result<apps::PlacementLease> r =
-        apps::AcquirePlacementLease(api, *net, "schooner", lopts);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r->held);  // retries at +100/+300/+700ms; the holder let go
-    EXPECT_EQ(r->holder, "brador");
-    return 0;
-  });
-  EXPECT_TRUE(world.RunUntilExited("brick", holder, sim::Seconds(10)));
-
-  const sim::MetricsRegistry metrics = world.cluster().AggregateMetrics();
-  EXPECT_EQ(metrics.Counter("lease.acquired"), 2);
-  EXPECT_GT(metrics.Counter("lease.wait_ns"), 0);
+  EXPECT_EQ(metrics.Counter("lease.released"), 0);
 }
 
 TEST(PlacementLeaseTest, PartitionedTargetFailsCleanlyAndHealedSucceeds) {
@@ -311,6 +226,61 @@ TEST(PlacementLeaseTest, PartitionedTargetFailsCleanlyAndHealedSucceeds) {
     return 0;
   });
   EXPECT_TRUE(world.FileExists("schooner", "/var/lease/placement"));
+}
+
+// An evacuation with lease_targets re-picks past a target another coordinator
+// holds: the engine's first choice, schooner, is leased by brador, so the
+// process goes to brador under brick's own lease, which it gives back.
+TEST(PlacementLeaseTest, EvacuationRepicksPastAContendedTarget) {
+  test::WorldOptions options;
+  options.num_hosts = 3;
+  options.metrics = true;
+  options.daemons = true;
+  options.decision_log = true;
+  World world(options);
+  net::Network* net = &world.cluster().network();
+
+  core::InstallProgram(world.host("brick"), "/bin/ticker", kTickerSource);
+  const int32_t pid = world.StartVm("brick", "/bin/ticker");
+  ASSERT_GT(pid, 0);
+  RunNative(world, "brador", [net](SyscallApi& api) {
+    const Result<apps::PlacementLease> r =
+        apps::AcquirePlacementLease(api, *net, "schooner");
+    EXPECT_TRUE(r.ok() && r->held);
+    return 0;
+  });
+
+  auto report = std::make_shared<apps::EvacuationReport>();
+  RunNative(world, "brick", [net, report](SyscallApi& api) {
+    *report = apps::EvacuateHost(api, *net, "brick", /*to_host=*/"",
+                                 /*use_daemon=*/true, core::MigrateOptions{},
+                                 apps::PlacementPolicy::kLoadOnly,
+                                 /*health_threshold=*/1.0, /*lease_targets=*/true);
+    return 0;
+  });
+  ASSERT_EQ(report->moved.size(), 1u);
+  EXPECT_EQ(report->moved[0], pid);
+  EXPECT_EQ(report->lease_conflicts, 1);
+  EXPECT_EQ(report->Status(), apps::kEvacuateOk);
+
+  std::vector<const sim::DecisionRecord*> picks;
+  for (const sim::DecisionRecord& r : world.cluster().context().decision_log.records()) {
+    if (r.context == "evacuation") picks.push_back(&r);
+  }
+  ASSERT_EQ(picks.size(), 2u);
+  EXPECT_EQ(picks[0]->chosen, "schooner");
+  EXPECT_EQ(picks[1]->chosen, "brador");
+  ASSERT_EQ(picks[1]->exclusions.size(), 1u);
+  EXPECT_EQ(picks[1]->exclusions[0].host, "schooner");
+  EXPECT_EQ(picks[1]->exclusions[0].reason, "lease-contended");
+  EXPECT_EQ(picks[1]->outcome_rc, 0);
+
+  kernel::Proc* moved = FindSurvivor(world, "brick", pid);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved, world.host("brador").FindProc(moved->pid));
+  EXPECT_FALSE(world.FileExists("brador", "/var/lease/placement"));
+  EXPECT_EQ(core::ParseDumpMarker(world.FileContents("schooner", "/var/lease/placement")).host,
+            "brador");
 }
 
 TEST(ReaperTest, RevivesOrphanedReadySet) {
@@ -558,12 +528,12 @@ TEST(ReaperTest, ClaimBreakingDefersToAnotherCoordinatorsLease) {
     EXPECT_TRUE(n.ok());
     return api.Close(*fd).ok() ? 0 : 1;
   });
-  // Another coordinator holds the dump host's lease across the grace window.
+  // Another coordinator takes the dump host's lease 45 s in, so it still
+  // holds it when the reaper comes by at 70 s, with the claim long stale.
+  world.cluster().RunFor(sim::Seconds(45));
   RunNative(world, "brador", [net](SyscallApi& api) {
-    apps::LeaseOptions lopts;
-    lopts.ttl = sim::Seconds(300);
     const Result<apps::PlacementLease> r =
-        apps::AcquirePlacementLease(api, *net, "schooner", lopts);
+        apps::AcquirePlacementLease(api, *net, "schooner");
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r->held);
     return 0;
@@ -572,7 +542,7 @@ TEST(ReaperTest, ClaimBreakingDefersToAnotherCoordinatorsLease) {
   apps::ReaperOptions ropts;
   ropts.grace = sim::Seconds(30);
   ropts.use_daemon = false;
-  world.cluster().RunFor(sim::Seconds(70));
+  world.cluster().RunFor(sim::Seconds(25));
   auto report = std::make_shared<apps::ReaperReport>();
   RunNative(world, "brick", [net, ropts, report](SyscallApi& api) {
     *report = apps::ReapOrphans(api, *net, ropts);
@@ -583,6 +553,54 @@ TEST(ReaperTest, ClaimBreakingDefersToAnotherCoordinatorsLease) {
       << report->log;
   EXPECT_FALSE(DumpSetGone(world, "schooner", pid));
   EXPECT_EQ(world.cluster().AggregateMetrics().Counter("reaper.claims_broken"), 0);
+}
+
+// A reaper cut off from one host never aims a revive at it: the pick filters
+// the unreachable host up front, so the decision log holds one record, and it
+// names the partition as the reason brador was passed over.
+TEST(ReaperTest, ReviveSkipsAHostCutOffFromTheReaper) {
+  test::WorldOptions options;
+  options.num_hosts = 3;
+  options.metrics = true;
+  options.daemons = true;
+  options.decision_log = true;
+  options.faults.enabled = true;
+  sim::PartitionFault cut;
+  cut.group_a = {"brador"};
+  cut.group_b = {"brick"};
+  cut.begin = 0;
+  options.faults.partitions.push_back(cut);
+  World world(options);
+  net::Network* net = &world.cluster().network();
+
+  // A ticker on brick makes brador, idle, the least occupied candidate.
+  core::InstallProgram(world.host("brick"), "/bin/ticker", kTickerSource);
+  ASSERT_GT(world.StartVm("brick", "/bin/ticker"), 0);
+  const int32_t pid = MakeOrphanedDumpSet(world, "schooner");
+  world.cluster().RunFor(sim::Seconds(70));  // past the default 60 s grace
+
+  auto report = std::make_shared<apps::ReaperReport>();
+  RunNative(world, "brick", [net, report](SyscallApi& api) {
+    *report = apps::ReapOrphans(api, *net);
+    return 0;
+  });
+  ASSERT_EQ(report->revived.size(), 1u) << report->log;
+  EXPECT_EQ(report->revived[0], pid);
+
+  std::vector<const sim::DecisionRecord*> picks;
+  for (const sim::DecisionRecord& r : world.cluster().context().decision_log.records()) {
+    if (r.context == "reaper") picks.push_back(&r);
+  }
+  ASSERT_EQ(picks.size(), 1u);
+  EXPECT_EQ(picks[0]->chosen, "brick");
+  ASSERT_EQ(picks[0]->exclusions.size(), 1u);
+  EXPECT_EQ(picks[0]->exclusions[0].host, "brador");
+  EXPECT_EQ(picks[0]->exclusions[0].reason, "partitioned-from-source");
+
+  world.cluster().RunFor(sim::Seconds(5));
+  kernel::Proc* survivor = FindSurvivor(world, "schooner", pid);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(survivor, world.host("brick").FindProc(survivor->pid));
 }
 
 TEST(ReaperTest, HostSubsetScansOnlyItsShard) {
