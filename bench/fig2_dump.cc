@@ -63,8 +63,8 @@ Measurement MeasureKill(KillMode mode, bool instrumented = false) {
 int main(int argc, char** argv) {
   using namespace pmig::bench;
   // --check: the bit-identical gate. Every scenario re-run with the whole
-  // observability layer on (trace, spans, flight recorder, sampler) must
-  // reproduce the plain run's measurements exactly.
+  // observability layer on (metrics, spans, flight recorder, sampler, decision
+  // log) must reproduce the plain run's measurements exactly.
   if (ParseBenchFlags(argc, argv, kCheckFlag).check) {
     int failures = 0;
     const struct {

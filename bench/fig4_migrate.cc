@@ -91,12 +91,12 @@ Measurement MeasureMigrate(const Placement& placement, bool use_daemon,
 }
 
 // With --report and/or --trace-out: one instrumented remote-to-remote migrate
-// (metrics, spans, tracing, flight recorder, sampler all on) whose full cluster
-// report — per-host metrics, spans with trace ids, per-phase and per-trace
-// breakdowns — is appended to the report file, and whose Chrome trace-event
-// timeline is written to the trace file (open it in Perfetto). Run separately
-// from the measured scenarios so the figure numbers above stay bit-identical to
-// an uninstrumented run.
+// (metrics, spans, flight recorder, sampler, decision log all on) whose full
+// cluster report — per-host metrics, spans with trace ids, per-phase and
+// per-trace breakdowns — is appended to the report file, and whose Chrome
+// trace-event timeline is written to the trace file (open it in Perfetto). Run
+// separately from the measured scenarios so the figure numbers above stay
+// bit-identical to an uninstrumented run.
 void AppendInstrumentedReport(const BenchFlags& flags) {
   if (flags.report.empty() && flags.trace_out.empty()) return;
   TestbedOptions options;
@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
   const BenchFlags flags = ParseBenchFlags(argc, argv, kCheckFlag | kReportFlags);
 
   // --check: the bit-identical gate. Each placement re-run with the whole
-  // observability layer on (trace, spans, flight recorder, sampler) must
-  // reproduce the plain run's measurements exactly.
+  // observability layer on (metrics, spans, flight recorder, sampler, decision
+  // log) must reproduce the plain run's measurements exactly.
   if (flags.check) {
     int failures = 0;
     const auto compare = [&failures](const std::string& name, const Measurement& plain,

@@ -32,7 +32,6 @@ int main() {
   TestbedOptions options;
   options.num_hosts = 3;
   options.daemons = true;  // migration daemons on every machine
-  options.metrics = true;  // the balancer reads each scheduler's runnable gauge
   Testbed world(options);
 
   std::printf("== Load balancing by process migration ==\n\n");

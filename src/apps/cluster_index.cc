@@ -16,33 +16,15 @@ ClusterIndex::ClusterIndex(net::Network* net, std::string local_host,
     live_loads_.insert(e.load);
     entries_.push_back(std::move(e));
   }
-  load_observer_id_ = net_->AddLoadObserver(
+  load_observer_id_ = net_->load_observers().Add(
       [this](const net::LoadObservation& obs) { NoteObservation(obs); });
-  sim::FaultHistory& history = net_->context().fault_history;
-  chain_ = std::make_shared<ListenerChain>();
-  chain_->index = this;
-  chain_->chained = history.listener();
-  std::shared_ptr<ListenerChain> chain = chain_;
-  history.set_listener([chain](std::string_view host) {
-    if (chain->index != nullptr) chain->index->OnFaultRecorded(host);
-    if (chain->chained) chain->chained(host);
-  });
-  listener_token_ = history.listener_token();
+  fault_observer_id_ = net_->context().fault_history.observers().Add(
+      [this](std::string_view host) { OnFaultRecorded(host); });
 }
 
 ClusterIndex::~ClusterIndex() {
-  net_->RemoveLoadObserver(load_observer_id_);
-  // Restore the saved chain only while our install is still the *top* of it
-  // (the token has not moved). An index buried under a later subscriber must
-  // not re-install its saved chain — that would both drop the later
-  // subscriber and resurrect a closure over this dying object. Nulling the
-  // shared state instead degrades our closure, wherever it still lives in the
-  // chain, to a pure forwarder.
-  sim::FaultHistory& history = net_->context().fault_history;
-  if (history.listener_token() == listener_token_) {
-    history.set_listener(std::move(chain_->chained));
-  }
-  chain_->index = nullptr;
+  net_->load_observers().Remove(load_observer_id_);
+  net_->context().fault_history.observers().Remove(fault_observer_id_);
 }
 
 IndexEntry* ClusterIndex::FindMutable(std::string_view host) {

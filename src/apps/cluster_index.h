@@ -10,10 +10,10 @@
 //   migrate outcomes  — a committed migration is a load of exactly one moving
 //                       from source to target; NoteMigrated applies the delta.
 //   sampler snapshots — Cluster::TakeSample publishes each host's runnable and
-//                       occupancy counts through Network::PublishLoad; the
+//                       occupancy counts to Network::load_observers(); the
 //                       index subscribes and folds them in (the sampler
 //                       already paid for the read).
-//   fault history     — the shared FaultHistory calls the index's listener on
+//   fault history     — the shared FaultHistory calls the index's observer on
 //                       every recorded leg outcome. (Scores are re-read live
 //                       at decision time anyway — the history is coordinator-
 //                       local memory, so reading it costs no messages.)
@@ -59,7 +59,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -68,7 +67,6 @@
 
 #include "src/kernel/kernel.h"
 #include "src/net/network.h"
-#include "src/sim/fault_history.h"
 #include "src/sim/time.h"
 
 namespace pmig::apps {
@@ -96,10 +94,10 @@ struct IndexEntry {
 
 class ClusterIndex {
  public:
-  // Builds an entry per current host (hosts are fixed at boot), subscribes to
-  // the network's load observations, and chains onto the shared FaultHistory's
-  // listener slot. `local_host` is the coordinator running the index — the
-  // vantage point for reachability verdicts.
+  // Builds an entry per current host (hosts are fixed at boot) and subscribes
+  // to the network's load observations and the shared FaultHistory's outcomes
+  // (the destructor unsubscribes from both). `local_host` is the coordinator
+  // running the index — the vantage point for reachability verdicts.
   ClusterIndex(net::Network* net, std::string local_host,
                ClusterIndexOptions opts = {});
   ~ClusterIndex();
@@ -122,7 +120,7 @@ class ClusterIndex {
   // the entry's view honest for reports and tests.
   void NoteReachable(std::string_view host, bool reachable);
 
-  // A sampler observation (Network load-observer hook calls this).
+  // A sampler observation (the index's Network load observer calls this).
   void NoteObservation(const net::LoadObservation& obs);
 
   // --- staleness-driven refresh ----------------------------------------------
@@ -178,15 +176,6 @@ class ClusterIndex {
   net::Network* net() const { return net_; }
 
  private:
-  // Shared with the listener closure installed on the FaultHistory: an index
-  // destroyed while *buried* in the chain (a later subscriber still holds a
-  // closure forwarding to it) cannot unlink itself, so the closure outlives it
-  // as a pure forwarder once `index` is nulled.
-  struct ListenerChain {
-    ClusterIndex* index = nullptr;
-    sim::FaultHistory::Listener chained;
-  };
-
   IndexEntry* FindMutable(std::string_view host);
   void SetLoad(IndexEntry& e, int load);
   void SetDown(IndexEntry& e, bool down);
@@ -211,8 +200,7 @@ class ClusterIndex {
   uint64_t epoch_ = 0;
   std::function<void()> wake_;
   uint64_t load_observer_id_ = 0;
-  std::shared_ptr<ListenerChain> chain_;
-  uint64_t listener_token_ = 0;
+  uint64_t fault_observer_id_ = 0;
 };
 
 }  // namespace pmig::apps

@@ -24,9 +24,6 @@ std::string_view PlacementPolicyName(PlacementPolicy policy) {
 }
 
 int HostLoad(kernel::Kernel& host) {
-  if (host.metrics().enabled()) {
-    return static_cast<int>(host.metrics().Gauge("sched.runnable_vm"));
-  }
   int runnable = 0;
   for (kernel::Proc* p : host.ListProcs()) {
     if (p->kind == kernel::ProcKind::kVm && p->state == kernel::ProcState::kRunnable) {

@@ -6,7 +6,7 @@
 // cluster already produces:
 //
 //   liveness  — Kernel::down(): a crashed machine is never a target, full stop.
-//   load      — the sched.runnable_vm gauge (ListProcs fallback), as before.
+//   load      — runnable VM processes, counted from the process table.
 //   cost      — bytes the migration would actually put on the wire: a target
 //               whose /var/segcache already holds the process's text and delta
 //               base receives only the dirty pages (the PR-3 incremental path),
@@ -169,10 +169,10 @@ class PlacementEngine {
   PlacementPolicy policy_;
 };
 
-// One host's runnable VM-process count (its "load"). When the host's metrics
-// are enabled this reads the scheduler's sched.runnable_vm gauge — the real
-// per-host statistics a load daemon would export — and otherwise falls back to
-// scanning the process table directly.
+// One host's runnable VM-process count (its "load"), counted from the process
+// table at the moment of the read. Never the sched.runnable_vm gauge: that is
+// set at the top of the host's last quantum, so it misses every process
+// spawned, woken or blocked since, and arming metrics would change placement.
 int HostLoad(kernel::Kernel& host);
 
 // One host's occupancy load: every live VM process, runnable or not (see

@@ -112,10 +112,6 @@ kernel::Kernel& Cluster::host(std::string_view name) {
   return *k;
 }
 
-net::SpawnService* Cluster::spawn_service(std::string_view hostname) {
-  return network_.FindSpawnService(hostname);
-}
-
 void Cluster::SetHostDown(std::string_view name, bool down) {
   host(name).set_down(down);
 }
@@ -160,7 +156,7 @@ void Cluster::TakeSample() {
     obs.down = s.down;
     obs.runnable = s.runnable;
     obs.alive_vm = alive_vm;
-    network_.PublishLoad(obs);
+    network_.load_observers().Publish(obs);
     samples_.push_back(std::move(s));
   }
   // Burn windows age out even when no new observation arrives; re-evaluate at
@@ -334,7 +330,6 @@ void Cluster::WriteReport(std::ostream& out) const {
   out << "{\"type\":\"meta\",\"seed\":" << config_.faults.seed
       << ",\"hosts\":" << hosts_.size() << ",\"config_fingerprint\":\"" << fp_hex
       << "\",\"armed\":{\"metrics\":" << flag(config_.recording.metrics)
-      << ",\"trace\":" << flag(config_.recording.trace)
       << ",\"spans\":" << flag(config_.recording.spans)
       << ",\"flight_recorder\":" << flag(config_.recording.flight_recorder)
       << ",\"sampler\":" << flag(config_.sample_period > 0)

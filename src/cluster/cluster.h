@@ -35,8 +35,8 @@ struct ClusterConfig {
   sim::CostModel costs;
   kernel::KernelConfig kernel;      // applied to every host (isa overridden per host)
   bool start_migration_daemons = false;  // run migrationd on every host (§6.4)
-  // Observation-only recorders (trace, metrics, spans, flight recorder,
-  // decision log), all off by default.
+  // Observation-only recorders (metrics, spans, flight recorder, decision
+  // log), all off by default.
   sim::RecordingOptions recording;
   // Time-series sampler: at least every `sample_period` of virtual time (checked
   // from the lockstep Step(), never via a clock timer, so sampling cannot perturb
@@ -104,9 +104,6 @@ class Cluster {
 
   // Total CPU consumed across all machines (for "CPU time of an operation" deltas).
   sim::Nanos TotalCpu() const;
-
-  // The migration daemon's queue on `host` (null unless daemons are running).
-  net::SpawnService* spawn_service(std::string_view host);
 
   // Powers a machine off (crash) or back on. While down it runs nothing and its
   // disk is unreachable from every other machine.

@@ -17,8 +17,8 @@ namespace pmig::testbed {
 
 constexpr int32_t kUserUid = 100;
 
-// The recording switches (trace, metrics, spans, flight_recorder,
-// decision_log) are inherited from sim::RecordingOptions.
+// The recording switches (metrics, spans, flight_recorder, decision_log) are
+// inherited from sim::RecordingOptions.
 struct TestbedOptions : sim::RecordingOptions {
   int num_hosts = 2;
   bool track_names = true;

@@ -101,7 +101,6 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
     OpenFilePtr stdio = OpenTtyFile(opts.tty);
     for (int fd = 0; fd < 3; ++fd) InstallFd(p, fd, stdio);
   }
-  Trace(sim::TraceCategory::kSched, p.pid, "spawn " + p.command);
   return p;
 }
 
@@ -195,14 +194,6 @@ std::vector<Proc*> Kernel::ListProcs() {
   return out;
 }
 
-int Kernel::RunnableCount() const {
-  int n = 0;
-  for (const Proc* p : live_) {
-    if (p->state == ProcState::kRunnable) ++n;
-  }
-  return n;
-}
-
 sim::Nanos Kernel::TotalCpu() const {
   sim::Nanos total = 0;
   for (const auto& p : procs_) total += p->utime + p->stime;
@@ -291,20 +282,6 @@ void Kernel::BlockProc(Proc& p, std::function<bool()> check) {
 }
 
 // --- Scheduler ---------------------------------------------------------------------
-
-bool Kernel::HasWork() const {
-  for (const Proc* p : live_) {
-    switch (p->state) {
-      case ProcState::kRunnable:
-      case ProcState::kSleeping:
-      case ProcState::kBlocked:
-        return true;
-      default:
-        break;
-    }
-  }
-  return false;
-}
 
 bool Kernel::HasTimedWork() const {
   if (down_) return false;
@@ -397,7 +374,7 @@ void Kernel::HandleNativeFinish(Proc& p) {
     // rest_proc() succeeded: the process was overlaid with the restarted program.
     // Only the native task ends; the process (now kVm) keeps running.
     p.native.reset();
-    Trace(sim::TraceCategory::kMigration, p.pid, "native task overlaid by rest_proc");
+    NoteEvent(p.pid, "native task overlaid by rest_proc");
     return;
   }
   ExitInfo info;
@@ -447,12 +424,6 @@ void Kernel::TerminateProc(Proc& p, ExitInfo info) {
     p.state = ProcState::kZombie;
   }
   p.vm.reset();
-
-  Trace(sim::TraceCategory::kSched, p.pid,
-        "exit code=" + std::to_string(info.exit_code) +
-            " sig=" + std::to_string(info.killed_by_signal) +
-            (info.migration_dumped ? " (migration dump)" : "") +
-            (info.core_dumped ? " (core dumped)" : ""));
 
   // Orphans (and processes whose parent already died) are reaped immediately.
   const Proc* parent = FindProc(p.ppid);
@@ -522,17 +493,10 @@ vm::IsaLevel Kernel::TextLevel(const sim::Blob& text) {
   return level_;
 }
 
-void Kernel::Trace(sim::TraceCategory cat, int32_t pid, std::string text) {
-  // Migration/signal events mirror into the flight recorder's per-host ring
-  // even while the textual trace log is off: the recorder exists precisely
-  // for runs too long to keep a full trace.
-  if (ctx_.flight_recorder.enabled() &&
-      (cat == sim::TraceCategory::kMigration || cat == sim::TraceCategory::kSignal)) {
-    const Proc* p = FindProc(pid);
-    ctx_.flight_recorder.Note(hostname_, pid, p != nullptr ? p->trace_id : 0, text);
-  }
-  if (!ctx_.trace.enabled()) return;
-  ctx_.trace.Add(sim::TraceEvent{ctx_.clock.now(), cat, hostname_, pid, std::move(text)});
+void Kernel::NoteEvent(int32_t pid, std::string text) {
+  if (!ctx_.flight_recorder.enabled()) return;
+  const Proc* p = FindProc(pid);
+  ctx_.flight_recorder.Note(hostname_, pid, p != nullptr ? p->trace_id : 0, std::move(text));
 }
 
 TraceSpan::TraceSpan(Kernel& kernel, Proc& p, std::string phase)

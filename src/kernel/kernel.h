@@ -224,7 +224,6 @@ class Kernel {
   // Live process listing in pid order (used by ps-like tools and the load
   // balancer).
   std::vector<Proc*> ListProcs();
-  int RunnableCount() const;
 
   // Posts a signal (no permission check; syscall-level checks are in SysKill).
   Status PostSignal(int32_t pid, int signo, Proc* sender);
@@ -233,9 +232,6 @@ class Kernel {
   // Runs one quantum of this machine's CPU at the current virtual time. Returns
   // true if any process ran.
   bool RunQuantum();
-  // True if some process could make progress now or later (runnable, sleeping, or
-  // blocked); false when the machine is idle.
-  bool HasWork() const;
   // Re-evaluates blocked processes' conditions, waking satisfied ones. The cluster
   // loop calls this before deciding the machine is idle.
   void WakeBlockedProcs();
@@ -343,7 +339,9 @@ class Kernel {
   // True when a wait() by `parent_pid` would complete now (ready or no children).
   bool WaitReady(int32_t parent_pid) const;
 
-  void Trace(sim::TraceCategory cat, int32_t pid, std::string text);
+  // Appends a migration or signal event to this host's flight-recorder ring,
+  // tagged with the process's trace id. No-op while the recorder is off.
+  void NoteEvent(int32_t pid, std::string text);
 
   // Total CPU (user+system) consumed by all processes ever run on this machine.
   sim::Nanos TotalCpu() const;
@@ -515,7 +513,6 @@ class SyscallApi : public vfs::CostSink {
   Result<bool> DumpFailed(int32_t target_pid);
   Status SetReUid(int32_t ruid, int32_t euid);
   int32_t GetPid();
-  int32_t GetPpid();
   int32_t GetUid();
   int32_t GetEuid();
   std::string GetHostname();

@@ -45,9 +45,8 @@ Status Kernel::PostSignal(int32_t pid, int signo, Proc* sender) {
     }
   }
   target->sig_pending |= (uint64_t{1} << signo);
-  Trace(sim::TraceCategory::kSignal, pid,
-        "signal " + std::to_string(signo) + " posted" +
-            (sender != nullptr ? " by pid " + std::to_string(sender->pid) : ""));
+  NoteEvent(pid, "signal " + std::to_string(signo) + " posted" +
+                     (sender != nullptr ? " by pid " + std::to_string(sender->pid) : ""));
   return Status::Ok();
 }
 
@@ -93,7 +92,7 @@ void Kernel::DeliverPendingSignals() {
 }
 
 void Kernel::DeliverSignal(Proc& p, int signo) {
-  Trace(sim::TraceCategory::kSignal, p.pid, "delivering fatal signal " + std::to_string(signo));
+  NoteEvent(p.pid, "delivering fatal signal " + std::to_string(signo));
   metrics_.Inc("kernel.signals_delivered");
   if (p.kind == ProcKind::kNative) {
     p.exit_info = ExitInfo{};
@@ -139,8 +138,7 @@ void Kernel::StartMigrationDump(Proc& p) {
   }
   Result<PreparedDump> prepared = hooks_.sigdump(*this, p);
   if (!prepared.ok()) {
-    Trace(sim::TraceCategory::kMigration, p.pid,
-          std::string("SIGDUMP failed: ") + std::string(ErrnoName(prepared.error())));
+    NoteEvent(p.pid, std::string("SIGDUMP failed: ") + std::string(ErrnoName(prepared.error())));
     ExitInfo info;
     info.killed_by_signal = Sig::kSigDump;
     TerminateProc(p, info);
@@ -165,7 +163,7 @@ void Kernel::StartMigrationDump(Proc& p) {
   p.state = ProcState::kSleeping;
   p.unblock_check = nullptr;
   const int32_t pid = p.pid;
-  Trace(sim::TraceCategory::kMigration, pid, "SIGDUMP: dumping process state");
+  NoteEvent(pid, "SIGDUMP: dumping process state");
   // The dump is asynchronous (the process sleeps while the files are written), so
   // the span cannot be a scope on this stack — it closes inside the timer.
   const uint64_t span_id =
@@ -183,8 +181,7 @@ void Kernel::StartMigrationDump(Proc& p) {
         std::vector<std::pair<std::string, sim::Blob>> written;
         for (const auto& [path, contents] : files) {
           if (ctx_.faults.DiskFull(hostname_, &metrics_)) {
-            Trace(sim::TraceCategory::kMigration, pid,
-                  "dump aborted: disk full writing " + path);
+            NoteEvent(pid, "dump aborted: disk full writing " + path);
             aborted = true;
             break;
           }
@@ -193,16 +190,15 @@ void Kernel::StartMigrationDump(Proc& p) {
             std::string corrupted(contents.view());
             ctx_.faults.CorruptBytes(&corrupted);
             bytes = sim::Blob(std::move(corrupted));
-            Trace(sim::TraceCategory::kMigration, pid, "dump file corrupted " + path);
+            NoteEvent(pid, "dump file corrupted " + path);
           }
           vfs_->SetupCreateFile(path, bytes, proc->creds.uid, 0600);  // owner-only: the
           // restart permission model rests on dump-file access
           written.emplace_back(path, std::move(bytes));
-          Trace(sim::TraceCategory::kMigration, pid, "dump file " + path);
+          NoteEvent(pid, "dump file " + path);
         }
         if (!aborted && hooks_.verify_dump && !hooks_.verify_dump(written)) {
-          Trace(sim::TraceCategory::kMigration, pid,
-                "dump aborted: verification failed");
+          NoteEvent(pid, "dump aborted: verification failed");
           aborted = true;
         }
         if (aborted) {
@@ -264,7 +260,7 @@ void Kernel::StartCoreDump(Proc& p, int signo) {
         info.core_dumped = true;
         TerminateProc(*proc, info);
       });
-  Trace(sim::TraceCategory::kSignal, pid, "dumping core (signal " + std::to_string(signo) + ")");
+  NoteEvent(pid, "dumping core (signal " + std::to_string(signo) + ")");
 }
 
 void Kernel::VmFault(Proc& p, vm::Fault fault) {
@@ -281,8 +277,7 @@ void Kernel::VmFault(Proc& p, vm::Fault fault) {
       signo = Sig::kSigSegv;
       break;
   }
-  Trace(sim::TraceCategory::kSignal, p.pid,
-        std::string("fault: ") + std::string(vm::FaultName(fault)));
+  NoteEvent(p.pid, std::string("fault: ") + std::string(vm::FaultName(fault)));
   StartCoreDump(p, signo);
 }
 

@@ -591,7 +591,6 @@ Status Kernel::SysExecve(Proc& p, std::string_view path, const std::vector<std::
   timers_.execve.cpu = (p.stime + p.utime) - cpu0;
   timers_.execve.real = timers_.execve.cpu + (p.pending_wait - wait0);
   timers_.execve.valid = true;
-  Trace(sim::TraceCategory::kSyscall, p.pid, "execve " + std::string(path));
   return Status::Ok();
 }
 
@@ -608,8 +607,7 @@ Status Kernel::SysRestProc(Proc& p, std::string_view aout_path, std::string_view
     metrics_.Observe("migration.restart_ns", timers_.rest_proc.real);
     ctx_.health_monitor.Observe(hostname_, "migration.restart_ns",
                                 static_cast<double>(timers_.rest_proc.real));
-    Trace(sim::TraceCategory::kMigration, p.pid,
-          "rest_proc restored image from " + std::string(aout_path));
+    NoteEvent(p.pid, "rest_proc restored image from " + std::string(aout_path));
     // Let the I/O wait of reading the dump files elapse before the restored
     // program runs.
     SettlePendingWait(p);
@@ -1198,7 +1196,6 @@ Status SyscallApi::SetReUid(int32_t ruid, int32_t euid) {
 
 int32_t SyscallApi::GetPid() { return kernel_->ReportedIdentity(proc()).pid; }
 
-int32_t SyscallApi::GetPpid() { return proc().ppid; }
 int32_t SyscallApi::GetUid() { return proc().creds.uid; }
 int32_t SyscallApi::GetEuid() { return proc().creds.euid; }
 

@@ -58,8 +58,6 @@ class Tty : public vfs::Device {
   }
   void ClearOutput() { output_.clear(); }
 
-  int64_t pending_input() const { return static_cast<int64_t>(input_.size()); }
-
  private:
   std::string name_;
   uint16_t flags_ = vm::abi::kTtyDefaultFlags;

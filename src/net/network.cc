@@ -14,27 +14,4 @@ SpawnService* Network::FindSpawnService(std::string_view hostname) {
   return it == spawn_services_.end() ? nullptr : it->second;
 }
 
-uint64_t Network::AddLoadObserver(std::function<void(const LoadObservation&)> fn) {
-  const uint64_t id = next_observer_id_++;
-  load_observers_[id] = std::move(fn);
-  return id;
-}
-
-void Network::RemoveLoadObserver(uint64_t id) { load_observers_.erase(id); }
-
-void Network::PublishLoad(const LoadObservation& obs) {
-  // Snapshot the ids first: an observer's callback may register or remove
-  // observers (a coordinator waking off this very observation can tear its
-  // index down). Iterating the live map through that would be UB; walking the
-  // id snapshot in ascending order preserves the registration-order delivery
-  // guarantee and skips any observer removed mid-publish.
-  std::vector<uint64_t> ids;
-  ids.reserve(load_observers_.size());
-  for (const auto& [id, fn] : load_observers_) ids.push_back(id);
-  for (uint64_t id : ids) {
-    const auto it = load_observers_.find(id);
-    if (it != load_observers_.end() && it->second) it->second(obs);
-  }
-}
-
 }  // namespace pmig::net

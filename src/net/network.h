@@ -9,7 +9,6 @@
 #define PMIG_SRC_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -18,6 +17,7 @@
 #include "src/kernel/kernel.h"
 #include "src/sim/context.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/observers.h"
 
 namespace pmig::net {
 
@@ -89,29 +89,19 @@ class Network {
 
   // Load-observation fan-out: the cluster sampler publishes each host's load
   // here as it samples, and subscribers (cluster indexes) fold it in for free.
-  // Publishing is pure bookkeeping — no virtual time, no RNG — so an armed
-  // sampler with observers stays bit-identical to one without. Observers must
-  // remove themselves before they are destroyed.
-  //
-  // Delivery order is guaranteed: observers run in ascending registration
-  // order, so a subscriber registered before another always folds an
-  // observation in first. Event-driven consumers rely on this — a balancer's
-  // wake condition (armed from its ClusterIndex's observer) must fire only
-  // after that index has already absorbed the observation it is judging.
-  // Delivery is also mutation-safe: an observer may add or remove observers
-  // (including itself) mid-publish; removed observers registered later in the
-  // same publish are simply skipped.
-  uint64_t AddLoadObserver(std::function<void(const LoadObservation&)> fn);
-  void RemoveLoadObserver(uint64_t id);
-  void PublishLoad(const LoadObservation& obs);
+  // Publishing is pure bookkeeping, so an armed sampler with observers stays
+  // bit-identical to one without. Event-driven consumers rely on the
+  // registration-order delivery: a balancer's wake condition (armed from its
+  // ClusterIndex's observer) must fire only after that index has already
+  // absorbed the observation it is judging.
+  sim::Observers<LoadObservation>& load_observers() { return load_observers_; }
 
  private:
   const sim::CostModel* costs_;
   sim::ClusterContext& ctx_;
   std::vector<kernel::Kernel*> hosts_;
   std::map<std::string, SpawnService*, std::less<>> spawn_services_;
-  std::map<uint64_t, std::function<void(const LoadObservation&)>> load_observers_;
-  uint64_t next_observer_id_ = 1;
+  sim::Observers<LoadObservation> load_observers_;
 };
 
 }  // namespace pmig::net

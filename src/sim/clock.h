@@ -44,8 +44,6 @@ class VirtualClock {
   // Earliest pending timer deadline, or -1 if none. Used to skip idle periods.
   Nanos NextDeadline() const;
 
-  bool HasPendingTimers() const { return live_timers_ > 0; }
-
  private:
   struct Timer {
     Nanos deadline;

@@ -2,12 +2,13 @@
 // observer and fault source that kernels and the network share.
 //
 // The Cluster owns one context and hands it by reference to each Kernel and to
-// the Network when it constructs them. Every member always exists: the
-// recorders are off unless RecordingOptions arms them, the health monitor
-// unless its options or SLOs do, and the injector unless its config does (the
-// fault history is pure bookkeeping and always records). So no component asks
-// whether a subsystem was wired in, only — where building an observation
-// costs something — whether it is on.
+// the Network when it constructs them. Every member always exists: the span
+// log, flight recorder and decision log are off unless RecordingOptions arms
+// them (its fourth switch, metrics, arms each kernel's own registry), the
+// health monitor unless its options or SLOs do, and the injector unless its
+// config does (the fault history is pure bookkeeping and always records). So
+// no component asks whether a subsystem was wired in, only — where building an
+// observation costs something — whether it is on.
 
 #ifndef PMIG_SRC_SIM_CONTEXT_H_
 #define PMIG_SRC_SIM_CONTEXT_H_
@@ -22,18 +23,17 @@
 #include "src/sim/flight_recorder.h"
 #include "src/sim/health_monitor.h"
 #include "src/sim/span.h"
-#include "src/sim/trace.h"
 
 namespace pmig::sim {
 
 // The observation-only switches. Off, each is a dead branch and virtual-time
 // results are bit-identical to a run without it; armed but unread, likewise.
 struct RecordingOptions {
-  bool trace = false;    // textual TraceLog
   bool metrics = false;  // per-host counter/gauge/histogram registries
   bool spans = false;    // migration phase spans (cluster-wide log)
-  // Per-host bounded rings of recent trace/span events that snapshot a
-  // post-mortem when a migrate fails, falls back, or the kernel aborts a dump.
+  // Per-host bounded rings of recent migration/signal notes and span events
+  // that snapshot a post-mortem when a migrate fails, falls back, or the kernel
+  // aborts a dump.
   bool flight_recorder = false;
   // Placement decision audit log: every PlacementEngine pick's candidates,
   // per-factor scores, exclusions, runner-up and margin.
@@ -46,7 +46,6 @@ struct ClusterContext {
       : recording(recording_options),
         health_monitor(&clock, std::move(health), std::move(slos)),
         faults(std::move(fault_config), &clock) {
-    trace.set_enabled(recording.trace);
     spans.set_enabled(recording.spans);
     spans.set_flight_recorder(&flight_recorder);
     flight_recorder.set_enabled(recording.flight_recorder);
@@ -59,8 +58,7 @@ struct ClusterContext {
 
   const RecordingOptions recording;
   VirtualClock clock;
-  TraceLog trace;
-  SpanLog spans{&clock, &trace};
+  SpanLog spans{&clock};
   FlightRecorder flight_recorder{&clock};
   HealthMonitor health_monitor;
   DecisionLog decision_log{&clock};

@@ -15,16 +15,18 @@ constexpr double kTransientWeight = 0.5;
 // A completed command divides what remains of the score: one success after a
 // recovery pulls a host most of the way back into the candidate pool.
 constexpr double kSuccessFactor = 0.25;
+// How fast a failure is forgotten: the score halves every half-life of
+// virtual time.
+constexpr Nanos kHalfLife = Seconds(30);
 
 }  // namespace
 
 double FaultHistory::DecayedWeight(const Entry& e) const {
   if (e.weight <= 0) return 0;
-  if (half_life_ <= 0) return e.weight;
   const Nanos elapsed = clock_->now() - e.as_of;
   if (elapsed <= 0) return e.weight;
   return e.weight *
-         std::exp2(-static_cast<double>(elapsed) / static_cast<double>(half_life_));
+         std::exp2(-static_cast<double>(elapsed) / static_cast<double>(kHalfLife));
 }
 
 FaultHistory::Entry& FaultHistory::Touch(std::string_view host) {
@@ -40,21 +42,21 @@ void FaultHistory::RecordFailure(std::string_view host, Errno error) {
   Entry& e = Touch(host);
   e.weight += error == Errno::kHostUnreach ? kUnreachableWeight : kErrnoWeight;
   ++e.failures;
-  if (listener_) listener_(host);
+  observers_.Publish(host);
 }
 
 void FaultHistory::RecordTransient(std::string_view host) {
   Entry& e = Touch(host);
   e.weight += kTransientWeight;
   ++e.failures;
-  if (listener_) listener_(host);
+  observers_.Publish(host);
 }
 
 void FaultHistory::RecordSuccess(std::string_view host) {
   Entry& e = Touch(host);
   e.weight *= kSuccessFactor;
   ++e.successes;
-  if (listener_) listener_(host);
+  observers_.Publish(host);
 }
 
 double FaultHistory::Score(std::string_view host) const {

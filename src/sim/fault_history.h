@@ -6,7 +6,7 @@
 // failure score. The score decays exponentially over *virtual* time, so a host
 // that crashed and recovered re-qualifies as a target after a quiet interval —
 // permanent blacklisting would defeat the paper's whole point of a cluster
-// whose machines come and go.
+// whose machines come and go. The score halves every 30 s of virtual time.
 //
 // Recording is pure bookkeeping: no RNG, no timers, no virtual-time cost, so a
 // run with recording on is bit-identical to one without (only code that *reads*
@@ -16,12 +16,12 @@
 #define PMIG_SRC_SIM_FAULT_HISTORY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 
 #include "src/sim/clock.h"
+#include "src/sim/observers.h"
 #include "src/sim/result.h"
 #include "src/sim/time.h"
 
@@ -29,13 +29,7 @@ namespace pmig::sim {
 
 class FaultHistory {
  public:
-  explicit FaultHistory(const VirtualClock* clock, Nanos half_life = Seconds(30))
-      : clock_(clock), half_life_(half_life) {}
-
-  // How fast a failure is forgotten: the score halves every `half_life` of
-  // virtual time. Policies with long poll intervals want a longer memory.
-  void set_half_life(Nanos half_life) { half_life_ = half_life; }
-  Nanos half_life() const { return half_life_; }
+  explicit FaultHistory(const VirtualClock* clock) : clock_(clock) {}
 
   // A remote command against `host` failed with `error`. EHOSTUNREACH (the
   // machine is observably dead) weighs more than an ordinary transient.
@@ -57,25 +51,11 @@ class FaultHistory {
   int64_t failures(std::string_view host) const;
   int64_t successes(std::string_view host) const;
 
-  // Single listener slot, invoked after every recorded outcome with the host it
-  // was recorded against. Coordinators keeping incremental placement state (the
-  // placement layer's ClusterIndex) subscribe so fault updates reach them
-  // without polling.
-  // A subscriber that replaces an existing listener should save it and chain;
-  // recording stays pure bookkeeping (no time, no RNG) regardless.
-  //
-  // Every set_listener bumps listener_token(): a chaining subscriber saves the
-  // token its own install produced and, on teardown, restores the saved chain
-  // only while the token still matches — i.e. only while it is the *top* of the
-  // chain. Without the token check, destroying stacked subscribers out of LIFO
-  // order re-installs a closure capturing a destroyed subscriber.
-  using Listener = std::function<void(std::string_view host)>;
-  void set_listener(Listener listener) {
-    listener_ = std::move(listener);
-    ++listener_token_;
-  }
-  const Listener& listener() const { return listener_; }
-  uint64_t listener_token() const { return listener_token_; }
+  // Invoked after every recorded outcome with the host it was recorded
+  // against. Coordinators keeping incremental placement state (the placement
+  // layer's ClusterIndex) subscribe so fault updates reach them without
+  // polling; recording stays pure bookkeeping (no time, no RNG) regardless.
+  Observers<std::string_view>& observers() { return observers_; }
 
  private:
   struct Entry {
@@ -89,10 +69,8 @@ class FaultHistory {
   Entry& Touch(std::string_view host);
 
   const VirtualClock* clock_;
-  Nanos half_life_;
   std::map<std::string, Entry, std::less<>> entries_;
-  Listener listener_;
-  uint64_t listener_token_ = 0;
+  Observers<std::string_view> observers_;
 };
 
 }  // namespace pmig::sim

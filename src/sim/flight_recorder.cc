@@ -43,9 +43,4 @@ const std::deque<FlightEvent>& FlightRecorder::ring(const std::string& host) con
   return it != rings_.end() ? it->second : kEmpty;
 }
 
-void FlightRecorder::Clear() {
-  rings_.clear();
-  postmortems_.clear();
-}
-
 }  // namespace pmig::sim

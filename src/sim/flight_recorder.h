@@ -1,11 +1,12 @@
-// Flight recorder: a per-host bounded ring of recent trace/span events kept in
-// memory so a failed migration can be diagnosed *after the fact*.
+// Flight recorder: a per-host bounded ring of recent events kept in memory so
+// a failed migration can be diagnosed *after the fact*. It is the simulator's
+// one event log.
 //
 // The chaos soak injects faults over hundreds of virtual seconds; when one
 // migrate leg finally falls back, the interesting events happened long before
 // anyone knew to look. The recorder is the always-cheap answer: every span
-// begin/end and every migration-category kernel trace line is appended to a
-// fixed-capacity ring for its host (old events fall off the back), and when a
+// begin/end and every migration or signal note the kernel makes is appended to
+// a fixed-capacity ring for its host (old events fall off the back), and when a
 // migrate transaction fails, falls back, or the kernel aborts a dump, the
 // caller snapshots the ring into a JSONL post-mortem tagged with the trace id
 // and a reason. Post-mortems are held in memory, where tests assert on them
@@ -54,7 +55,6 @@ class FlightRecorder {
 
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
-  size_t capacity_per_host() const { return capacity_; }
 
   // Appends an event to `host`'s ring, evicting the oldest past capacity.
   // No-op while disabled.
@@ -66,7 +66,6 @@ class FlightRecorder {
 
   const std::vector<Postmortem>& postmortems() const { return postmortems_; }
   const std::deque<FlightEvent>& ring(const std::string& host) const;
-  void Clear();
 
  private:
   bool enabled_ = false;

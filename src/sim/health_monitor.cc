@@ -10,9 +10,6 @@ namespace pmig::sim {
 
 namespace {
 
-// Retention shape of each per-(host, metric) series.
-constexpr size_t kSeriesPointsPerTier = 64;
-constexpr size_t kSeriesTiers = 3;
 // Weight of the newest observation in the EWMA ("what the signal does now").
 constexpr double kEwmaAlpha = 0.3;
 // |ewma - mean| / sigma at which a series becomes anomalous, and the
@@ -46,12 +43,7 @@ void HealthMonitor::Observe(std::string_view host, std::string_view metric,
                             double value) {
   if (!enabled_) return;
   const Nanos now = clock_->now();
-  const SeriesKey key{std::string(host), std::string(metric)};
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, TimeSeries(kSeriesPointsPerTier, kSeriesTiers)).first;
-  }
-  it->second.Append(now, value);
+  const SeriesKey& key = *observed_.insert({std::string(host), std::string(metric)}).first;
 
   if (options_.anomaly_detection) ObserveAnomaly(key, detectors_[key], value);
 
@@ -210,27 +202,20 @@ void HealthMonitor::Resolve(const std::string& rule, const std::string& host) {
 }
 
 std::vector<std::string> HealthMonitor::Hosts() const {
+  // observed_ is sorted by host first, so each host's keys are adjacent.
   std::vector<std::string> hosts;
-  for (const auto& [key, unused] : series_) {
+  for (const SeriesKey& key : observed_) {
     if (hosts.empty() || hosts.back() != key.host) hosts.push_back(key.host);
   }
-  std::sort(hosts.begin(), hosts.end());
-  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
   return hosts;
 }
 
 std::vector<std::string> HealthMonitor::SeriesNames(std::string_view host) const {
   std::vector<std::string> names;
-  for (const auto& [key, unused] : series_) {
+  for (const SeriesKey& key : observed_) {
     if (key.host == host) names.push_back(key.metric);
   }
   return names;
-}
-
-const TimeSeries* HealthMonitor::Series(std::string_view host,
-                                        std::string_view metric) const {
-  const auto it = series_.find(SeriesKey{std::string(host), std::string(metric)});
-  return it != series_.end() ? &it->second : nullptr;
 }
 
 double HealthMonitor::AnomalyZ(std::string_view host, std::string_view metric) const {

@@ -1,16 +1,18 @@
-// Cluster health monitor: retained per-host time series, online anomaly
-// detection, and SLO error-budget / burn-rate alerting.
+// Cluster health monitor: online anomaly detection and SLO error-budget /
+// burn-rate alerting over per-host signal series.
 //
 // The migration machinery emits rich raw signals (spans, metrics, post-mortems)
 // but nothing *watches* them — a host whose restarts quietly triple in latency
 // is only noticed when a human reads a report. The monitor closes that loop:
 //
-//   series    — every observation lands in a per-(host, metric) TimeSeries
-//               (bounded ring + downsampling tiers), stamped with the virtual
-//               time the caller passes in. Feeders: the cluster's lockstep
-//               sampler (load, segcache bytes, fault score), the kernel's dump
-//               and restart paths (latency, bytes), and every migrate leg
-//               (end-to-end latency, per-host error outcomes).
+//   series    — every observation belongs to a per-(host, metric) series,
+//               stamped with the current virtual time. Feeders: the cluster's
+//               lockstep sampler (load, segcache bytes, fault score), the
+//               kernel's dump and restart paths (latency, bytes), and every
+//               migrate leg (end-to-end latency, per-host error outcomes). No
+//               points are retained: each observation folds into the series'
+//               detector and the SLO windows watching its metric, and only
+//               the observed (host, metric) keys are kept, for phealth.
 //   anomaly   — an online detector per series: Welford rolling mean/variance
 //               for the baseline, an EWMA for "what the signal is doing now",
 //               and a z-score between them. Crossing the threshold raises an
@@ -37,13 +39,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/time.h"
-#include "src/sim/time_series.h"
 
 namespace pmig::sim {
 
@@ -67,10 +69,10 @@ struct Slo {
   int min_events = 3;  // windows with fewer observations never fire
 };
 
-// The detector's retention shape, EWMA weight, z thresholds and sigma floor
-// are constants in health_monitor.cc.
+// The detector's EWMA weight, z thresholds and sigma floor are constants in
+// health_monitor.cc.
 struct HealthOptions {
-  // Arms the Welford/EWMA detector on every series the monitor retains.
+  // Arms the Welford/EWMA detector on every series the monitor observes.
   bool anomaly_detection = false;
   // Baseline observations required before detection arms (a two-point history
   // has no business declaring anomalies).
@@ -106,8 +108,8 @@ class HealthMonitor {
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   // Records one observation of `metric` against `host` at the current virtual
-  // time: appends to the series, advances the anomaly detector, and feeds every
-  // SLO watching the metric.
+  // time: advances the series' anomaly detector and feeds every SLO watching
+  // the metric.
   void Observe(std::string_view host, std::string_view metric, double value);
   // Convenience for error-rate series: observes 1 (bad) or 0 (good).
   void ObserveOutcome(std::string_view host, std::string_view metric, bool bad) {
@@ -120,10 +122,10 @@ class HealthMonitor {
   void Tick();
 
   // --- Read side (surveys: no virtual time, no RNG) ---
-  // Hosts with at least one retained series, sorted.
+  // Hosts with at least one observed series, sorted, and one host's observed
+  // metrics, sorted.
   std::vector<std::string> Hosts() const;
   std::vector<std::string> SeriesNames(std::string_view host) const;
-  const TimeSeries* Series(std::string_view host, std::string_view metric) const;
 
   // Current z-score of the series' EWMA against its baseline (0 until the
   // detector has min_samples of baseline), and whether it is anomalous now.
@@ -204,7 +206,7 @@ class HealthMonitor {
   HealthOptions options_;
   std::vector<Slo> slos_;
   FlightRecorder* recorder_ = nullptr;
-  std::map<SeriesKey, TimeSeries> series_;
+  std::set<SeriesKey> observed_;
   std::map<SeriesKey, Detector> detectors_;
   std::map<std::pair<size_t, std::string>, SloState> slo_states_;  // (slo idx, host)
   std::vector<HealthAlert> alerts_;

@@ -105,13 +105,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  ++generation_;  // outstanding handles re-resolve their slots on next use
-}
-
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

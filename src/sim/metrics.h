@@ -45,7 +45,6 @@ struct Histogram {
 };
 
 class CounterHandle;
-class HistogramHandle;
 
 class MetricsRegistry {
  public:
@@ -84,18 +83,14 @@ class MetricsRegistry {
   // aggregate per-host registries into one report.
   void MergeFrom(const MetricsRegistry& other);
 
-  void Clear();
-
   // Pre-resolved handles for hot paths (syscall entry, VFS copy loops): resolve
   // the string-keyed map slot once and reuse the pointer on every subsequent
-  // record. Cheap to construct; safe to keep for the registry's lifetime (Clear()
-  // bumps a generation counter and the handle transparently re-resolves).
+  // record. Cheap to construct; safe to keep for the registry's lifetime (map
+  // entries are never erased).
   CounterHandle MakeCounter(std::string_view name, bool gauge = false);
-  HistogramHandle MakeHistogram(std::string_view name);
 
  private:
   friend class CounterHandle;
-  friend class HistogramHandle;
 
   static int64_t& Slot(CounterMap& map, std::string_view name) {
     auto it = map.find(name);
@@ -104,13 +99,12 @@ class MetricsRegistry {
   }
 
   bool enabled_ = false;
-  uint64_t generation_ = 0;  // bumped by Clear(); invalidates handle slots
   CounterMap counters_;
   CounterMap gauges_;
   HistogramMap histograms_;
 };
 
-// A counter (or gauge) whose map slot is resolved once per registry generation.
+// A counter (or gauge) whose map slot is resolved on its first enabled record.
 // While the registry is disabled, Inc/Set return after one branch and — unlike
 // the dotted-name API — never even touch the name string. The slot itself is
 // only materialised on the first enabled record, so a disabled run's report
@@ -121,12 +115,12 @@ class CounterHandle {
 
   void Inc(int64_t delta = 1) {
     if (registry_ == nullptr || !registry_->enabled_) return;
-    if (slot_ == nullptr || generation_ != registry_->generation_) Rebind();
+    if (slot_ == nullptr) Bind();
     *slot_ += delta;
   }
   void Set(int64_t value) {
     if (registry_ == nullptr || !registry_->enabled_) return;
-    if (slot_ == nullptr || generation_ != registry_->generation_) Rebind();
+    if (slot_ == nullptr) Bind();
     *slot_ = value;
   }
 
@@ -135,55 +129,21 @@ class CounterHandle {
   CounterHandle(MetricsRegistry* registry, std::string name, bool gauge)
       : registry_(registry), name_(std::move(name)), gauge_(gauge) {}
 
-  void Rebind() {
-    // std::map nodes are pointer-stable, so the slot stays valid until Clear().
+  void Bind() {
+    // std::map nodes are pointer-stable, so the slot stays valid for the
+    // registry's lifetime.
     slot_ = &MetricsRegistry::Slot(gauge_ ? registry_->gauges_ : registry_->counters_,
                                    name_);
-    generation_ = registry_->generation_;
   }
 
   MetricsRegistry* registry_ = nullptr;
   std::string name_;
   bool gauge_ = false;
   int64_t* slot_ = nullptr;
-  uint64_t generation_ = 0;
-};
-
-class HistogramHandle {
- public:
-  HistogramHandle() = default;
-
-  void Observe(Nanos value) {
-    if (registry_ == nullptr || !registry_->enabled_) return;
-    if (slot_ == nullptr || generation_ != registry_->generation_) Rebind();
-    slot_->Record(value);
-  }
-
- private:
-  friend class MetricsRegistry;
-  HistogramHandle(MetricsRegistry* registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-
-  void Rebind() {
-    auto it = registry_->histograms_.find(name_);
-    if (it == registry_->histograms_.end()) {
-      it = registry_->histograms_.emplace(name_, Histogram{}).first;
-    }
-    slot_ = &it->second;
-    generation_ = registry_->generation_;
-  }
-
-  MetricsRegistry* registry_ = nullptr;
-  std::string name_;
-  Histogram* slot_ = nullptr;
-  uint64_t generation_ = 0;
 };
 
 inline CounterHandle MetricsRegistry::MakeCounter(std::string_view name, bool gauge) {
   return CounterHandle(this, std::string(name), gauge);
-}
-inline HistogramHandle MetricsRegistry::MakeHistogram(std::string_view name) {
-  return HistogramHandle(this, std::string(name));
 }
 
 // Minimal JSON string escaping for report writers (quotes, backslashes, control

@@ -17,13 +17,6 @@ uint64_t SpanLog::Begin(std::string phase, std::string host, int32_t pid,
   record.begin = clock_->now();
   record.trace_id = trace_id;
   record.parent_id = parent_id;
-  if (trace_ != nullptr && trace_->enabled()) {
-    std::string text = "span begin id=" + std::to_string(record.id) +
-                       " phase=" + record.phase;
-    if (record.trace_id != 0) text += " trace=" + std::to_string(record.trace_id);
-    trace_->Add(TraceEvent{record.begin, TraceCategory::kMigration, record.host, record.pid,
-                           std::move(text)});
-  }
   if (recorder_ != nullptr && recorder_->enabled()) {
     recorder_->Note(record.host, record.pid, record.trace_id,
                     "span begin phase=" + record.phase + " id=" + std::to_string(record.id));
@@ -38,11 +31,6 @@ void SpanLog::End(uint64_t id) {
     if (it->id != id) continue;
     if (it->closed()) return;  // double End; keep the first
     it->end = clock_->now();
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Add(TraceEvent{it->end, TraceCategory::kMigration, it->host, it->pid,
-                             "span end id=" + std::to_string(it->id) + " phase=" + it->phase +
-                                 " dur_ns=" + std::to_string(it->duration())});
-    }
     if (recorder_ != nullptr && recorder_->enabled()) {
       recorder_->Note(it->host, it->pid, it->trace_id,
                       "span end phase=" + it->phase + " id=" + std::to_string(it->id) +

@@ -1,12 +1,12 @@
-// Phase spans: structured begin/end intervals layered on the trace log.
+// Phase spans: structured begin/end intervals of virtual time.
 //
 // The paper's evaluation is a cost breakdown — where the ~0.6 s of a SIGDUMP
 // goes, how much of a remote-to-remote migrate is rsh connection setup. Spans
 // attribute virtual time to those phases: the migration machinery opens a span
 // per phase ("signal", "dump", "transfer", "setup", "restart", with a "migrate"
 // root spanning the whole command), and the span log keeps the closed records
-// for run reports. When the trace log is enabled, every Begin/End additionally
-// emits a kMigration trace event carrying the span id, so a textual trace can be
+// for run reports. When the flight recorder is enabled, every Begin/End also
+// lands in its host's ring, carrying the span id, so a post-mortem can be
 // correlated with the structured report.
 //
 // Spans on one timeline nest (the simulator is sequential in virtual time), so
@@ -24,7 +24,6 @@
 
 #include "src/sim/clock.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace pmig::sim {
 
@@ -49,9 +48,7 @@ struct SpanRecord {
 
 class SpanLog {
  public:
-  // `trace` may be null; begin/end events are emitted only when it is non-null
-  // and enabled.
-  SpanLog(VirtualClock* clock, TraceLog* trace) : clock_(clock), trace_(trace) {}
+  explicit SpanLog(VirtualClock* clock) : clock_(clock) {}
 
   SpanLog(const SpanLog&) = delete;
   SpanLog& operator=(const SpanLog&) = delete;
@@ -77,7 +74,6 @@ class SpanLog {
 
   const std::vector<SpanRecord>& spans() const { return spans_; }
   const SpanRecord* Find(uint64_t id) const;
-  void Clear() { spans_.clear(); }
 
   // Self (exclusive) virtual time per phase over all closed spans: each span's
   // duration minus the durations of spans nested directly inside it. Open spans
@@ -100,30 +96,8 @@ class SpanLog {
   uint64_t next_id_ = 1;
   uint64_t next_trace_id_ = 1;
   VirtualClock* clock_;
-  TraceLog* trace_;
   FlightRecorder* recorder_ = nullptr;
   std::vector<SpanRecord> spans_;
-};
-
-// RAII span: opens on construction, closes on destruction. A null log (or a
-// disabled one) makes the scope a no-op, so instrumentation sites never branch.
-class SpanScope {
- public:
-  SpanScope(SpanLog* log, std::string phase, std::string host, int32_t pid)
-      : log_(log),
-        id_(log != nullptr ? log->Begin(std::move(phase), std::move(host), pid) : 0) {}
-  ~SpanScope() {
-    if (id_ != 0) log_->End(id_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  uint64_t id() const { return id_; }
-
- private:
-  SpanLog* log_;
-  uint64_t id_;
 };
 
 }  // namespace pmig::sim

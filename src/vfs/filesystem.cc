@@ -17,7 +17,6 @@ InodePtr Filesystem::NewInode(InodeType type, int32_t uid, uint16_t mode) {
   inode->uid = uid;
   inode->mode = mode;
   inode->fs = this;
-  ++live_inodes_;
   return inode;
 }
 
@@ -58,13 +57,6 @@ Status Filesystem::Unlink(const InodePtr& dir, const std::string& name) {
   --it->second->nlink;
   dir->entries.erase(it);
   return Status::Ok();
-}
-
-Result<InodePtr> Filesystem::Lookup(const InodePtr& dir, const std::string& name) const {
-  if (!dir || !dir->IsDir()) return Errno::kNotDir;
-  auto it = dir->entries.find(name);
-  if (it == dir->entries.end()) return Errno::kNoEnt;
-  return it->second;
 }
 
 }  // namespace pmig::vfs

@@ -39,17 +39,12 @@ class Filesystem {
   // Removes a directory entry; directories must be empty (kNotDir semantics follow
   // 4.2BSD: unlink on a directory is refused with kIsDir).
   Status Unlink(const InodePtr& dir, const std::string& name);
-  // Looks a component up; nullptr result encoded as kNoEnt.
-  Result<InodePtr> Lookup(const InodePtr& dir, const std::string& name) const;
-
-  int64_t live_inodes() const { return live_inodes_; }
 
  private:
   InodePtr NewInode(InodeType type, int32_t uid, uint16_t mode);
 
   std::string disk_name_;
   uint32_t next_ino_ = 2;  // 2 is the traditional root ino
-  int64_t live_inodes_ = 0;
   InodePtr root_;
 };
 

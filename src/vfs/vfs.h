@@ -70,8 +70,6 @@ class Vfs {
   Vfs(const Vfs&) = delete;
   Vfs& operator=(const Vfs&) = delete;
 
-  Filesystem* local_fs() const { return local_; }
-
   // Installed by the owning kernel: byte/block counters for ReadAt/WriteAt land
   // here. May stay null (tests construct a bare Vfs); recording never charges cost.
   void set_metrics(sim::MetricsRegistry* metrics) {

@@ -431,16 +431,14 @@ TEST(ClusterIndex, ChaosSoakEventDrivenConservesAndReplays) {
   EXPECT_EQ(first, second);
 }
 
-// --- Stacked indexes and the FaultHistory listener chain ---
+// --- Stacked indexes on the FaultHistory observers ---
 
-// Two coordinators' indexes chain onto the one FaultHistory listener slot.
-// Destroying them in *either* order must keep the chain safe: the pre-existing
-// listener underneath keeps firing, the survivor keeps folding scores in, and
-// no closure over a destroyed index is ever invoked (the pre-fix destructor
-// unconditionally re-installed its saved chain, so destroying the older index
-// last resurrected a callback capturing the already-destroyed newer one —
-// a use-after-free ASan catches).
-TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderWithoutCorruptingChain) {
+// Two coordinators' indexes observe the one FaultHistory alongside an earlier
+// observer. Destroying them in *either* order must keep the rest safe: the
+// earlier observer keeps firing, the survivor keeps folding scores in, and no
+// callback over a destroyed index is ever invoked (a use-after-free ASan
+// catches).
+TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderKeepOtherObservers) {
   for (const bool newer_first : {true, false}) {
     WorldOptions options;
     options.num_hosts = 3;
@@ -448,12 +446,12 @@ TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderWithoutCorruptingChain) {
     net::Network* net = &world.cluster().network();
     sim::FaultHistory& history = net->context().fault_history;
     int base_calls = 0;
-    history.set_listener([&base_calls](std::string_view) { ++base_calls; });
+    history.observers().Add([&base_calls](std::string_view) { ++base_calls; });
 
     auto older = std::make_unique<ClusterIndex>(net, "brick");
     auto newer = std::make_unique<ClusterIndex>(net, "schooner");
     history.RecordFailure("brador", Errno::kHostUnreach);
-    EXPECT_EQ(base_calls, 1);  // the chain reaches the base listener
+    EXPECT_EQ(base_calls, 1);  // the base observer fires too
     EXPECT_GT(older->Find("brador")->fault_score, 0.0);
     EXPECT_GT(newer->Find("brador")->fault_score, 0.0);
 
@@ -468,13 +466,13 @@ TEST(ClusterIndex, StackedIndexesDestroyInEitherOrderWithoutCorruptingChain) {
     const double before = survivor->Find("brador")->fault_score;
     history.RecordFailure("brador", Errno::kHostUnreach);
     EXPECT_EQ(base_calls, 2) << (newer_first ? "newer" : "older")
-                             << " destroyed first broke the base listener";
+                             << " destroyed first broke the base observer";
     EXPECT_GT(survivor->Find("brador")->fault_score, before);
 
     older.reset();
     newer.reset();
     history.RecordFailure("brador", Errno::kHostUnreach);
-    EXPECT_EQ(base_calls, 3);  // both gone: the base listener alone remains
+    EXPECT_EQ(base_calls, 3);  // both gone: the base observer alone remains
   }
 }
 

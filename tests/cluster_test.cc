@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/apps/load_balancer.h"
 #include "tests/test_util.h"
 
@@ -116,16 +119,23 @@ TEST(Cluster, TotalCpuIsMonotonic) {
   EXPECT_GE(c2, c1);
 }
 
-TEST(Cluster, TraceRecordsMigrationEvents) {
+TEST(Cluster, FlightRecorderRecordsMigrationEvents) {
   WorldOptions options;
-  options.trace = true;
+  options.flight_recorder = true;
   World world(options);
   const int32_t pid = world.StartVm("brick", "/bin/counter");
   ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
   ASSERT_TRUE(world.host("brick").PostSignal(pid, vm::abi::kSigDump, nullptr).ok());
   ASSERT_TRUE(world.RunUntilExited("brick", pid));
-  EXPECT_GT(world.cluster().context().trace.CountMatching("SIGDUMP"), 0u);
-  EXPECT_GT(world.cluster().context().trace.CountMatching("dump file"), 0u);
+  const auto count = [&world](std::string_view needle) {
+    int n = 0;
+    for (const sim::FlightEvent& e : world.cluster().context().flight_recorder.ring("brick")) {
+      if (e.what.find(needle) != std::string::npos) ++n;
+    }
+    return n;
+  };
+  EXPECT_GT(count("SIGDUMP"), 0);
+  EXPECT_GT(count("dump file"), 0);
 }
 
 TEST(Cluster, HostsRunInParallelOnOneTimeline) {

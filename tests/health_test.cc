@@ -1,17 +1,20 @@
-// The cluster health monitor: retained time series (downsampling ring), the
-// online anomaly detector, SLO burn-rate alerting, and the paths that surface
-// them — run-report lines, flight-recorder post-mortems, placement demotion,
-// and the phealth shell built-in.
+// The cluster health monitor: the observed series, the online anomaly
+// detector, SLO burn-rate alerting, and the paths that surface them — run-report
+// lines, flight-recorder post-mortems, placement demotion, and the phealth
+// shell built-in.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/apps/placement.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/health_monitor.h"
-#include "src/sim/time_series.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -21,73 +24,33 @@ using test::kUserUid;
 using test::World;
 using test::WorldOptions;
 
-// --- TimeSeries --------------------------------------------------------------------
-
-TEST(TimeSeries, RawRingKeepsEverythingUnderCapacity) {
-  sim::TimeSeries ts(/*points_per_tier=*/8, /*tiers=*/2);
-  for (int i = 0; i < 8; ++i) ts.Append(sim::Seconds(i), i);
-  EXPECT_EQ(ts.size(), 8u);
-  EXPECT_EQ(ts.total_appended(), 8);
-  const auto points = ts.Points();
-  ASSERT_EQ(points.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(points[static_cast<size_t>(i)].at, sim::Seconds(i));
-    EXPECT_EQ(points[static_cast<size_t>(i)].value, i);
-    EXPECT_EQ(points[static_cast<size_t>(i)].count, 1);
-  }
-  EXPECT_EQ(ts.Newest().value, 7);
-}
-
-TEST(TimeSeries, OverflowDownsamplesIntoCoarserTiers) {
-  sim::TimeSeries ts(/*points_per_tier=*/4, /*tiers=*/3);
-  for (int i = 0; i < 20; ++i) ts.Append(sim::Seconds(i), i);
-  EXPECT_EQ(ts.total_appended(), 20);
-  // Memory stays bounded by points_per_tier * tiers.
-  EXPECT_LE(ts.size(), 12u);
-  const auto points = ts.Points();
-  // Counts of retained points account for every raw sample (nothing has been
-  // evicted from the coarsest tier yet), timestamps never go backwards, and
-  // merged points carry count-weighted means.
-  int64_t total = 0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    total += points[i].count;
-    if (i > 0) {
-      EXPECT_GE(points[i].at, points[i - 1].at);
-    }
-  }
-  EXPECT_EQ(total, 20);
-  EXPECT_EQ(ts.Newest().value, 19);
-  // The oldest retained point is a downsampled summary, not a raw sample.
-  EXPECT_GT(points.front().count, 1);
-}
-
-TEST(TimeSeries, CoarsestTierEvicts) {
-  sim::TimeSeries ts(/*points_per_tier=*/2, /*tiers=*/2);
-  for (int i = 0; i < 64; ++i) ts.Append(sim::Seconds(i), 1.0);
-  EXPECT_EQ(ts.total_appended(), 64);
-  EXPECT_LE(ts.size(), 4u);
-  int64_t represented = 0;
-  for (const sim::SeriesPoint& p : ts.Points()) represented += p.count;
-  EXPECT_LT(represented, 64);  // oldest history fell off the back
-  EXPECT_GT(represented, 0);
-}
-
-TEST(TimeSeries, WindowStatsAggregateByCount) {
-  sim::TimeSeries ts(/*points_per_tier=*/16, /*tiers=*/1);
-  ts.Append(sim::Seconds(1), 10);
-  ts.Append(sim::Seconds(2), 20);
-  ts.Append(sim::Seconds(3), 60);
-  const auto all = ts.Over(0);
-  EXPECT_EQ(all.count, 3);
-  EXPECT_DOUBLE_EQ(all.mean, 30.0);
-  EXPECT_DOUBLE_EQ(all.min, 10.0);
-  EXPECT_DOUBLE_EQ(all.max, 60.0);
-  const auto recent = ts.Over(sim::Seconds(3));
-  EXPECT_EQ(recent.count, 1);
-  EXPECT_DOUBLE_EQ(recent.mean, 60.0);
-}
-
 // --- HealthMonitor core ------------------------------------------------------------
+
+// An SLO named after the metric it watches. Its per-host budget counts the
+// metric's observations, and as bad those above `threshold`, so a test can
+// pin observed values through Budgets().
+sim::Slo WatchSlo(std::string metric, double threshold) {
+  sim::Slo slo;
+  slo.name = metric;
+  slo.metric = std::move(metric);
+  slo.threshold = threshold;
+  return slo;
+}
+
+// The budget of SLO `name` on `host` (zero events when there is none).
+sim::HealthMonitor::BudgetStatus BudgetOf(const sim::HealthMonitor& monitor,
+                                          std::string_view name, std::string_view host) {
+  for (const sim::HealthMonitor::BudgetStatus& b : monitor.Budgets()) {
+    if (b.slo->name == name && b.host == host) return b;
+  }
+  return {};
+}
+
+bool Listed(const sim::HealthMonitor& monitor, std::string_view host,
+            std::string_view metric) {
+  const std::vector<std::string> names = monitor.SeriesNames(host);
+  return std::find(names.begin(), names.end(), metric) != names.end();
+}
 
 sim::Slo ErrorSlo() {
   sim::Slo slo;
@@ -250,21 +213,23 @@ TEST(HealthMonitor, AlertEdgeDumpsFlightRecorderPostmortem) {
   EXPECT_NE(pm.jsonl.find("leg failed"), std::string::npos);
 }
 
-TEST(HealthMonitor, SeriesRetainedPerHostAndMetric) {
+TEST(HealthMonitor, SeriesListedPerHostAndMetric) {
   sim::VirtualClock clock;
   sim::HealthOptions options;
   options.anomaly_detection = true;
-  sim::HealthMonitor monitor(&clock, options, {});
+  sim::HealthMonitor monitor(&clock, options, {WatchSlo("load.runnable", 1.5)});
   clock.Advance(sim::Seconds(1));
   monitor.Observe("brick", "load.runnable", 2);
   monitor.Observe("schooner", "load.runnable", 5);
   monitor.Observe("brick", "migrate.e2e_ns", 1e9);
   EXPECT_EQ(monitor.Hosts(), (std::vector<std::string>{"brick", "schooner"}));
-  EXPECT_EQ(monitor.SeriesNames("brick").size(), 2u);
-  const sim::TimeSeries* series = monitor.Series("brick", "load.runnable");
-  ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series->Newest().value, 2);
-  EXPECT_EQ(monitor.Series("brador", "load.runnable"), nullptr);
+  EXPECT_EQ(monitor.SeriesNames("brick"),
+            (std::vector<std::string>{"load.runnable", "migrate.e2e_ns"}));
+  EXPECT_TRUE(monitor.SeriesNames("brador").empty());
+  // brick's one load observation was above 1.5.
+  const sim::HealthMonitor::BudgetStatus load = BudgetOf(monitor, "load.runnable", "brick");
+  EXPECT_EQ(load.events, 1);
+  EXPECT_EQ(load.bad, 1);
 }
 
 // --- Cluster wiring ----------------------------------------------------------------
@@ -275,7 +240,8 @@ TEST(HealthCluster, MigrateFeedsSeriesAndReportCarriesSloLines) {
   WorldOptions options;
   options.num_hosts = 3;
   options.metrics = true;
-  options.slos = {ErrorSlo()};
+  options.slos = {ErrorSlo(), WatchSlo("migration.dump_ns", 0),
+                  WatchSlo("migrate.e2e_ns", 0)};
   options.health.anomaly_detection = true;
   World world(options);
   ASSERT_TRUE(world.cluster().context().health_monitor.enabled());
@@ -293,14 +259,19 @@ TEST(HealthCluster, MigrateFeedsSeriesAndReportCarriesSloLines) {
 
   const sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   // The dump happened on schooner, the restart (and the landing) on brador.
-  ASSERT_NE(monitor.Series("schooner", "migration.dump_ns"), nullptr);
-  EXPECT_GT(monitor.Series("schooner", "migration.dump_ns")->Newest().value, 0);
-  ASSERT_NE(monitor.Series("schooner", "migration.dump_bytes"), nullptr);
-  ASSERT_NE(monitor.Series("brador", "migration.restart_ns"), nullptr);
-  ASSERT_NE(monitor.Series("brador", "migrate.e2e_ns"), nullptr);
-  EXPECT_GT(monitor.Series("brador", "migrate.e2e_ns")->Newest().value, 0);
+  EXPECT_TRUE(Listed(monitor, "schooner", "migration.dump_ns"));
+  EXPECT_TRUE(Listed(monitor, "schooner", "migration.dump_bytes"));
+  EXPECT_TRUE(Listed(monitor, "brador", "migration.restart_ns"));
+  EXPECT_TRUE(Listed(monitor, "brador", "migrate.e2e_ns"));
+  // Both latencies were above 0.
+  for (const auto& [metric, host] : {std::pair{"migration.dump_ns", "schooner"},
+                                     std::pair{"migrate.e2e_ns", "brador"}}) {
+    const sim::HealthMonitor::BudgetStatus b = BudgetOf(monitor, metric, host);
+    EXPECT_GT(b.events, 0) << metric;
+    EXPECT_EQ(b.bad, b.events) << metric;
+  }
   // Every leg succeeded: error series exist and the SLO budget is clean.
-  ASSERT_NE(monitor.Series("schooner", "migrate.errors"), nullptr);
+  EXPECT_TRUE(Listed(monitor, "schooner", "migrate.errors"));
   EXPECT_EQ(monitor.ActiveAlerts(), 0);
 
   std::ostringstream out;
@@ -313,19 +284,21 @@ TEST(HealthCluster, MigrateFeedsSeriesAndReportCarriesSloLines) {
 
 // The sampler feeds load/segcache/fault-score series for every up host.
 TEST(HealthCluster, SamplerFeedsPerHostSeries) {
+  const char* const kMetrics[] = {"load.runnable", "segcache.bytes", "fault.score"};
   WorldOptions options;
   options.num_hosts = 2;
   options.metrics = true;
   options.sample_period = sim::Millis(50);
   options.health.anomaly_detection = true;
+  for (const char* metric : kMetrics) options.slos.push_back(WatchSlo(metric, 0));
   World world(options);
   world.StartVm("brick", "/bin/hog", {"hog", "2000000"});
   world.cluster().RunFor(sim::Seconds(1));
   const sim::HealthMonitor& monitor = world.cluster().context().health_monitor;
   for (const char* host : {"brick", "schooner"}) {
-    for (const char* metric : {"load.runnable", "segcache.bytes", "fault.score"}) {
-      ASSERT_NE(monitor.Series(host, metric), nullptr) << host << "/" << metric;
-      EXPECT_GT(monitor.Series(host, metric)->total_appended(), 1) << host << "/" << metric;
+    for (const char* metric : kMetrics) {
+      EXPECT_TRUE(Listed(monitor, host, metric)) << host << "/" << metric;
+      EXPECT_GT(BudgetOf(monitor, metric, host).events, 1) << host << "/" << metric;
     }
   }
 }

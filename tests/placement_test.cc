@@ -52,16 +52,16 @@ int RunSystem(World& world, std::string_view host, kernel::NativeTask::Entry fn)
 
 TEST(FaultHistory, ScoresDecayAndSuccessesForgive) {
   sim::VirtualClock clock;
-  sim::FaultHistory history(&clock, /*half_life=*/sim::Seconds(10));
+  sim::FaultHistory history(&clock);
   EXPECT_EQ(history.Score("schooner"), 0.0);
 
   history.RecordFailure("schooner", Errno::kHostUnreach);
   const double fresh = history.Score("schooner");
   EXPECT_GT(fresh, 1.0);  // an unreachable host is strong evidence
 
-  clock.Advance(sim::Seconds(10));
+  clock.Advance(sim::Seconds(30));  // one half-life
   EXPECT_NEAR(history.Score("schooner"), fresh / 2, 1e-9);
-  clock.Advance(sim::Seconds(40));
+  clock.Advance(sim::Seconds(120));
   EXPECT_LT(history.Score("schooner"), 0.1);  // decayed: the host re-qualifies
 
   // A success after recovery collapses what little weight remains.
@@ -92,6 +92,21 @@ TEST(FaultHistory, MigrateOutcomesFeedTheClusterHistory) {
 }
 
 // --- Surveys and the engine skip dead hosts ---
+
+// A host's load is what its process table holds at the read, whether or not
+// metrics are armed: the sched.runnable_vm gauge, set at the top of the host's
+// last quantum, has not seen a VM spawned since.
+TEST(Placement, HostLoadCountsTheProcessTableWithMetricsArmed) {
+  for (const bool metrics : {false, true}) {
+    WorldOptions options;
+    options.num_hosts = 3;
+    options.metrics = metrics;
+    World world(options);
+    world.cluster().RunFor(sim::Millis(10));
+    world.StartVm("schooner", "/bin/hog");
+    EXPECT_EQ(apps::HostLoad(world.host("schooner")), 1) << "metrics=" << metrics;
+  }
+}
 
 TEST(Placement, SurveySkipsDownHosts) {
   WorldOptions options;
@@ -131,7 +146,6 @@ TEST(Placement, FaultAwareExcludesFailingHostUntilScoreDecays) {
   options.num_hosts = 3;
   World world(options);
   sim::FaultHistory& history = world.cluster().context().fault_history;
-  history.set_half_life(sim::Seconds(10));
   history.RecordFailure("schooner", Errno::kHostUnreach);
 
   PlacementEngine fault_aware(&world.cluster().network(), PlacementPolicy::kFaultAware);
@@ -147,7 +161,7 @@ TEST(Placement, FaultAwareExcludesFailingHostUntilScoreDecays) {
   // After the score decays the recovered host re-qualifies. The residual score
   // still breaks ties toward the never-failed host, so prove requalification
   // two ways: eligibility, and winning outright once brador is the busier one.
-  world.cluster().RunFor(sim::Seconds(60));
+  world.cluster().RunFor(sim::Seconds(180));  // six 30 s half-lives
   EXPECT_FALSE(fault_aware.Score(query)[0].fault_excluded);
   EXPECT_EQ(fault_aware.PickTarget(query), "brador");  // pristine wins the tie
   world.StartVm("brador", "/bin/hog", {"hog", "40000000"});

@@ -1,9 +1,10 @@
-// Unit tests for the simulation base: virtual clock, RNG, trace log, byte codec,
+// Unit tests for the simulation base: virtual clock, RNG, observer lists, byte codec,
 // immutable blobs, and the cost-model helpers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,8 +12,8 @@
 #include "src/sim/bytes.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/observers.h"
 #include "src/sim/rng.h"
-#include "src/sim/trace.h"
 
 namespace pmig::sim {
 namespace {
@@ -140,79 +141,38 @@ TEST(Rng, IdentHasRequestedLength) {
   EXPECT_EQ(rng.Ident(8).size(), 8u);
 }
 
-TEST(TraceLog, DisabledByDefault) {
-  TraceLog log;
-  log.Add(TraceEvent{0, TraceCategory::kApp, "h", 1, "x"});
-  EXPECT_TRUE(log.events().empty());
+TEST(Observers, PublishDeliversInRegistrationOrder) {
+  Observers<int> observers;
+  std::vector<std::pair<char, int>> seen;
+  observers.Add([&seen](const int& e) { seen.emplace_back('a', e); });
+  const uint64_t b = observers.Add([&seen](const int& e) { seen.emplace_back('b', e); });
+  observers.Add([&seen](const int& e) { seen.emplace_back('c', e); });
+  observers.Publish(1);
+  observers.Remove(b);
+  observers.Publish(2);
+  EXPECT_EQ(seen, (std::vector<std::pair<char, int>>{
+                      {'a', 1}, {'b', 1}, {'c', 1}, {'a', 2}, {'c', 2}}));
 }
 
-TEST(TraceLog, RecordsWhenEnabled) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Add(TraceEvent{Millis(1), TraceCategory::kSignal, "brick", 100, "signal 3 posted"});
-  ASSERT_EQ(log.events().size(), 1u);
-  EXPECT_EQ(log.CountMatching("signal 3"), 1u);
-  EXPECT_EQ(log.CountMatching("nope"), 0u);
-}
-
-TEST(TraceLog, BoundedCapacity) {
-  TraceLog log(4);
-  log.set_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    log.Add(TraceEvent{0, TraceCategory::kApp, "h", i, "e" + std::to_string(i)});
-  }
-  EXPECT_EQ(log.events().size(), 4u);
-  EXPECT_EQ(log.events().front().pid, 6);
-}
-
-TEST(TraceLog, EvictionDropsOldestAcrossRefills) {
-  TraceLog log(3);
-  log.set_enabled(true);
-  for (int i = 0; i < 100; ++i) {
-    log.Add(TraceEvent{Millis(i), TraceCategory::kApp, "h", i, "e" + std::to_string(i)});
-    EXPECT_LE(log.events().size(), 3u);
-  }
-  ASSERT_EQ(log.events().size(), 3u);
-  EXPECT_EQ(log.events().front().pid, 97);  // oldest survivor
-  EXPECT_EQ(log.events().back().pid, 99);
-  EXPECT_EQ(log.events().front().when, Millis(97));
-}
-
-TEST(TraceLog, DisableStopsRecordingButKeepsEvents) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Add(TraceEvent{0, TraceCategory::kApp, "h", 1, "kept"});
-  log.set_enabled(false);
-  log.Add(TraceEvent{0, TraceCategory::kApp, "h", 2, "dropped"});
-  ASSERT_EQ(log.events().size(), 1u);
-  EXPECT_EQ(log.events().front().text, "kept");
-}
-
-TEST(TraceLog, MatchingFiltersByCategory) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Add(TraceEvent{0, TraceCategory::kSignal, "brick", 1, "sigdump posted"});
-  log.Add(TraceEvent{1, TraceCategory::kMigration, "brick", 1, "sigdump dump begun"});
-  log.Add(TraceEvent{2, TraceCategory::kNet, "brick", 1, "rsh connect"});
-  EXPECT_EQ(log.CountMatching("sigdump"), 2u);
-  EXPECT_EQ(log.CountMatching("sigdump", TraceCategory::kMigration), 1u);
-  EXPECT_EQ(log.CountMatching("sigdump", TraceCategory::kNet), 0u);
-  const auto all = log.Matching("sigdump");
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0]->when, 0);  // oldest first
-  const auto mig = log.Matching("sigdump", TraceCategory::kMigration);
-  ASSERT_EQ(mig.size(), 1u);
-  EXPECT_EQ(mig[0]->text, "sigdump dump begun");
-  // An empty needle matches everything in the category.
-  EXPECT_EQ(log.CountMatching("", TraceCategory::kNet), 1u);
-}
-
-TEST(TraceLog, FormatContainsFields) {
-  TraceEvent e{Seconds(2), TraceCategory::kMigration, "brick", 123, "hello"};
-  const std::string s = e.Format();
-  EXPECT_NE(s.find("migration"), std::string::npos);
-  EXPECT_NE(s.find("brick:123"), std::string::npos);
-  EXPECT_NE(s.find("hello"), std::string::npos);
+TEST(Observers, MutationMidPublishIsSafe) {
+  Observers<int> observers;
+  std::vector<std::string> seen;
+  uint64_t self = 0;
+  uint64_t later = 0;
+  // The first observer removes itself and a later one, and adds a new one.
+  self = observers.Add([&](const int&) {
+    seen.push_back("self");
+    observers.Remove(self);
+    observers.Remove(later);
+    observers.Add([&seen](const int&) { seen.push_back("added"); });
+  });
+  observers.Add([&seen](const int&) { seen.push_back("kept"); });
+  later = observers.Add([&seen](const int&) { seen.push_back("later"); });
+  observers.Publish(1);
+  // The removed later observer is skipped; the added one waits a publish.
+  EXPECT_EQ(seen, (std::vector<std::string>{"self", "kept"}));
+  observers.Publish(2);
+  EXPECT_EQ(seen, (std::vector<std::string>{"self", "kept", "kept", "added"}));
 }
 
 TEST(Bytes, RoundTripScalars) {
