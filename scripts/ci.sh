@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full verification pipeline, one command: the tier-1, ASan and UBSan
 # builds (all three with warnings as errors) and their ctest runs, which hold
-# every bench gate, and the two-clock benchmark's own unit tests. Run from the
-# repository root.
+# every bench gate, the two-clock benchmark's own unit tests, and a smoke run of
+# the benchmark itself. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,5 +40,26 @@ echo "== UBSan ctest =="
 
 echo "== benchmark statistics tests =="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
+
+echo "== benchmark smoke run =="
+# pmig_perf compiles against src/ outside the main build, so this is the step
+# that notices an API change breaking it. One short seeded run per workload and
+# mode; each must exit 0 and pass its correctness gate.
+smoke_start=$(date +%s)
+for workload in hog_spread migrate_churn cached_remigrate; do
+  for trace in 0 1; do
+    if ! out=$(CARGO_TARGET_DIR=build-perf python3 perfbench/run.py --workload "$workload" \
+        --seed 1 --seconds 1 --trace "$trace"); then
+      echo "benchmark smoke: $workload --trace $trace failed"
+      exit 1
+    fi
+    if ! printf '%s\n' "$out" | tail -n 1 |
+        python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'; then
+      echo "benchmark smoke: $workload --trace $trace is not correct"
+      exit 1
+    fi
+  done
+done
+echo "benchmark smoke: $(($(date +%s) - smoke_start)) s"
 
 echo "ci: all green"

@@ -12,7 +12,7 @@ Result<kernel::PreparedDump> BuildSigdump(kernel::Kernel& k, kernel::Proc& p) {
     return Errno::kInval;
   }
   const vm::VmContext& ctx = *p.vm;
-  const uint32_t machtype = k.TextLevel(ctx.text()) == vm::IsaLevel::kIsa20 ? 20 : 10;
+  const uint32_t machtype = k.TextLevel(ctx) == vm::IsaLevel::kIsa20 ? 20 : 10;
 
   // --- a.outXXXXX. Full dump: text + data behind an ordinary exec header
   // (running it from scratch is the `undump` behaviour: fresh start, dumped

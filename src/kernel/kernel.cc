@@ -441,7 +441,8 @@ Status Kernel::OverlayVmImage(Proc& p, vm::AoutImage image,
   // Counted before the image moves into the context.
   const auto image_bytes = static_cast<sim::Nanos>(image.text.size() + image.data.size());
   if (p.vm == nullptr) p.vm = std::make_unique<vm::VmContext>();
-  p.vm->LoadImage(std::move(image));
+  p.vm->LoadImage(std::move(image), text_);  // shares text_'s slots if it is the same buffer
+  RememberText(p.vm->decoded());
   p.dump_incremental = false;  // a new image invalidates any pending delta mode
   if (config_.track_dirty_pages) p.vm->ArmDirtyTracking(restored);
   ChargeCpu(p, costs_->exec_overhead);
@@ -485,12 +486,16 @@ Status Kernel::OverlayVmImage(Proc& p, vm::AoutImage image,
   return Status::Ok();
 }
 
-vm::IsaLevel Kernel::TextLevel(const sim::Blob& text) {
-  if (text.data() != level_text_.data() || text.size() != level_text_.size()) {
-    level_ = vm::RequiredLevel(text.data(), text.size());
-    level_text_ = text;
-  }
-  return level_;
+void Kernel::RememberText(const std::shared_ptr<vm::DecodedText>& text) {
+  if (text == text_) return;
+  text_ = text;
+  text_level_.reset();
+}
+
+vm::IsaLevel Kernel::TextLevel(const vm::VmContext& ctx) {
+  RememberText(ctx.decoded());
+  if (!text_level_) text_level_ = vm::RequiredLevel(ctx.text().data(), ctx.text().size());
+  return *text_level_;
 }
 
 void Kernel::NoteEvent(int32_t pid, std::string text) {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -317,13 +318,9 @@ class Kernel {
   Status OverlayVmImage(Proc& p, vm::AoutImage image, const std::vector<std::string>& args,
                         const vm::DeltaBase* restored = nullptr);
 
-  // vm::RequiredLevel of a program text, scanned once per text buffer: text is
-  // immutable, so the kernel keeps the last text it scanned with its level and
-  // answers from them while the same buffer comes back (a process dumped hop
-  // after hop shares one text blob). Holding the blob keeps its buffer alive,
-  // so an equal data() and size() mean the same bytes. A digest match would
-  // not do: equal digests do not prove equal bytes.
-  vm::IsaLevel TextLevel(const sim::Blob& text);
+  // vm::RequiredLevel of a loaded program's text, scanned once per text buffer
+  // (see text_ below).
+  vm::IsaLevel TextLevel(const vm::VmContext& ctx);
 
   // --- Fd plumbing for spawn-time stdio setup (boot, rsh, daemons) ---
   // An OpenFile on a terminal's device node (O_RDWR), for wiring fds 0/1/2.
@@ -377,6 +374,8 @@ class Kernel {
   // blocked/slept/terminated and the run loop must stop.
   bool DispatchVmSyscall(Proc& p, int32_t number);
   void VmFault(Proc& p, vm::Fault fault);
+  // Makes `text` text_, forgetting the level of the text it replaces.
+  void RememberText(const std::shared_ptr<vm::DecodedText>& text);
 
   // Name-tracking helpers (the Section 5.1 bookkeeping + its costs).
   void TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path);
@@ -436,9 +435,16 @@ class Kernel {
   bool restproc_flag_ = false;
   uint32_t restproc_stack_size_ = 0;
 
-  // TextLevel's memo: the last text scanned, and its level.
-  sim::Blob level_text_;
-  vm::IsaLevel level_ = vm::IsaLevel::kIsa10;
+  // The last text buffer this kernel loaded or scanned, as its decoded slots,
+  // and its level once TextLevel has scanned it. Text is immutable, so while
+  // the same buffer comes back (a process dumped and restored hop after hop
+  // shares one text blob through the segment cache) OverlayVmImage hands its
+  // slots to the new context, which then allocates and decodes nothing, and
+  // TextLevel answers without a scan. The table holds the blob, which keeps its
+  // buffer alive, so an equal data() and size() mean the same bytes. A digest
+  // match would not do: equal digests do not prove equal bytes.
+  std::shared_ptr<vm::DecodedText> text_;
+  std::optional<vm::IsaLevel> text_level_;
 };
 
 // RAII phase span opened in a process's distributed-trace context: the span

@@ -10,6 +10,7 @@
 #define PMIG_SRC_VM_CPU_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,13 +75,32 @@ struct DeltaBase {
 
 // One text slot as Cpu::Run executes it: the raw instruction after its
 // machine-independent checks, or a sentinel (see cpu.cc) for a slot not yet
-// fetched or one that failed them.
+// fetched, one that failed them, or the end of the text.
+//
+// `imm` is the raw immediate, except in a branch slot (jmp, call, beq, bne,
+// blt, bge): there it is the index of the target slot, or a no-target marker
+// (kNoTarget in cpu.cc) when the target address is unaligned or outside the
+// text. A jump to such an address re-reads the raw immediate from the text and
+// faults on the next fetch.
 struct DecodedInstr {
   uint8_t op;
   uint8_t ra;
   uint8_t rb;
   uint8_t rc;
   int32_t imm;
+};
+
+// The decoded form of one text buffer: the buffer, one slot per whole
+// instruction of it (each filled on its first fetch), and one end-of-text slot
+// at index text.size() / kInstrBytes that faults like a fetch off the text.
+// A slot is a pure function of the text bytes, so every context that loads the
+// same buffer shares one table (a fork, a restore of a text the host has loaded
+// before): which context decoded a slot is never observable.
+struct DecodedText {
+  explicit DecodedText(sim::Blob bytes);
+
+  const sim::Blob text;
+  std::vector<DecodedInstr> slots;
 };
 
 // The migratable machine context.
@@ -98,13 +118,18 @@ struct VmContext {
   // Loads an executable image: resets segments and registers, pc at entry, empty
   // stack. (The modified execve() of Section 5.2 instead pre-sizes the stack; that
   // logic lives in the kernel.) A moved-in image's data becomes the data segment
-  // without a copy.
-  void LoadImage(AoutImage image);
+  // without a copy. `known`, when it decodes the image's very text buffer (the
+  // same bytes in memory, not equal ones), becomes this context's table, so
+  // nothing is allocated or decoded again; otherwise the text gets a new table.
+  void LoadImage(AoutImage image, std::shared_ptr<DecodedText> known = nullptr);
 
   // The text segment, shared with the image it was loaded from. It is
   // execute-only and changes only through LoadImage, which is what lets
   // Cpu::Run keep its decoded slots for the image's lifetime.
-  const sim::Blob& text() const { return text_; }
+  const sim::Blob& text() const { return decoded_->text; }
+  // The text's decoded slots, shared with every context that loaded the same
+  // buffer through this table.
+  const std::shared_ptr<DecodedText>& decoded() const { return decoded_; }
 
   // Arms dirty tracking and clears both bitmaps; hashes nothing. The base is
   // `restored->base` with its dirty pages pre-marked when given and sized like
@@ -155,12 +180,15 @@ struct VmContext {
   // is moved only a logarithmic number of times. Returns whether it did.
   bool BackStack(uint32_t addr, uint32_t len);
 
+  // The empty text's table, which every default-constructed context shares:
+  // only its end-of-text slot, so running it faults on the first fetch.
+  static const std::shared_ptr<DecodedText>& NoText();
+
   // The bytes of [stack_low(), kStackTop).
   std::vector<uint8_t> stack_;
-  sim::Blob text_;
-  // One slot per whole instruction of text_, each filled on its first fetch;
-  // LoadImage resets them, and a copy (fork) carries them along.
-  std::vector<DecodedInstr> decoded_;
+  // The text and its slots; LoadImage replaces them, and a copy (fork) shares
+  // them.
+  std::shared_ptr<DecodedText> decoded_ = NoText();
 };
 
 // Executes instructions against a VmContext.
@@ -172,8 +200,9 @@ class Cpu {
   // Runs up to `max_steps` instructions. Returns why execution stopped. On
   // kSyscall the pc has advanced past the SYS instruction (rewind by kInstrBytes to
   // re-execute it, which is how interrupted blocking syscalls restart). On kFault
-  // the pc stays on the faulting instruction. steps_executed() counts every
-  // instruction fetched, the faulting one included.
+  // the pc stays on the faulting instruction, or on the address a fetch faulted
+  // at. steps_executed() counts every instruction fetched, the faulting one
+  // included.
   StopReason Run(VmContext& ctx, int64_t max_steps);
 
   int64_t steps_executed() const { return steps_executed_; }

@@ -251,12 +251,14 @@ TEST(CpuFault, ReturnToTopOfAddressSpace) {
 
 // --- The decoder contract ---
 
-AoutImage ImageOf(const std::vector<Instruction>& program) {
+// An image whose text is `program` followed by `ragged_tail` zero bytes.
+AoutImage ImageOf(const std::vector<Instruction>& program, size_t ragged_tail = 0) {
   std::vector<uint8_t> text;
   for (const Instruction& in : program) {
     const auto bytes = in.Encode();
     text.insert(text.end(), bytes.begin(), bytes.end());
   }
+  text.resize(text.size() + ragged_tail);
   AoutImage image;
   image.text = sim::Blob(text);
   return image;
@@ -400,7 +402,8 @@ loop:   addi r1, r1, 1
   parent.LoadImage(MustAssemble(kLoop));
   Cpu cpu(IsaLevel::kIsa20);
   ASSERT_EQ(cpu.Run(parent, 100), StopReason::kSyscall);  // first sys 1
-  VmContext child = parent;  // fork: the partly decoded slots come along
+  VmContext child = parent;  // fork: the partly decoded slots are shared
+  EXPECT_EQ(child.decoded(), parent.decoded());
   for (VmContext* ctx : {&parent, &child}) {
     int syscalls = 0;
     while (cpu.Run(*ctx, 100) == StopReason::kSyscall && cpu.last_syscall() == 1) ++syscalls;
@@ -409,6 +412,109 @@ loop:   addi r1, r1, 1
     EXPECT_EQ(ctx->cpu.regs[1], 3);
   }
   EXPECT_EQ(child.cpu, parent.cpu);
+}
+
+// LoadImage shares a table only with the very buffer it decodes: equal bytes
+// elsewhere in memory get a table of their own.
+TEST(CpuDecode, LoadImageSharesATableOnlyForTheSameBuffer) {
+  const AoutImage image = MustAssemble("movi r1, 5\nsys 0\n");
+  VmContext first;
+  first.LoadImage(image);
+  VmContext again;
+  again.LoadImage(image, first.decoded());
+  EXPECT_EQ(again.decoded(), first.decoded());
+
+  AoutImage copy = image;
+  copy.text = sim::Blob(std::string(image.text.view()));
+  VmContext equal_bytes;
+  equal_bytes.LoadImage(copy, first.decoded());
+  EXPECT_NE(equal_bytes.decoded(), first.decoded());
+  EXPECT_EQ(equal_bytes.text(), first.text());
+
+  for (VmContext* ctx : {&first, &again, &equal_bytes}) {
+    Cpu cpu(IsaLevel::kIsa20);
+    EXPECT_EQ(cpu.Run(*ctx, 10), StopReason::kSyscall);
+    EXPECT_EQ(ctx->cpu.regs[1], 5);
+  }
+}
+
+TEST(CpuDecode, DefaultContextFaultsOnTheFirstFetch) {
+  VmContext ctx;
+  Cpu cpu(IsaLevel::kIsa20);
+  EXPECT_EQ(cpu.Run(ctx, 10), StopReason::kFault);
+  EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress);
+  EXPECT_EQ(cpu.steps_executed(), 1);
+  EXPECT_EQ(ctx.cpu.pc, 0u);
+}
+
+// Sequential flow off the last whole instruction meets the end-of-text slot: a
+// budget that ends on the last instruction stops at the text's end, and the
+// next fetch there faults, with or without a ragged tail after it.
+TEST(CpuDecode, BudgetEndingOnTheLastSlotStopsAtTheTextEnd) {
+  for (const size_t tail : {0, 5}) {
+    VmContext ctx;
+    ctx.LoadImage(ImageOf({{Opcode::kNop, 0, 0, 0, 0}, {Opcode::kAddI, 1, 1, 0, 3}}, tail));
+    Cpu cpu(IsaLevel::kIsa20);
+    EXPECT_EQ(cpu.Run(ctx, 2), StopReason::kSteps) << tail;
+    EXPECT_EQ(cpu.steps_executed(), 2) << tail;
+    EXPECT_EQ(ctx.cpu.pc, 2u * kInstrBytes) << tail;
+    EXPECT_EQ(ctx.cpu.regs[1], 3) << tail;
+    EXPECT_EQ(cpu.Run(ctx, 10), StopReason::kFault) << tail;
+    EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress) << tail;
+    EXPECT_EQ(cpu.steps_executed(), 1) << tail;
+    EXPECT_EQ(ctx.cpu.pc, 2u * kInstrBytes) << tail;
+  }
+}
+
+// A taken branch whose target no slot holds: unaligned, at or past the text's
+// end, inside a ragged tail, or negative. The branch completes (one step) and
+// leaves pc at the raw target; the next fetch faults there (one more step),
+// whether it comes in the same run or, when the budget ended on the branch, in
+// the next one.
+TEST(CpuDecode, TakenBranchToATargetNoSlotHolds) {
+  struct Branch {
+    Opcode op;
+    uint8_t ra, rb;
+  };
+  // r1 = 1, r2 = 2 below, so each of these is taken.
+  const Branch branches[] = {{Opcode::kJmp, 0, 0}, {Opcode::kCall, 0, 0},
+                             {Opcode::kBeq, 1, 1}, {Opcode::kBne, 1, 2},
+                             {Opcode::kBlt, 1, 2}, {Opcode::kBge, 2, 1}};
+  // Three whole slots and a 5-byte ragged tail: the tail starts at 24.
+  const int32_t targets[] = {4, 12, 24, 26, 32, 4096, -8, -4, -16};
+  for (const Branch& b : branches) {
+    for (const int32_t target : targets) {
+      const AoutImage image = ImageOf(
+          {{b.op, b.ra, b.rb, 0, target}, {Opcode::kSys, 0, 0, 0, 1}, {Opcode::kSys, 0, 0, 0, 2}},
+          5);
+      const auto raw = static_cast<uint32_t>(target);
+      const std::string where =
+          std::string(GetOpcodeInfo(b.op).mnemonic) + " to " + std::to_string(target);
+      for (const int64_t budget : {1, 10}) {
+        VmContext ctx;
+        ctx.LoadImage(image);
+        ctx.cpu.regs[1] = 1;
+        ctx.cpu.regs[2] = 2;
+        Cpu cpu(IsaLevel::kIsa20);
+        if (budget == 1) {
+          EXPECT_EQ(cpu.Run(ctx, 1), StopReason::kSteps) << where;
+          EXPECT_EQ(cpu.steps_executed(), 1) << where;
+          EXPECT_EQ(ctx.cpu.pc, raw) << where;
+        }
+        EXPECT_EQ(cpu.Run(ctx, budget), StopReason::kFault) << where;
+        EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress) << where;
+        EXPECT_EQ(cpu.steps_executed(), budget == 1 ? 1 : 2) << where;
+        EXPECT_EQ(ctx.cpu.pc, raw) << where;
+        const uint32_t pushed = b.op == Opcode::kCall ? 8 : 0;
+        EXPECT_EQ(ctx.cpu.sp, kStackTop - pushed) << where;
+        if (pushed != 0) {
+          int64_t ret = 0;
+          ASSERT_TRUE(ctx.ReadU64(ctx.cpu.sp, &ret));
+          EXPECT_EQ(ret, kInstrBytes) << where;
+        }
+      }
+    }
+  }
 }
 
 // The whole stack region as the program sees it, backed in host memory or not.
@@ -422,8 +528,12 @@ std::vector<uint8_t> StackRegion(const VmContext& ctx) {
 // with a reason that honours the contract, and running in one-step slices
 // reaches exactly the state one long run does. So does a run on a context whose
 // stack is backed all the way down to kStackBase before it starts: how much of
-// the stack is backed is never observable. The contexts are reused, so every
-// LoadImage also replaces a previous image's decoded slots and stack backing.
+// the stack is backed is never observable. Texts of up to 64 slots and budgets
+// of up to 512 steps let loops take many branches in one run. The sliced
+// context loads the image into a table of its own, which it decodes slice by
+// slice; the backed copy shares the long run's table, already decoded. The
+// contexts are reused, so every LoadImage also replaces a previous image's
+// decoded slots and stack backing.
 TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
   sim::Rng rng(0x5eed);
   VmContext ctx;
@@ -432,7 +542,7 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
   const uint8_t zero = 0;
   int runs = 0;
   for (int iter = 0; iter < 2000; ++iter) {
-    const size_t slots = 1 + rng.Below(12);
+    const size_t slots = 1 + rng.Below(64);
     const uint32_t text_end = static_cast<uint32_t>(slots) * kInstrBytes;
     auto pick_target = [&]() -> uint32_t {
       switch (rng.Below(6)) {
@@ -480,8 +590,12 @@ TEST(CpuFuzz, RandomTextsHonourTheStopContract) {
       backed.ArmDirtyTracking();
     }
     const IsaLevel machine = rng.Chance(0.5) ? IsaLevel::kIsa10 : IsaLevel::kIsa20;
-    const int64_t budget = 1 + static_cast<int64_t>(rng.Below(64));
-    sliced = ctx;
+    const int64_t budget = 1 + static_cast<int64_t>(rng.Below(512));
+    sliced.LoadImage(image);
+    sliced.cpu = ctx.cpu;
+    if (ctx.dirty.armed) sliced.ArmDirtyTracking();
+    ASSERT_NE(sliced.decoded(), ctx.decoded());
+    ASSERT_EQ(backed.decoded(), ctx.decoded());
 
     Cpu cpu(machine);
     const StopReason reason = cpu.Run(ctx, budget);

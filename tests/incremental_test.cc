@@ -246,6 +246,45 @@ TEST(Incremental, WarmHopSharesOneBufferPerSegment) {
   }
 }
 
+// A host decodes a text buffer once: every later restore of that buffer there
+// shares the table, down to the pointer, and the process runs on. A text with
+// equal bytes in another buffer (a fresh exec of the same file) gets its own.
+TEST(Incremental, WarmRestoresShareOneDecodedTable) {
+  World world(TrackedOptions());
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const std::shared_ptr<vm::DecodedText> exec_table =
+      world.host("brick").FindProc(pid)->vm->decoded();
+
+  int32_t at_schooner = CachedHop(world, pid, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
+  const std::shared_ptr<vm::DecodedText> schooner_table =
+      world.host("schooner").FindProc(at_schooner)->vm->decoded();
+  EXPECT_NE(schooner_table, exec_table);  // another host decodes for itself
+  EXPECT_EQ(schooner_table->text.data(), exec_table->text.data());
+
+  const int32_t at_brick = CachedHop(world, at_schooner, "schooner", "brick");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", at_brick));
+  EXPECT_EQ(world.host("brick").FindProc(at_brick)->vm->decoded(), exec_table);
+  at_schooner = CachedHop(world, at_brick, "brick", "schooner");
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", at_schooner));
+  kernel::Proc* restored = world.host("schooner").FindProc(at_schooner);
+  EXPECT_EQ(restored->vm->decoded(), schooner_table);
+
+  const int32_t fresh = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", fresh));
+  const vm::VmContext& fresh_ctx = *world.host("brick").FindProc(fresh)->vm;
+  EXPECT_NE(fresh_ctx.decoded(), exec_table);
+  EXPECT_NE(fresh_ctx.text().data(), exec_table->text.data());
+  EXPECT_EQ(fresh_ctx.text(), exec_table->text);
+
+  // Three hops in, the counters still count.
+  world.console("schooner")->Type("x\n");
+  EXPECT_TRUE(world.cluster().RunUntil([&] {
+    return world.console("schooner")->PlainOutput().find("r=2 s=2 k=2") != std::string::npos;
+  }));
+}
+
 // Flips one byte of schooner's cached copy of a segment ("text" or "data", the
 // delta base) after a warm hop, when that copy's digest is already kept: the
 // next restore there must notice, drop it, fetch the blob again from the dump
