@@ -23,14 +23,17 @@
 // change that moves any virtual figure fails until its baseline is
 // regenerated on purpose.
 //
+// Every object, in either mode, is held to its field table exactly: no missing,
+// mistyped, unexpected or repeated key, and nothing after the closing brace.
+//
 // Usage: check_bench_json <file-or-dir>...           (BENCH_*.json mode;
 //        directories are scanned for BENCH_*.json)
 //        check_bench_json --report <file.jsonl>...   (report-line mode)
 //        check_bench_json --equal <fresh> <baseline> (baseline-equality mode)
 // Exits 1 on any violation or difference.
 //
-// The parser below covers exactly the JSON subset our writers emit (no
-// third-party JSON dependency in this repo, by design).
+// One parser below reads both modes; it covers exactly the JSON subset our
+// writers emit (no third-party JSON dependency in this repo, by design).
 
 #include <cctype>
 #include <cstdio>
@@ -79,32 +82,46 @@ struct Cursor {
     ++pos;
     return true;
   }
+  // JSON's number grammar exactly: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   bool ParseNumber(double* out, bool* integral) {
     SkipWs();
     const size_t start = pos;
-    if (pos < text->size() && ((*text)[pos] == '-' || (*text)[pos] == '+')) ++pos;
-    bool dot = false;
-    while (pos < text->size() &&
-           (std::isdigit(static_cast<unsigned char>((*text)[pos])) || (*text)[pos] == '.' ||
-            (*text)[pos] == 'e' || (*text)[pos] == 'E' || (*text)[pos] == '-' ||
-            (*text)[pos] == '+')) {
-      if ((*text)[pos] == '.' || (*text)[pos] == 'e' || (*text)[pos] == 'E') dot = true;
+    const auto at = [this](char c) { return pos < text->size() && (*text)[pos] == c; };
+    const auto digits = [this] {
+      const size_t from = pos;
+      while (pos < text->size() && std::isdigit(static_cast<unsigned char>((*text)[pos]))) {
+        ++pos;
+      }
+      return pos - from;
+    };
+    if (at('-')) ++pos;
+    const size_t lead = pos;
+    const size_t whole = digits();
+    if (whole == 0 || (whole > 1 && (*text)[lead] == '0')) return Fail("bad number");
+    *integral = true;
+    if (at('.')) {
       ++pos;
+      if (digits() == 0) return Fail("bad number");
+      *integral = false;
     }
-    if (pos == start) return Fail("expected number");
+    if (at('e') || at('E')) {
+      ++pos;
+      if (at('+') || at('-')) ++pos;
+      if (digits() == 0) return Fail("bad number");
+      *integral = false;
+    }
     *out = std::strtod(text->c_str() + start, nullptr);
-    if (integral != nullptr) *integral = !dot;
     return true;
   }
 };
 
-// A minimal JSON value for the report-line mode (the BENCH mode keeps its
-// fixed-shape parser above).
+// A minimal JSON value.
 struct JsonValue {
   enum Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = kNull;
   bool b = false;
   double num = 0;
+  bool integral = false;  // a number written without '.', 'e' or 'E'
   std::string str;
   std::vector<std::pair<std::string, JsonValue>> obj;
   std::vector<JsonValue> arr;
@@ -200,7 +217,23 @@ bool ParseValue(Cursor* c, JsonValue* out) {
     return true;
   }
   out->kind = JsonValue::kNumber;
-  return c->ParseNumber(&out->num, nullptr);
+  return c->ParseNumber(&out->num, &out->integral);
+}
+
+// Parses all of `text` as one JSON value; bytes after it are an error.
+bool ParseDocument(const std::string& text, JsonValue* out, std::string* why) {
+  Cursor c;
+  c.text = &text;
+  if (!ParseValue(&c, out)) {
+    *why = c.error.empty() ? "parse error" : c.error;
+    return false;
+  }
+  c.SkipWs();
+  if (c.pos != text.size()) {
+    *why = "trailing bytes at byte " + std::to_string(c.pos);
+    return false;
+  }
+  return true;
 }
 
 // The report-line contract: required keys (and their kinds) per "type". A line
@@ -309,9 +342,21 @@ const std::vector<ReportSchema>& ReportSchemas() {
 }
 
 // Holds an object to its field table exactly: every field present with its
-// kind, and no other key but `also` (a line's own "type").
+// kind, no other key but `also` (a line's own "type"), and no key twice.
 bool MatchesExactly(const JsonValue& obj, const std::vector<ReportField>& fields,
                     const std::string& what, std::string* why, const char* also = "") {
+  if (obj.kind != JsonValue::kObject) {
+    *why = what + " is not an object";
+    return false;
+  }
+  for (size_t i = 0; i < obj.obj.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (obj.obj[j].first == obj.obj[i].first) {
+        *why = what + ": duplicate key \"" + obj.obj[i].first + "\"";
+        return false;
+      }
+    }
+  }
   for (const ReportField& f : fields) {
     const JsonValue* v = obj.Find(f.key);
     if (v == nullptr) {
@@ -351,40 +396,21 @@ const std::vector<ReportField>& ArmedFields() {
   return fields;
 }
 
-// Per-element contracts for the nested arrays whose shape readers also rely on.
+// Holds every element of an array to one field table, exactly.
 bool ValidateElements(const JsonValue& arr, const std::vector<ReportField>& fields,
                       const char* what, std::string* why) {
   for (size_t i = 0; i < arr.arr.size(); ++i) {
-    const JsonValue& e = arr.arr[i];
-    if (e.kind != JsonValue::kObject) {
-      *why = std::string(what) + "[" + std::to_string(i) + "] is not an object";
+    if (!MatchesExactly(arr.arr[i], fields, std::string(what) + "[" + std::to_string(i) + "]",
+                        why)) {
       return false;
-    }
-    for (const ReportField& f : fields) {
-      const JsonValue* v = e.Find(f.key);
-      if (v == nullptr || v->kind != f.kind) {
-        *why = std::string(what) + "[" + std::to_string(i) + "]: missing or mistyped \"" +
-               f.key + "\"";
-        return false;
-      }
     }
   }
   return true;
 }
 
 bool ValidateReportLine(const std::string& line, std::string* why) {
-  Cursor c;
-  c.text = &line;
   JsonValue root;
-  if (!ParseValue(&c, &root)) {
-    *why = c.error.empty() ? "parse error" : c.error;
-    return false;
-  }
-  c.SkipWs();
-  if (c.pos != line.size()) {
-    *why = "trailing bytes after object";
-    return false;
-  }
+  if (!ParseDocument(line, &root, why)) return false;
   if (root.kind != JsonValue::kObject) {
     *why = "line is not an object";
     return false;
@@ -416,8 +442,6 @@ bool ValidateReportLine(const std::string& line, std::string* why) {
                           {{"host", JV::kString},
                            {"load", JV::kNumber},
                            {"est_bytes", JV::kNumber},
-                           {"wire", JV::kNumber},
-                           {"restart_ns", JV::kNumber},
                            {"fault", JV::kNumber},
                            {"health", JV::kNumber}},
                           "candidates", why)) {
@@ -459,55 +483,23 @@ bool ValidateReportFile(const std::string& path, std::string* why, int* lines) {
   return true;
 }
 
-struct BenchRow {
-  std::string case_name;
-  double vcpu_ms = -1;
-  double vreal_ms = -1;
-  double bytes_moved = -1;
-  bool bytes_integral = false;
-  bool has_case = false, has_cpu = false, has_real = false, has_bytes = false;
-};
-
-// Parses one row object, tolerating any key order (the writer is fixed-order,
-// but the contract is the keys, not their order).
-bool ParseRow(Cursor* c, BenchRow* row) {
-  if (!c->Eat('{')) return false;
-  for (;;) {
-    std::string key;
-    if (!c->ParseString(&key)) return false;
-    if (!c->Eat(':')) return false;
-    if (key == "case") {
-      if (!c->ParseString(&row->case_name)) return false;
-      row->has_case = true;
-    } else if (key == "vcpu_ms") {
-      if (!c->ParseNumber(&row->vcpu_ms, nullptr)) return false;
-      row->has_cpu = true;
-    } else if (key == "vreal_ms") {
-      if (!c->ParseNumber(&row->vreal_ms, nullptr)) return false;
-      row->has_real = true;
-    } else if (key == "bytes_moved") {
-      if (!c->ParseNumber(&row->bytes_moved, &row->bytes_integral)) return false;
-      row->has_bytes = true;
-    } else {
-      return c->Fail("unknown row key \"" + key + "\"");
-    }
-    c->SkipWs();
-    if (c->pos < c->text->size() && (*c->text)[c->pos] == ',') {
-      ++c->pos;
-      continue;
-    }
-    break;
-  }
-  return c->Eat('}');
+// The BENCH_<name>.json contract (see the top of this file).
+const std::vector<ReportField>& BenchFields() {
+  static const std::vector<ReportField> fields = {{"bench", JsonValue::kString},
+                                                  {"rows", JsonValue::kArray}};
+  return fields;
+}
+const std::vector<ReportField>& RowFields() {
+  using JV = JsonValue;
+  static const std::vector<ReportField> fields = {{"case", JV::kString},
+                                                  {"vcpu_ms", JV::kNumber},
+                                                  {"vreal_ms", JV::kNumber},
+                                                  {"bytes_moved", JV::kNumber}};
+  return fields;
 }
 
-struct BenchFile {
-  std::string bench;
-  std::vector<BenchRow> rows;
-};
-
 // Parses a BENCH_<name>.json file into `out` and checks it against the schema.
-bool ParseBenchFile(const std::string& path, BenchFile* out, std::string* why) {
+bool ParseBenchFile(const std::string& path, JsonValue* out, std::string* why) {
   std::ifstream in(path);
   if (!in) {
     *why = "cannot open";
@@ -515,87 +507,40 @@ bool ParseBenchFile(const std::string& path, BenchFile* out, std::string* why) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  Cursor c;
-  c.text = &text;
-
-  std::string key;
-  std::string& bench_name = out->bench;
-  std::vector<BenchRow>& rows = out->rows;
-  bool has_bench = false, has_rows = false;
-  if (!c.Eat('{')) goto parse_error;
-  for (;;) {
-    if (!c.ParseString(&key)) goto parse_error;
-    if (!c.Eat(':')) goto parse_error;
-    if (key == "bench") {
-      if (!c.ParseString(&bench_name)) goto parse_error;
-      has_bench = true;
-    } else if (key == "rows") {
-      if (!c.Eat('[')) goto parse_error;
-      has_rows = true;
-      c.SkipWs();
-      if (c.pos < text.size() && text[c.pos] == ']') {
-        ++c.pos;
-      } else {
-        for (;;) {
-          BenchRow row;
-          if (!ParseRow(&c, &row)) goto parse_error;
-          rows.push_back(row);
-          c.SkipWs();
-          if (c.pos < text.size() && text[c.pos] == ',') {
-            ++c.pos;
-            continue;
-          }
-          break;
-        }
-        if (!c.Eat(']')) goto parse_error;
-      }
-    } else {
-      c.Fail("unknown top-level key \"" + key + "\"");
-      goto parse_error;
-    }
-    c.SkipWs();
-    if (c.pos < text.size() && text[c.pos] == ',') {
-      ++c.pos;
-      continue;
-    }
-    break;
-  }
-  if (!c.Eat('}')) goto parse_error;
-
-  if (!has_bench || bench_name.empty()) {
-    *why = "missing or empty \"bench\"";
+  if (!ParseDocument(buf.str(), out, why) ||
+      !MatchesExactly(*out, BenchFields(), "file", why)) {
     return false;
   }
-  if (!has_rows) {
-    *why = "missing \"rows\"";
+  if (out->Find("bench")->str.empty()) {
+    *why = "empty \"bench\"";
     return false;
   }
-  if (rows.empty()) {
+  const JsonValue& rows = *out->Find("rows");
+  if (rows.arr.empty()) {
     *why = "no rows";
     return false;
   }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    const std::string where = "row " + std::to_string(i);
-    if (!r.has_case || r.case_name.empty()) {
-      *why = where + ": missing \"case\"";
+  if (!ValidateElements(rows, RowFields(), "rows", why)) return false;
+  for (size_t i = 0; i < rows.arr.size(); ++i) {
+    const JsonValue& r = rows.arr[i];
+    const std::string& name = r.Find("case")->str;
+    const std::string where = "row " + std::to_string(i) + " (" + name + ")";
+    if (name.empty()) {
+      *why = where + ": empty \"case\"";
       return false;
     }
-    if (!r.has_cpu || !r.has_real || !r.has_bytes) {
-      *why = where + " (" + r.case_name + "): missing measurement key";
-      return false;
+    for (const char* key : {"vcpu_ms", "vreal_ms", "bytes_moved"}) {
+      if (r.Find(key)->num < 0) {
+        *why = where + ": negative \"" + key + "\"";
+        return false;
+      }
     }
-    if (r.vcpu_ms < 0 || r.vreal_ms < 0 || r.bytes_moved < 0) {
-      *why = where + " (" + r.case_name + "): negative measurement";
+    if (!r.Find("bytes_moved")->integral) {
+      *why = where + ": \"bytes_moved\" is not an integer";
       return false;
     }
   }
   return true;
-
-parse_error:
-  *why = c.error.empty() ? "parse error" : c.error;
-  return false;
 }
 
 // True when `fresh` holds exactly `baseline`'s rows: the same cases in the
@@ -603,7 +548,7 @@ parse_error:
 // schema-checked first.
 bool EqualToBaseline(const std::string& fresh_path, const std::string& baseline_path,
                      std::string* why) {
-  BenchFile fresh, baseline;
+  JsonValue fresh, baseline;
   if (!ParseBenchFile(fresh_path, &fresh, why)) {
     *why = fresh_path + ": " + *why;
     return false;
@@ -612,34 +557,33 @@ bool EqualToBaseline(const std::string& fresh_path, const std::string& baseline_
     *why = baseline_path + ": " + *why;
     return false;
   }
-  if (fresh.bench != baseline.bench) {
-    *why = "bench \"" + fresh.bench + "\" vs baseline \"" + baseline.bench + "\"";
+  const std::string& fresh_bench = fresh.Find("bench")->str;
+  const std::string& baseline_bench = baseline.Find("bench")->str;
+  if (fresh_bench != baseline_bench) {
+    *why = "bench \"" + fresh_bench + "\" vs baseline \"" + baseline_bench + "\"";
     return false;
   }
-  if (fresh.rows.size() != baseline.rows.size()) {
-    *why = std::to_string(fresh.rows.size()) + " rows vs " +
-           std::to_string(baseline.rows.size()) + " in the baseline";
+  const std::vector<JsonValue>& fresh_rows = fresh.Find("rows")->arr;
+  const std::vector<JsonValue>& baseline_rows = baseline.Find("rows")->arr;
+  if (fresh_rows.size() != baseline_rows.size()) {
+    *why = std::to_string(fresh_rows.size()) + " rows vs " +
+           std::to_string(baseline_rows.size()) + " in the baseline";
     return false;
   }
-  for (size_t i = 0; i < fresh.rows.size(); ++i) {
-    const BenchRow& f = fresh.rows[i];
-    const BenchRow& b = baseline.rows[i];
-    const std::string where = "row " + std::to_string(i) + " (" + b.case_name + "): ";
-    if (f.case_name != b.case_name) {
-      *why = where + "case \"" + f.case_name + "\"";
+  for (size_t i = 0; i < fresh_rows.size(); ++i) {
+    const JsonValue& f = fresh_rows[i];
+    const JsonValue& b = baseline_rows[i];
+    const std::string where =
+        "row " + std::to_string(i) + " (" + b.Find("case")->str + "): ";
+    if (f.Find("case")->str != b.Find("case")->str) {
+      *why = where + "case \"" + f.Find("case")->str + "\"";
       return false;
     }
-    const struct {
-      const char* key;
-      double fresh, baseline;
-    } fields[] = {{"vcpu_ms", f.vcpu_ms, b.vcpu_ms},
-                  {"vreal_ms", f.vreal_ms, b.vreal_ms},
-                  {"bytes_moved", f.bytes_moved, b.bytes_moved}};
-    for (const auto& field : fields) {
-      if (field.fresh != field.baseline) {
+    for (const char* key : {"vcpu_ms", "vreal_ms", "bytes_moved"}) {
+      if (f.Find(key)->num != b.Find(key)->num) {
         char buf[160];
-        std::snprintf(buf, sizeof(buf), "%s %.10g vs baseline %.10g", field.key, field.fresh,
-                      field.baseline);
+        std::snprintf(buf, sizeof(buf), "%s %.10g vs baseline %.10g", key, f.Find(key)->num,
+                      b.Find(key)->num);
         *why = where + buf;
         return false;
       }
@@ -711,7 +655,7 @@ int main(int argc, char** argv) {
   int bad = 0;
   for (const std::string& file : files) {
     std::string why;
-    BenchFile parsed;
+    JsonValue parsed;
     if (ParseBenchFile(file, &parsed, &why)) {
       std::printf("ok      %s\n", file.c_str());
     } else {

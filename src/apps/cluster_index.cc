@@ -12,7 +12,6 @@ ClusterIndex::ClusterIndex(net::Network* net, std::string local_host,
     e.host = host->hostname();
     e.order = entries_.size();
     by_name_[e.host] = e.order;
-    rank_.insert({e.load, e.order});
     live_loads_.insert(e.load);
     entries_.push_back(std::move(e));
   }
@@ -43,14 +42,12 @@ void ClusterIndex::NotifyIfChanged(uint64_t epoch_before) {
 
 void ClusterIndex::SetLoad(IndexEntry& e, int load) {
   if (e.load == load) return;
-  rank_.erase(rank_.find({e.load, e.order}));
   if (!e.down) {
     live_loads_.erase(live_loads_.find(e.load));
     live_loads_.insert(load);
     live_total_ += load - e.load;
   }
   e.load = load;
-  rank_.insert({e.load, e.order});
   ++epoch_;
 }
 

@@ -1,6 +1,6 @@
 // The cluster index: incrementally maintained placement state.
 //
-// The placement engine's signals are all surveys — SurveyLoad walks every
+// The placement engine's load signal is a survey — SurveyLoad walks every
 // host's run queue, Score re-reads every candidate per decision — so one
 // balancer round on an H-host cluster costs O(H) survey messages per victim.
 // That is fine for four machines and hopeless for four hundred. The index
@@ -36,22 +36,22 @@
 // re-surveys and the index is decision-identical to the full scan (the
 // equivalence tests pin this).
 //
-// Determinism: entries live in network host order, the rank is (load, network
-// order), and every update is bookkeeping — no RNG, no virtual-time cost — so
-// indexed runs replay bit-identically.
+// Determinism: entries live in network host order (the engine's scoring loop
+// reads them by name in that same order), and every update is bookkeeping — no
+// RNG, no virtual-time cost — so indexed runs replay bit-identically.
 //
 // Event-driven consumers: every mutation that changes what a placement
 // decision could see (a load, a down flag, a reachability verdict, an
 // occupancy count, a fault/health score) bumps epoch() and fires the wake
-// callback once per completed update. Alongside the rank the index maintains
-// O(1) live-load aggregates — LoadSpread() (max - min indexed load over
-// entries not marked down) and TotalLoad() — so a balancer's wake predicate
-// costs two multiset-end reads per poll, not a scan. Both are *indexed* views:
-// a host that died since its last observation still counts as live until the
-// next sample or refresh folds the truth in, which is why event-driven
-// consumers keep a heartbeat. The callback runs inside the mutation (sampler
-// publish, fault record, migrate delta) and must stay pure bookkeeping:
-// set a flag, never touch the clock, the RNG, or the index.
+// callback once per completed update. Alongside the entries the index
+// maintains O(1) live-load aggregates — LoadSpread() (max - min indexed load
+// over entries not marked down) and TotalLoad() — so a balancer's wake
+// predicate costs two multiset-end reads per poll, not a scan. Both are
+// *indexed* views: a host that died since its last observation still counts
+// as live until the next sample or refresh folds the truth in, which is why
+// event-driven consumers keep a heartbeat. The callback runs inside the
+// mutation (sampler publish, fault record, migrate delta) and must stay pure
+// bookkeeping: set a flag, never touch the clock, the RNG, or the index.
 
 #ifndef PMIG_SRC_APPS_CLUSTER_INDEX_H_
 #define PMIG_SRC_APPS_CLUSTER_INDEX_H_
@@ -80,7 +80,7 @@ struct ClusterIndexOptions {
 
 struct IndexEntry {
   std::string host;
-  size_t order = 0;          // position in network host order (tie-break rank)
+  size_t order = 0;          // position in network host order
   int load = 0;              // runnable VM processes (HostLoad)
   int occupancy = 0;         // every live VM process (AliveVmCount)
   bool down = false;         // as of the last survey/sample (liveness is
@@ -143,11 +143,6 @@ class ClusterIndex {
   // index.
   std::vector<std::pair<std::string, int>> Loads() const;
 
-  // The maintained rank: (load, network order) ascending. The engine walks
-  // this instead of scoring every host; entry(order) resolves a rank key.
-  const std::multiset<std::pair<int, size_t>>& rank() const { return rank_; }
-  const IndexEntry& entry(size_t order) const { return entries_[order]; }
-
   // --- event-driven read side --------------------------------------------------
 
   // Bumped on every mutation a placement decision could observe (load, down,
@@ -156,8 +151,8 @@ class ClusterIndex {
   uint64_t epoch() const { return epoch_; }
 
   // Indexed max - min load over entries not marked down (0 with fewer than two
-  // such entries) and their load sum. O(1): maintained incrementally with the
-  // rank, never a scan.
+  // such entries) and their load sum. O(1): maintained incrementally with each
+  // load and down change, never a scan.
   int LoadSpread() const;
   int TotalLoad() const;
 
@@ -190,7 +185,6 @@ class ClusterIndex {
   ClusterIndexOptions opts_;
   std::vector<IndexEntry> entries_;
   std::map<std::string, size_t, std::less<>> by_name_;
-  std::multiset<std::pair<int, size_t>> rank_;
   // Loads of entries not marked down, plus their running sum: the O(1) feed
   // for LoadSpread()/TotalLoad().
   std::multiset<int> live_loads_;

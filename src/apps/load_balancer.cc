@@ -180,15 +180,8 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       query.reachable_from = local;
     }
     // The whole batch is placed from one survey (or the index view) with
-    // lookahead bumps; a single victim goes through PickTarget, which on the
-    // index walks the maintained rank instead.
-    std::vector<std::string> placed;
-    if (victims.size() > 1) {
-      placed = engine.PlaceBatch(query, victims);
-    } else {
-      query.pid = victims.front();
-      placed.push_back(engine.PickTarget(query));
-    }
+    // lookahead bumps.
+    const std::vector<std::string> placed = engine.PlaceBatch(query, victims);
     bool attempted = false;
     for (size_t i = 0; i < victims.size(); ++i) {
       const int32_t victim = victims[i];

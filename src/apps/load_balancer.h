@@ -46,11 +46,11 @@ struct LoadBalancerOptions {
   // The cluster-scale path: maintain an apps::ClusterIndex across rounds.
   // Loads come from the index (kept current by migrate-outcome deltas, sampler
   // snapshots, and a per-round Refresh that re-surveys only entries older than
-  // index_ttl), targets rank from its maintained order, and candidates this
-  // coordinator cannot reach are filtered before any migrate leg. Off by
-  // default: the classic survey-every-round balancer, bit-identical to
-  // before. With use_index on and index_ttl = 0 every round re-surveys, so
-  // decisions match the full scan exactly (the equivalence gate).
+  // index_ttl), and candidates this coordinator cannot reach are filtered
+  // before any migrate leg. Off by default: the classic survey-every-round
+  // balancer, bit-identical to before. With use_index on and index_ttl = 0
+  // every round re-surveys, so decisions match the full scan exactly (the
+  // equivalence gate).
   bool use_index = false;
   sim::Nanos index_ttl = sim::Seconds(10);
   // Victims migrated per imbalanced round (>= 1). A batch is placed in one

@@ -3,28 +3,36 @@
 // The paper's Section 8 applications (load balancing, evacuation, night-shift
 // batch spreading) all end with "pick a target host" — and picking well needs
 // more than the run-queue length. The engine scores candidates from signals the
-// cluster already produces:
+// simulation itself holds, never from an observation switch (arming metrics
+// must not move a pick):
 //
 //   liveness  — Kernel::down(): a crashed machine is never a target, full stop.
-//   load      — runnable VM processes, counted from the process table.
+//   load      — runnable VM processes, counted from the process table (or read
+//               from a ClusterIndex's entries).
 //   cost      — bytes the migration would actually put on the wire: a target
 //               whose /var/segcache already holds the process's text and delta
-//               base receives only the dirty pages (the PR-3 incremental path),
-//               so it is measurably cheaper than a cold one. Per-pair
-//               net.bytes.<a>-><b> history breaks remaining ties toward
-//               established paths.
+//               base receives only the dirty pages (the incremental delta
+//               path), so it is measurably cheaper than a cold one.
 //   faults    — the cluster FaultHistory: decayed weight of recent migration
 //               failures against each host (EHOSTUNREACH counting double), fed
 //               by every migrate leg. Decay means a recovered host re-qualifies
 //               after a quiet interval.
+//   health    — the HealthMonitor's score: anomalous series and firing burn
+//               alerts against the host.
 //
 // Policies pick which signals rank: kLoadOnly reproduces the pre-engine
 // balancer decision-for-decision (liveness aside — nothing is down in a
 // fault-free run), kCostAware prefers warm caches among equal loads,
-// kFaultAware refuses recently-failing hosts, kCombined does both.
+// kFaultAware refuses recently-failing or sick hosts, kCombined does both.
 //
-// Reading signals is a survey, like SurveyLoad: it consumes no virtual time and
-// draws no RNG, so placement is deterministic and replay-stable.
+// Every decision runs the same three steps: one scoring loop over the network's
+// hosts (Score), one filter that names why a host is left out (down,
+// lease-contended, partitioned-from-source), and one factor order (load, then
+// est_bytes under the cost policies, then fault and health under the fault
+// policies, then network order) that both the pick and the decision log's
+// margin read. Reading signals is a survey, like SurveyLoad: it consumes no
+// virtual time and draws no RNG, so placement is deterministic and
+// replay-stable.
 
 #ifndef PMIG_SRC_APPS_PLACEMENT_H_
 #define PMIG_SRC_APPS_PLACEMENT_H_
@@ -35,6 +43,7 @@
 
 #include "src/kernel/kernel.h"
 #include "src/net/network.h"
+#include "src/sim/decision_log.h"
 
 namespace pmig::apps {
 
@@ -75,9 +84,9 @@ struct PlacementQuery {
   // as "lease-contended".
   std::vector<std::string> exclude;
   // Incrementally maintained placement state (see cluster_index.h). When set,
-  // loads come from the index's entries and PickTarget walks its maintained
-  // (load, network-order) rank instead of re-surveying every host — zero
-  // survey messages per decision. Null (the default) keeps the full scan.
+  // loads come from the index's entries instead of a survey of every host —
+  // zero survey messages per decision; a host the index has not met is not a
+  // candidate. Null (the default) keeps the full scan.
   const ClusterIndex* index = nullptr;
   // When non-empty, candidates this host cannot currently reach
   // (net::Network::Reachable) are filtered out before scoring — no migrate leg
@@ -91,23 +100,11 @@ struct PlacementQuery {
   std::string context;
 };
 
-// One candidate's signals, in network host order.
-struct CandidateScore {
-  std::string host;
-  int load = 0;             // runnable VM processes (HostLoad)
-  int64_t est_bytes = 0;    // estimated dump payload the wire would carry
-  int64_t wire_history = 0; // net.bytes between from_host and this host, both ways
-  // Observed restart latency on this host: the p50 of its migration.restart_ns
-  // histogram (0 with metrics off or no restarts yet). A host that has been
-  // restarting processes slowly — cold caches, slow disk under the cost model —
-  // loses ties to one with a faster record.
-  sim::Nanos est_restart_ns = 0;
-  double fault_score = 0;   // decayed failure weight (0 when no history exists)
-  bool fault_excluded = false;  // over the threshold under this policy
-  // HealthMonitor penalty: anomalous series and firing SLO burn alerts against
-  // this host (0 when the monitor is off or the host looks healthy).
-  double health_score = 0;
-  bool health_excluded = false;
+// One candidate's signals, in network host order, plus whether a threshold
+// under this policy excludes it.
+struct CandidateScore : sim::DecisionCandidate {
+  bool fault_excluded = false;   // fault_score at or over kFaultThreshold
+  bool health_excluded = false;  // health_score at or over the query's threshold
 };
 
 class PlacementEngine {
@@ -118,17 +115,21 @@ class PlacementEngine {
 
   PlacementPolicy policy() const { return policy_; }
 
-  // Every live candidate except from_host, in network order, signals filled.
-  std::vector<CandidateScore> Score(const PlacementQuery& query) const;
+  // Every host but from_host that the filter passes (live, not excluded,
+  // reachable when the query asks), in network order, signals filled. When
+  // `exclusions` is non-null it receives, in network order, every host
+  // left out and why: a structural reason from the filter, or the threshold a
+  // scored candidate tripped (that host also keeps its row in the result).
+  std::vector<CandidateScore> Score(
+      const PlacementQuery& query,
+      std::vector<sim::DecisionExclusion>* exclusions = nullptr) const;
 
   // The best candidate under the policy, or "" when none qualifies. Ties break
   // toward the earliest host in network order — which is exactly what the
-  // pre-engine min_element scan did, so kLoadOnly is decision-identical. With
-  // query.index set this walks the maintained rank: the minimal-load eligible
-  // group is found without surveying anyone, and only that group is scored for
-  // the policy's secondary signals. On a fresh index the answer is identical
-  // to the full scan (same loads, same tie-break order).
-  std::string PickTarget(const PlacementQuery& query) const;
+  // pre-engine min_element scan did, so kLoadOnly is decision-identical.
+  std::string PickTarget(const PlacementQuery& query) const {
+    return PlaceBatch(query, {query.pid}).front();
+  }
 
   // Places a whole batch with one survey (or the index view) and
   // occupancy-style lookahead: each pick bumps its target's working load so
@@ -140,6 +141,14 @@ class PlacementEngine {
                                       const std::vector<int32_t>& pids) const;
 
  private:
+  // The first factor, in the policy's tie-break order, on which two candidates
+  // differ; "order" (a dead tie, left to network position) when none does.
+  struct Margin {
+    const char* factor = "order";
+    bool first_wins = false;  // the first candidate is better on that factor
+    double by = 0;
+  };
+
   bool UsesFaultSignal() const {
     return policy_ == PlacementPolicy::kFaultAware ||
            policy_ == PlacementPolicy::kCombined;
@@ -148,22 +157,21 @@ class PlacementEngine {
     return policy_ == PlacementPolicy::kCostAware ||
            policy_ == PlacementPolicy::kCombined;
   }
-  // True when `better` should displace `incumbent` under this policy
-  // (strictly — equal candidates keep the incumbent, preserving host order).
-  bool Beats(const CandidateScore& better, const CandidateScore& incumbent) const;
-
-  bool PassesQueryFilters(const PlacementQuery& query, std::string_view host) const;
-  void FillSignals(const PlacementQuery& query, kernel::Kernel* from,
-                   kernel::Kernel& host, CandidateScore* s) const;
-  std::vector<CandidateScore> ScoreFromIndex(const PlacementQuery& query) const;
-  std::string PickFromIndex(const PlacementQuery& query) const;
-  // Decision-log recording (no-op unless the cluster's sim::DecisionLog is
-  // armed). Builds the audit record — candidates, exclusions with
-  // reasons, runner-up, margin factor — from `scores` and free reads only, so
-  // an armed log never perturbs the run it is observing.
-  void RecordDecision(const PlacementQuery& query, bool from_index,
+  Margin Compare(const CandidateScore& a, const CandidateScore& b) const;
+  // Why `host` is no candidate for `query` ("down", "lease-contended",
+  // "partitioned-from-source"), or null when it is one.
+  const char* Filtered(const PlacementQuery& query, kernel::Kernel& host) const;
+  // The best non-excluded candidate other than `except` (null when none);
+  // equal candidates keep the earlier one, so ties go to network order.
+  const CandidateScore* Best(const std::vector<CandidateScore>& scores,
+                             std::string_view except = {}) const;
+  // Decision-log recording (the caller checks the log is armed): candidates,
+  // exclusions, runner-up and margin factor, all from the pick's own scores —
+  // so an armed log never perturbs the run it is observing.
+  void RecordDecision(const PlacementQuery& query, int32_t pid,
                       const std::vector<CandidateScore>& scores,
-                      const std::string& chosen) const;
+                      const std::vector<sim::DecisionExclusion>& exclusions,
+                      const CandidateScore* chosen) const;
 
   net::Network* net_;
   PlacementPolicy policy_;

@@ -128,16 +128,15 @@ int64_t Cluster::SegcacheBytes(kernel::Kernel& k) {
 
 void Cluster::TakeSample() {
   for (auto& k : hosts_) {
-    LoadSample s;
+    net::LoadObservation s;
     s.at = ctx_.clock.now();
     s.host = k->hostname();
     s.down = k->down();
-    int alive_vm = 0;
     if (!s.down) {
       for (kernel::Proc* p : k->ListProcs()) {
         if (p->kind != kernel::ProcKind::kVm) continue;
         if (p->state == kernel::ProcState::kRunnable) ++s.runnable;
-        if (p->Alive()) ++alive_vm;
+        if (p->Alive()) ++s.alive_vm;
       }
       s.segcache_bytes = SegcacheBytes(*k);
     }
@@ -150,13 +149,7 @@ void Cluster::TakeSample() {
     }
     // Fan the same reads out to load observers (cluster indexes): the sampler
     // already paid for this survey, so subscribers get freshness for free.
-    net::LoadObservation obs;
-    obs.at = s.at;
-    obs.host = s.host;
-    obs.down = s.down;
-    obs.runnable = s.runnable;
-    obs.alive_vm = alive_vm;
-    network_.load_observers().Publish(obs);
+    network_.load_observers().Publish(s);
     samples_.push_back(std::move(s));
   }
   // Burn windows age out even when no new observation arrives; re-evaluate at
@@ -401,7 +394,7 @@ void Cluster::WriteReport(std::ostream& out) const {
   }
 
   // Time-series samples (present only when the sampler was armed).
-  for (const LoadSample& s : samples_) {
+  for (const net::LoadObservation& s : samples_) {
     out << "{\"type\":\"sample\",\"t_ns\":" << s.at << ",\"host\":\"" << sim::JsonEscape(s.host)
         << "\",\"down\":" << (s.down ? "true" : "false") << ",\"runnable\":" << s.runnable
         << ",\"segcache_bytes\":" << s.segcache_bytes << ",\"fault_score\":" << s.fault_score

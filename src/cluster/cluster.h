@@ -57,16 +57,6 @@ struct ClusterConfig {
   sim::FaultConfig faults;
 };
 
-// One sampler snapshot of one host.
-struct LoadSample {
-  sim::Nanos at = 0;
-  std::string host;
-  bool down = false;
-  int runnable = 0;            // runnable VM processes
-  int64_t segcache_bytes = 0;  // bytes held by /var/segcache
-  double fault_score = 0.0;    // decayed FaultHistory score
-};
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
@@ -85,7 +75,8 @@ class Cluster {
   sim::ClusterContext& context() { return ctx_; }
   sim::VirtualClock& clock() { return ctx_.clock; }
   sim::SpanLog& spans() { return ctx_.spans; }
-  const std::vector<LoadSample>& samples() const { return samples_; }
+  // Every sampler snapshot, one per host per sampling edge.
+  const std::vector<net::LoadObservation>& samples() const { return samples_; }
   const sim::CostModel& costs() const { return config_.costs; }
   kernel::ProgramRegistry& programs() { return programs_; }
 
@@ -139,7 +130,7 @@ class Cluster {
   // Declared before everything that holds a reference to it: the context must
   // outlive every kernel and the network.
   sim::ClusterContext ctx_;
-  std::vector<LoadSample> samples_;
+  std::vector<net::LoadObservation> samples_;
   sim::Nanos next_sample_at_ = 0;  // next sampler due time (0 = sampler off)
   kernel::ProgramRegistry programs_;
   net::Network network_{&config_.costs, ctx_};

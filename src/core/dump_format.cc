@@ -9,7 +9,9 @@
 namespace pmig::core {
 
 namespace {
-constexpr uint32_t kStackFormatVersion = 4;  // v2: identity; v3: trace id; v4: command
+// The one stack-file version written and read: v1's fields plus the old
+// pid/host (v2), the trace id (v3) and the command (v4).
+constexpr uint32_t kStackFormatVersion = 4;
 }
 
 std::string FilesFile::Serialize() const {
@@ -38,7 +40,9 @@ Result<FilesFile> FilesFile::Parse(std::string_view bytes) {
   f.host = r.Str();
   f.cwd = r.Str();
   for (FilesEntry& e : f.entries) {
-    e.kind = static_cast<FilesEntry::Kind>(r.U8());
+    const uint8_t kind = r.U8();
+    if (kind > static_cast<uint8_t>(FilesEntry::Kind::kSocket)) return Errno::kNoExec;
+    e.kind = static_cast<FilesEntry::Kind>(kind);
     if (e.kind == FilesEntry::Kind::kFile) {
       e.path = r.Str();
       e.flags = r.I32();
@@ -68,12 +72,9 @@ std::string StackFile::Serialize() const {
     w.U32(d.handler);
   }
   w.U64(sig_pending);
-  // v2 extension.
   w.I32(old_pid);
   w.Str(old_host);
-  // v3 extension.
   w.U64(trace_id);
-  // v4 extension.
   w.Str(command);
   return w.Take();
 }
@@ -81,8 +82,7 @@ std::string StackFile::Serialize() const {
 Result<StackFile> StackFile::Parse(std::string_view bytes) {
   sim::ByteReader r(bytes);
   if (r.U32() != kStackMagic) return Errno::kNoExec;
-  const uint32_t version = r.U32();
-  if (version < 1 || version > kStackFormatVersion) return Errno::kNoExec;
+  if (r.U32() != kStackFormatVersion) return Errno::kNoExec;
   StackFile s;
   s.creds.uid = r.I32();
   s.creds.gid = r.I32();
@@ -93,20 +93,18 @@ Result<StackFile> StackFile::Parse(std::string_view bytes) {
   s.cpu.pc = r.U32();
   s.cpu.sp = r.U32();
   for (kernel::SignalDisposition& d : s.sig_dispositions) {
-    d.action = static_cast<kernel::SignalDisposition::Action>(r.U8());
+    const uint8_t action = r.U8();
+    if (action > static_cast<uint8_t>(kernel::SignalDisposition::Action::kCatch)) {
+      return Errno::kNoExec;
+    }
+    d.action = static_cast<kernel::SignalDisposition::Action>(action);
     d.handler = r.U32();
   }
   s.sig_pending = r.U64();
-  if (version >= 2) {
-    s.old_pid = r.I32();
-    s.old_host = r.Str();
-  }
-  if (version >= 3) {
-    s.trace_id = r.U64();
-  }
-  if (version >= 4) {
-    s.command = r.Str();
-  }
+  s.old_pid = r.I32();
+  s.old_host = r.Str();
+  s.trace_id = r.U64();
+  s.command = r.Str();
   if (!r.ok()) return Errno::kNoExec;
   // A dump saves exactly [sp, kStackTop), so any other sp is corrupt; taken
   // verbatim it would point the restored process's stack outside its segment.

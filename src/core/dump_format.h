@@ -55,15 +55,16 @@ struct StackFile {
   vm::CpuState cpu;            // "the contents of all the registers"
   std::array<kernel::SignalDisposition, vm::abi::kNSig> sig_dispositions = {};
   uint64_t sig_pending = 0;
-  // Extension block (version >= 2): pre-migration identity.
+  // Extension block (after the format version; only version 4 is read or
+  // written). Pre-migration identity:
   int32_t old_pid = 0;
   std::string old_host;
-  // Extension (version >= 3): the distributed trace this dump belongs to, so a
-  // restart on another host rejoins the originating migrate's span tree.
+  // The distributed trace this dump belongs to, so a restart on another host
+  // rejoins the originating migrate's span tree.
   uint64_t trace_id = 0;
-  // Extension (version >= 4): the command the process ran as, so a restart
-  // keeps the name visible to ps/ptop and to tools tracking a process across
-  // hops, instead of renaming every migrant to its dump file.
+  // The command the process ran as, so a restart keeps the name visible to
+  // ps/ptop and to tools tracking a process across hops, instead of renaming
+  // every migrant to its dump file.
   std::string command;
 
   uint32_t stack_size() const { return static_cast<uint32_t>(stack.size()); }

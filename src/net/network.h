@@ -33,16 +33,19 @@ struct RemoteExecOptions {
   sim::Nanos timeout = sim::Seconds(300);
 };
 
-// One host's load as the cluster sampler saw it at a sampling edge. Published
-// to registered load observers so coordinators that keep incremental placement
-// state (the placement layer's ClusterIndex) learn per-host load without
-// surveying — the sampler already paid for the read.
+// One host's load as the cluster sampler saw it at a sampling edge: the
+// sampler keeps it (the report's sample lines) and publishes it to registered
+// load observers, so coordinators that keep incremental placement state (the
+// placement layer's ClusterIndex) learn per-host load without surveying — the
+// sampler already paid for the read.
 struct LoadObservation {
   sim::Nanos at = 0;
   std::string host;
   bool down = false;
-  int runnable = 0;  // runnable VM processes (the classic load signal)
-  int alive_vm = 0;  // every live VM process (the occupancy signal)
+  int runnable = 0;            // runnable VM processes (the classic load signal)
+  int alive_vm = 0;            // every live VM process (the occupancy signal)
+  int64_t segcache_bytes = 0;  // bytes held by /var/segcache
+  double fault_score = 0.0;    // decayed FaultHistory score
 };
 
 class Network {

@@ -86,19 +86,14 @@ std::string DecisionLog::Render(const DecisionRecord& r) {
   if (r.near_tie) out += " NEAR-TIE";
   out += " [trace=" + std::to_string(r.trace_id) +
          " rc=" + std::to_string(r.outcome_rc) + "]\n";
-  out +=
-      "  host             load   est_bytes        wire  restart_ns   fault  "
-      "health  verdict\n";
+  out += "  host             load   est_bytes   fault  health  verdict\n";
   for (const DecisionCandidate& c : r.candidates) {
     const char* verdict = c.host == r.chosen      ? "CHOSEN"
                           : c.host == r.runner_up ? "runner-up"
                                                   : "";
     char line[192];
-    std::snprintf(line, sizeof(line),
-                  "  %-15s %5d %11lld %11lld %11lld %7s %7s  %s\n",
+    std::snprintf(line, sizeof(line), "  %-15s %5d %11lld %7s %7s  %s\n",
                   c.host.c_str(), c.load, static_cast<long long>(c.est_bytes),
-                  static_cast<long long>(c.wire_history),
-                  static_cast<long long>(c.est_restart_ns),
                   Num(c.fault_score).c_str(), Num(c.health_score).c_str(),
                   verdict);
     out += line;
@@ -121,9 +116,8 @@ std::string DecisionLog::CanonicalLine(const DecisionRecord& r) {
     const DecisionCandidate& c = r.candidates[i];
     if (i != 0) out += "|";
     out += c.host + ":l" + std::to_string(c.load) + ",b" +
-           std::to_string(c.est_bytes) + ",w" + std::to_string(c.wire_history) +
-           ",r" + std::to_string(c.est_restart_ns) + ",f" + Num(c.fault_score) +
-           ",h" + Num(c.health_score);
+           std::to_string(c.est_bytes) + ",f" + Num(c.fault_score) + ",h" +
+           Num(c.health_score);
   }
   out += "] excl[";
   for (size_t i = 0; i < r.exclusions.size(); ++i) {
@@ -165,8 +159,6 @@ void DecisionLog::WriteJsonl(std::ostream& out) const {
       if (i != 0) out << ",";
       out << "{\"host\":\"" << JsonEscape(c.host)
           << "\",\"load\":" << c.load << ",\"est_bytes\":" << c.est_bytes
-          << ",\"wire\":" << c.wire_history
-          << ",\"restart_ns\":" << c.est_restart_ns
           << ",\"fault\":" << Num(c.fault_score)
           << ",\"health\":" << Num(c.health_score) << "}";
     }

@@ -8,13 +8,13 @@
 // passed over, meant re-deriving the decision from scratch.
 //
 // The DecisionLog keeps the whole answer: the full candidate set with every
-// per-factor signal the policy weighed (load, estimated wire bytes, wire
-// history, restart-latency record, fault weight, health score), every host the
-// engine would not consider and the reason it was excluded (down,
-// partitioned-from-source, fault-threshold, health-threshold,
-// lease-contended), the chosen target, the runner-up, and which factor — and
-// by how much — separated them (an "order" margin is a dead tie broken only by
-// network position: a near-tie worth an operator's attention).
+// per-factor signal the policy weighed (load, estimated wire bytes, fault
+// weight, health score), every host the engine would not consider and the
+// reason it was excluded (down, partitioned-from-source, fault-threshold,
+// health-threshold, lease-contended), the chosen target, the runner-up, and
+// which factor — and by how much — separated them (an "order" margin is a dead
+// tie broken only by network position: a near-tie worth an operator's
+// attention).
 //
 // Like the metrics registry and the health monitor it is observation-only:
 // recording draws no RNG, charges no virtual time, arms no clock timers, and
@@ -38,17 +38,17 @@
 
 namespace pmig::sim {
 
-// One scored candidate as the engine saw it, in network host order. Mirrors
-// CandidateScore minus the exclusion flags (excluded hosts appear in the
-// record's exclusions instead, with their tripping signal as the value).
+// One scored candidate as the engine saw it, in network host order: the
+// signal set the placement engine weighs, declared once (the engine's
+// CandidateScore derives from it, adding only its exclusion flags; excluded
+// hosts appear in the record's exclusions, with their tripping signal as the
+// value).
 struct DecisionCandidate {
   std::string host;
-  int load = 0;
-  int64_t est_bytes = 0;
-  int64_t wire_history = 0;
-  Nanos est_restart_ns = 0;
-  double fault_score = 0;
-  double health_score = 0;
+  int load = 0;              // runnable (or, for occupancy queries, live) VM processes
+  int64_t est_bytes = 0;     // estimated dump payload the wire would carry
+  double fault_score = 0;    // decayed migration-failure weight
+  double health_score = 0;   // HealthMonitor penalty
 };
 
 // One host the engine refused to consider, and why. `value` carries the
@@ -68,7 +68,7 @@ struct DecisionRecord {
   Nanos at = 0;         // virtual time of the pick
   std::string context;  // who asked: balancer | night-shift | evacuation | reaper
   std::string policy;   // PlacementPolicyName at pick time
-  std::string source;   // "index" (maintained rank) | "scan" (full survey)
+  std::string source;   // "index" (loads from a ClusterIndex) | "scan" (surveyed)
   std::string from_host;
   int32_t pid = -1;     // -1: no specific process (e.g. night-shift day pick)
   std::string chosen;   // "" = no eligible target existed

@@ -172,7 +172,7 @@ TEST(ClusterIndex, RefreshOnlyResurveysExpiredEntries) {
 
 // --- Free event feeds ---
 
-TEST(ClusterIndex, NoteMigratedAdjustsRankWithoutSurveyMessages) {
+TEST(ClusterIndex, NoteMigratedAdjustsLoadsWithoutSurveyMessages) {
   WorldOptions options;
   options.num_hosts = 3;
   options.metrics = true;
@@ -194,12 +194,6 @@ TEST(ClusterIndex, NoteMigratedAdjustsRankWithoutSurveyMessages) {
   EXPECT_EQ(index.Find("brick")->occupancy, 1);
   EXPECT_EQ(index.Find("brador")->occupancy, 1);
   EXPECT_EQ(SurveyMessages(world), after_refresh);
-
-  // The maintained rank re-orders with it: schooner (load 0) now ranks first.
-  ASSERT_FALSE(index.rank().empty());
-  const auto& [min_load, min_order] = *index.rank().begin();
-  EXPECT_EQ(min_load, 0);
-  EXPECT_EQ(index.entry(min_order).host, "schooner");
 }
 
 TEST(ClusterIndex, SamplerFeedsIndexSoRefreshSurveysNothing) {

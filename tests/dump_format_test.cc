@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "src/kernel/core_file.h"
 #include "src/sim/rng.h"
+#include "src/vm/aout.h"
 
 namespace {
 // The largest single allocation since the mutation test last reset it.
@@ -79,6 +82,17 @@ TEST(FilesFile, RejectsTruncation) {
   for (const size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{5}}) {
     EXPECT_FALSE(FilesFile::Parse(bytes.substr(0, cut)).ok()) << cut;
   }
+}
+
+// The writer knows three slot kinds; any other byte is corruption, not a slot
+// restart should quietly fill with the null device.
+TEST(FilesFile, RejectsUnknownEntryKind) {
+  FilesFile f;  // every slot unused: one kind byte each after host and cwd
+  const std::string good = f.Serialize();
+  ASSERT_TRUE(FilesFile::Parse(good).ok());
+  std::string bytes = good;
+  bytes[12] = 3;  // slot 0's kind, after the magic and two empty strings
+  EXPECT_EQ(FilesFile::Parse(bytes).error(), Errno::kNoExec);
 }
 
 StackFile SampleStack() {
@@ -155,10 +169,21 @@ TEST(StackFile, RejectsSpThatDisagreesWithStackSize) {
   EXPECT_TRUE(StackFile::Parse(empty.Serialize()).ok());
 }
 
-TEST(StackFile, RejectsUnknownVersion) {
-  std::string bytes = SampleStack().Serialize();
-  bytes[4] = 99;  // version field follows the magic
-  EXPECT_EQ(StackFile::Parse(bytes).error(), Errno::kNoExec);
+// Only the version Serialize writes is read: older layouts have no writer.
+TEST(StackFile, RejectsEveryOtherVersion) {
+  for (const char version : {0, 1, 2, 3, 5, 99}) {
+    std::string bytes = SampleStack().Serialize();
+    bytes[4] = version;  // version field follows the magic
+    EXPECT_EQ(StackFile::Parse(bytes).error(), Errno::kNoExec) << int{version};
+  }
+}
+
+// A disposition is default, ignore or catch; any other byte is corruption.
+TEST(StackFile, RejectsUnknownSignalAction) {
+  StackFile s = SampleStack();
+  s.sig_dispositions[vm::abi::kSigUsr1].action =
+      static_cast<kernel::SignalDisposition::Action>(3);
+  EXPECT_EQ(StackFile::Parse(s.Serialize()).error(), Errno::kNoExec);
 }
 
 IncrAout SampleDelta(uint32_t full_size) {
@@ -240,6 +265,18 @@ void PutU32(std::string& b, size_t at, uint32_t v) {
   for (size_t i = 0; i < 4; ++i) b[at + i] = static_cast<char>(v >> (8 * i));
 }
 
+// An edited 32-bit field: off by one, an extreme, a small number, or noise.
+uint32_t EditU32(sim::Rng& rng, uint32_t was) {
+  switch (rng.Below(6)) {
+    case 0: return was + 1;
+    case 1: return was - 1;
+    case 2: return 0;
+    case 3: return 0xFFFFFFFFu;
+    case 4: return static_cast<uint32_t>(rng.Below(8));
+    default: return static_cast<uint32_t>(rng.Next());
+  }
+}
+
 // Byte offsets of the delta a.out's fixed fields (see IncrAout::Serialize).
 constexpr size_t kU32Fields[] = {8, 12, 24, 45, 49};  // machtype entry text_size full_size npages
 constexpr size_t kEncodingByte = 28;
@@ -264,17 +301,7 @@ TEST(IncrAoutFuzz, MutatedDeltasFailCleanlyOrRestoreExactData) {
   ASSERT_EQ(page_at.size(), 3u);
 
   sim::Rng rng(0xde17a);
-  // An edited 32-bit field: off by one, an extreme, a small number, or noise.
-  auto edit = [&rng](uint32_t was) -> uint32_t {
-    switch (rng.Below(6)) {
-      case 0: return was + 1;
-      case 1: return was - 1;
-      case 2: return 0;
-      case 3: return 0xFFFFFFFFu;
-      case 4: return static_cast<uint32_t>(rng.Below(8));
-      default: return static_cast<uint32_t>(rng.Next());
-    }
-  };
+  auto edit = [&rng](uint32_t was) { return EditU32(rng, was); };
   int restored = 0;
   int rejected = 0;
   for (int iter = 0; iter < 2000; ++iter) {
@@ -362,6 +389,125 @@ TEST(IncrAoutFuzz, MutatedDeltasFailCleanlyOrRestoreExactData) {
   // restore, and everything else is refused.
   EXPECT_GT(restored, 0);
   EXPECT_GT(rejected, 1000);
+}
+
+// --- Seeded mutation tests of the other dump parsers ---
+
+// Mutates one real file 2,000 times — bit flips, truncations, splices of its
+// own bytes, and edits of the 32-bit length and size fields at `u32_fields` —
+// and parses each mutant. A mutant must fail with ENOEXEC or parse to a value
+// that re-serializes to bytes which parse back to that same value; and no
+// allocation may exceed what the mutant can hold (its size, plus one fixed
+// object such as a blob's shared header).
+template <typename ParseFn>
+void FuzzDumpParser(const std::string& real, const std::vector<size_t>& u32_fields,
+                    uint64_t seed, ParseFn parse) {
+  constexpr size_t kFixedObjectBytes = 128;
+  ASSERT_TRUE(parse(real).ok());
+  sim::Rng rng(seed);
+  int parsed = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = real;
+    switch (rng.Below(4)) {
+      case 0:  // bit flips anywhere
+        for (uint64_t n = 1 + rng.Below(4); n > 0; --n) {
+          bytes[rng.Below(bytes.size())] ^= static_cast<char>(1 << rng.Below(8));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(rng.Below(bytes.size()));
+        break;
+      case 2: {  // a splice of the file's own bytes, over or into it
+        const std::string chunk =
+            bytes.substr(rng.Below(bytes.size()), 1 + rng.Below(bytes.size()));
+        const size_t to = rng.Below(bytes.size());
+        if (rng.Chance(0.5)) {
+          bytes.insert(to, chunk);
+        } else {
+          bytes.replace(to, chunk.size(), chunk);
+        }
+        break;
+      }
+      default: {  // a length or size field
+        const size_t at = u32_fields[rng.Below(u32_fields.size())];
+        PutU32(bytes, at, EditU32(rng, GetU32(bytes, at)));
+        break;
+      }
+    }
+
+    g_largest_allocation = 0;
+    const auto value = parse(bytes);
+    EXPECT_LE(g_largest_allocation, bytes.size() + kFixedObjectBytes) << "case " << iter;
+    if (!value.ok()) {
+      EXPECT_EQ(value.error(), Errno::kNoExec) << "case " << iter;
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string again = value->Serialize();
+    const auto back = parse(again);
+    ASSERT_TRUE(back.ok()) << "case " << iter;
+    EXPECT_EQ(back->Serialize(), again) << "case " << iter;
+  }
+  // Both outcomes occur: some mutations leave a valid file, most do not.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 500);
+}
+
+// The offset of the length prefix in front of `text`'s first occurrence.
+size_t LengthPrefixOf(const std::string& bytes, const std::string& text) {
+  const size_t at = bytes.find(text);
+  EXPECT_NE(at, std::string::npos) << text;
+  EXPECT_GE(at, 4u) << text;
+  return at - 4;
+}
+
+TEST(DumpParserFuzz, FilesFile) {
+  const FilesFile f = SampleFiles();
+  const std::string real = f.Serialize();
+  std::vector<size_t> fields;
+  for (const std::string& s : {f.host, f.cwd, f.entries[0].path, f.entries[3].path}) {
+    fields.push_back(LengthPrefixOf(real, s));
+  }
+  FuzzDumpParser(real, fields, 0xf11e5,
+                 [](const std::string& b) { return FilesFile::Parse(b); });
+}
+
+TEST(DumpParserFuzz, StackFile) {
+  StackFile s = SampleStack();
+  s.command = "counter";
+  const std::string real = s.Serialize();
+  // The version (after the magic), the stack's size (after four credentials),
+  // and the two strings' lengths.
+  FuzzDumpParser(real,
+                 {4, 24, LengthPrefixOf(real, s.old_host), LengthPrefixOf(real, s.command)},
+                 0x57ac4, [](const std::string& b) { return StackFile::Parse(b); });
+}
+
+TEST(DumpParserFuzz, AoutImage) {
+  vm::AoutImage image;
+  std::vector<uint8_t> text(16 * vm::kInstrBytes);
+  for (size_t i = 0; i < text.size(); ++i) text[i] = static_cast<uint8_t>(i % 23);
+  image.text = sim::Blob(text);
+  image.data.assign(300, 0x5a);
+  image.header.entry = 2 * vm::kInstrBytes;
+  // machtype, text_size, data_size, entry
+  FuzzDumpParser(image.Serialize(), {4, 8, 12, 16}, 0xa0a7,
+                 [](const std::string& b) { return vm::AoutImage::Parse(b); });
+}
+
+TEST(DumpParserFuzz, CoreFile) {
+  kernel::CoreFile core;
+  core.cpu.regs[2] = 5;
+  core.cpu.pc = 16;
+  core.cpu.sp = vm::kStackTop - 24;
+  core.data.assign(200, 9);
+  core.stack.assign(24, 1);
+  // The data and stack blobs' lengths, after the magic, registers, pc and sp.
+  const size_t data_len_at = 4 + sizeof(core.cpu.regs) + 8;
+  FuzzDumpParser(core.Serialize(), {data_len_at, data_len_at + 4 + core.data.size()},
+                 0xc04e, [](const std::string& b) { return kernel::CoreFile::Parse(b); });
 }
 
 TEST(DumpPaths, NamesFollowThePaper) {

@@ -198,6 +198,37 @@ TEST(Placement, CostAwarePrefersTheWarmSegmentCache) {
   EXPECT_LT(scores[1].est_bytes, scores[0].est_bytes);  // brador is cheaper
 }
 
+// Placement reads simulation state only. A migration into schooner leaves a
+// restart-latency histogram and per-pair wire counters behind when metrics
+// are armed, and nothing when they are off; neither may move a cost-aware pick
+// between two otherwise equal hosts.
+TEST(Placement, CostAwarePickIsTheSameWithMetricsArmed) {
+  std::vector<std::string> picks;
+  for (const bool metrics : {false, true}) {
+    WorldOptions options;
+    options.num_hosts = 3;
+    options.metrics = metrics;
+    World world(options);
+    const int32_t moved = world.StartVm("brador", "/bin/counter");
+    ASSERT_TRUE(world.RunUntilBlocked("brador", moved));
+    const int32_t mig = world.StartTool(
+        "brador", "migrate", {"-p", std::to_string(moved), "-t", "schooner"}, kUserUid,
+        world.console("brador"));
+    ASSERT_TRUE(world.RunUntilExited("brador", mig));
+    ASSERT_EQ(world.ExitInfoOf("brador", mig).exit_code, 0);
+
+    const int32_t fresh = world.StartVm("brick", "/bin/counter");
+    ASSERT_TRUE(world.RunUntilBlocked("brick", fresh));
+    PlacementQuery query;
+    query.from_host = "brick";
+    query.pid = fresh;
+    const PlacementEngine engine(&world.cluster().network(), PlacementPolicy::kCostAware);
+    picks.push_back(engine.PickTarget(query));
+  }
+  EXPECT_EQ(picks[0], "schooner");  // equal signals: network order decides
+  EXPECT_EQ(picks[1], picks[0]);
+}
+
 // --- Legacy equivalence: kLoadOnly reproduces the pre-engine balancer ---
 
 // A copy of the balancer loop as it stood before the placement engine (idlest =
